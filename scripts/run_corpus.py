@@ -17,7 +17,6 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--budget", type=int, default=5,
                     help="max generator count / pure-power exponent")
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--numeric", action="store_true",
                     help="include numeric intermediate-section verdicts")
     ap.add_argument("--tolerance", type=float, default=0.05)
@@ -28,7 +27,7 @@ def main() -> int:
     config = CorpusConfig(dim=args.dim, count=args.count, seed=args.seed,
                           budget=args.budget, include_numeric=args.numeric,
                           tolerance=args.tolerance)
-    report = corpus_run(config, workers=args.workers)
+    report = corpus_run(config)
     text = emit_report(report, "json")
     if args.output == "-":
         print(text)

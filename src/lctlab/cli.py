@@ -18,6 +18,7 @@ from .germs import (
     lct_nondegenerate,
     monomialize,
     parse_polynomial,
+    poly,
     product_with_maximal,
 )
 from .invariants import (
@@ -27,7 +28,7 @@ from .invariants import (
     lelong_numbers,
     loja_monomial,
 )
-from .sections import LojaParams, polar_invariant
+from .sections import polar_invariant
 from .verify import (
     CorpusConfig,
     EXIT_EXACT_FAILURE,
@@ -60,10 +61,6 @@ def _fmt(args) -> str:
     return "json" if args.json else "text"
 
 
-def _loja_params(args) -> LojaParams:
-    return LojaParams(tolerance=args.tolerance)
-
-
 def _ideal_invariants(a: MonomialIdeal) -> dict:
     try:
         lct = frac_str(lct_monomial(a))
@@ -78,7 +75,11 @@ def _ideal_invariants(a: MonomialIdeal) -> dict:
     return inv
 
 
-def _germ_invariants(f, seed: int, params: LojaParams, allow_nondeg: bool) -> dict:
+def _generator_strings(a: MonomialIdeal) -> list[str]:
+    return [format_polynomial(poly(a.dim, {g: 1})) for g in a.generators]
+
+
+def _germ_invariants(f, seed: int, allow_nondeg: bool) -> dict:
     lct_f, flag = lct_nondegenerate(f)
     inv = {"lct_f": frac_str(lct_f), "lct_f_mode": flag}
     mJ = product_with_maximal(jacobian_ideal(f))
@@ -87,8 +88,7 @@ def _germ_invariants(f, seed: int, params: LojaParams, allow_nondeg: bool) -> di
     except NotMonomializableError:
         mono = monomialize(mJ, NONDEGENERATE) if allow_nondeg else None
     exact = mono is not None and mono.exact
-    thetas = [polar_invariant(f, j, seed=seed, params=params)
-              for j in range(f.dim)]
+    thetas = [polar_invariant(f, j, seed=seed) for j in range(f.dim)]
     inv["theta"] = [
         frac_str(t.rational) if t.rational is not None else frac_str(t.value)
         for t in thetas
@@ -121,25 +121,18 @@ def _single_report(args, input_text, n, gens, invariants, verdicts) -> int:
 def _cmd_compute(args) -> int:
     if ";" in args.input or args.ideal:
         a = _parse_ideal(args.input, args.dim)
-        gens = [format_polynomial_from_exp(g) for g in a.generators]
-        return _single_report(args, args.input, a.dim, gens,
+        return _single_report(args, args.input, a.dim, _generator_strings(a),
                               _ideal_invariants(a), [])
     f = parse_polynomial(args.input, args.dim)
-    inv = _germ_invariants(f, args.seed, _loja_params(args), args.nondegenerate)
+    inv = _germ_invariants(f, args.seed, args.nondegenerate)
     return _single_report(args, args.input, f.dim, [format_polynomial(f)], inv, [])
-
-
-def format_polynomial_from_exp(v) -> str:
-    from .germs import poly
-
-    return format_polynomial(poly(len(v), {v: 1}))
 
 
 def _cmd_verify_main(args) -> int:
     f = parse_polynomial(args.input, args.dim)
     verdict, thetas = verify_main(
         f, seed=args.seed, tolerance=args.tolerance,
-        params=_loja_params(args), allow_nondegenerate=args.nondegenerate)
+        allow_nondegenerate=args.nondegenerate)
     inv = {
         "theta": [frac_str(t.rational) if t.rational is not None
                   else frac_str(t.value) for t in thetas],
@@ -155,8 +148,7 @@ def _cmd_verify_chain(args) -> int:
     verdicts = verify_chain(
         a, seed=args.seed, tolerance=args.tolerance,
         include_numeric=args.numeric)
-    gens = [format_polynomial_from_exp(g) for g in a.generators]
-    return _single_report(args, args.input, a.dim, gens,
+    return _single_report(args, args.input, a.dim, _generator_strings(a),
                           _ideal_invariants(a), verdicts)
 
 
@@ -172,10 +164,8 @@ def _cmd_verify_lct(args) -> int:
 def _cmd_probe_pham(args) -> int:
     a = _parse_ideal(args.input, args.dim)
     verdict = probe_pham(a, seed=args.seed)
-    gens = [format_polynomial_from_exp(g) for g in a.generators]
-    code = _single_report(args, args.input, a.dim, gens,
+    return _single_report(args, args.input, a.dim, _generator_strings(a),
                           _ideal_invariants(a), [verdict])
-    return code
 
 
 def _cmd_corpus(args) -> int:
@@ -187,24 +177,30 @@ def _cmd_corpus(args) -> int:
         include_numeric=args.numeric,
         tolerance=args.tolerance,
     )
-    report = corpus_run(config, workers=args.workers)
+    report = corpus_run(config)
     if args.timings:
         report.meta["timings_ms"] = args.elapsed_ms()
     sys.stdout.write(emit_report(report, _fmt(args)))
     return report.exit_code
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--json", action="store_true", help="emit a JSON report")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tolerance", type=float, default=0.05,
-                   help="relative tolerance for numeric verdicts")
-    p.add_argument("--budget", type=int, default=5,
-                   help="generator degree budget (corpus)")
-    p.add_argument("--dim", type=int, default=None,
-                   help="ambient dimension (default: inferred)")
-    p.add_argument("--nondegenerate", action="store_true",
-                   help="permit flagged nondegenerate-assumed monomialization")
+_FLAGS = {
+    "--json": dict(action="store_true", help="emit a JSON report"),
+    "--seed": dict(type=int, default=0),
+    "--dim": dict(type=int, default=None,
+                  help="ambient dimension (default: inferred)"),
+    "--tolerance": dict(type=float, default=0.05,
+                        help="relative tolerance for numeric verdicts"),
+    "--budget": dict(type=int, default=5, help="generator degree budget"),
+    "--nondegenerate": dict(
+        action="store_true",
+        help="permit flagged nondegenerate-assumed monomialization"),
+}
+
+
+def _add_flags(p: argparse.ArgumentParser, *extra: str) -> None:
+    for name in ("--json", "--seed", "--dim") + extra:
+        p.add_argument(name, **_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -217,38 +213,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--ideal", action="store_true",
                    help="treat the input as a one-generator monomial ideal")
-    _add_common(p)
+    _add_flags(p, "--nondegenerate")
     p.set_defaults(func=_cmd_compute)
 
     p = sub.add_parser("verify-main", help="polar-invariant sum vs lct(m*J_f)")
     p.add_argument("input")
-    _add_common(p)
+    _add_flags(p, "--tolerance", "--nondegenerate")
     p.set_defaults(func=_cmd_verify_main)
 
     p = sub.add_parser("verify-chain", help="Lelong-ratio chain for an ideal")
     p.add_argument("input")
     p.add_argument("--numeric", action="store_true",
                    help="include numeric intermediate-codimension terms")
-    _add_common(p)
+    _add_flags(p, "--tolerance")
     p.set_defaults(func=_cmd_verify_chain)
 
     p = sub.add_parser("verify-lct", help="lct(m*J_f) >= lct(f)")
     p.add_argument("input")
-    _add_common(p)
+    _add_flags(p, "--nondegenerate")
     p.set_defaults(func=_cmd_verify_lct)
 
     p = sub.add_parser("probe-pham", help="hyperplane-restriction probe (n=2)")
     p.add_argument("input")
-    _add_common(p)
+    _add_flags(p)
     p.set_defaults(func=_cmd_probe_pham)
 
     p = sub.add_parser("corpus", help="randomized corpus run")
     p.add_argument("--count", type=int, default=50)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--numeric", action="store_true")
     p.add_argument("--timings", action="store_true",
                    help="record wall time (breaks byte-stability)")
-    _add_common(p)
+    _add_flags(p, "--tolerance", "--budget")
     p.set_defaults(func=_cmd_corpus)
 
     return parser

@@ -14,8 +14,6 @@ from math import gcd
 
 import numpy as np
 
-from .simplex import solve_lp
-
 MAX_DIM = 4
 
 Exponent = tuple[int, ...]
@@ -285,34 +283,14 @@ def _facet_eval(P: NewtonPolyhedron, q) -> bool:
                for w, c in P.facets)
 
 
-def _lp_member(P: NewtonPolyhedron, q) -> bool:
-    """q in conv(gens)+orthant, by exact LP feasibility."""
-    g = len(P.generators)
-    n = P.dim
-    nvars = g + n  # convex weights, then slack per coordinate
-    constraints = []
-    constraints.append(([Fraction(1)] * g + [Fraction(0)] * n, "==", Fraction(1)))
-    for k in range(n):
-        coeffs = [Fraction(P.generators[i][k]) for i in range(g)]
-        coeffs += [Fraction(1) if j == k else Fraction(0) for j in range(n)]
-        constraints.append((coeffs, "==", Fraction(q[k])))
-    res = solve_lp([Fraction(0)] * nvars, constraints, nvars)
-    return res.status == "optimal"
-
-
 def contains(P: NewtonPolyhedron, q) -> bool:
-    """Exact membership, decided by facets and cross-checked by LP."""
+    """Exact membership, decided by the facet inequalities."""
     q = tuple(Fraction(c) for c in q)
     if len(q) != P.dim:
         raise InvalidInputError("point dimension mismatch")
     if any(c < 0 for c in q):
         raise InvalidInputError("negative coordinate")
-    by_facets = _facet_eval(P, q)
-    by_lp = _lp_member(P, q)
-    if by_facets != by_lp:
-        raise GeometryError(
-            f"facet/LP membership disagreement at {q}: facets={by_facets} lp={by_lp}")
-    return by_facets
+    return _facet_eval(P, q)
 
 
 def minkowski_sum(P: NewtonPolyhedron, Q: NewtonPolyhedron) -> NewtonPolyhedron:
@@ -327,16 +305,7 @@ def diagonal_intercept(P: NewtonPolyhedron) -> Fraction:
     """min{t > 0 : t*(1,..,1) in P}; 0 for the full orthant."""
     if P.is_orthant:
         return Fraction(0)
-    n = P.dim
-    constraints = [([Fraction(sum(w))], ">=", Fraction(c)) for w, c in P.facets]
-    res = solve_lp([Fraction(1)], constraints, 1, maximize=False)
-    if res.status != "optimal":
-        raise GeometryError(f"degenerate polyhedron: intercept LP {res.status}")
-    t_lp = res.value
-    t_closed = max(Fraction(c, sum(w)) for w, c in P.facets)
-    if t_lp != t_closed:
-        raise GeometryError("intercept LP disagrees with facet formula")
-    return t_closed
+    return max(Fraction(c, sum(w)) for w, c in P.facets)
 
 
 def axis_intercepts(P: NewtonPolyhedron) -> tuple[Fraction | None, ...]:
@@ -417,6 +386,18 @@ def _poly_volume(rows, n: int) -> Fraction:
     return total / n
 
 
+def _complement_volume(P: NewtonPolyhedron, M: Fraction) -> Fraction:
+    """Volume of {0 <= x <= M : x not in P}; the covolume once M is at
+    least every axis intercept."""
+    n = P.dim
+    rows = [(tuple(-wi for wi in w), -c) for w, c in P.facets]  # <w,x> >= c
+    for i in range(n):
+        e = tuple(1 if j == i else 0 for j in range(n))
+        rows.append((tuple(-c for c in e), 0))  # x_i >= 0
+        rows.append((e, M))                     # x_i <= M
+    return M ** n - _poly_volume(rows, n)
+
+
 _COVOL_CACHE: dict[tuple[int, tuple[Exponent, ...]], Fraction] = {}
 
 
@@ -432,22 +413,6 @@ def covolume(P: NewtonPolyhedron) -> Fraction:
     intercepts = axis_intercepts(P)
     if any(t is None for t in intercepts):
         raise NotZeroDimensionalError("unbounded orthant complement")
-    n = P.dim
-    M0 = max(intercepts)
-
-    def complement(M: Fraction) -> Fraction:
-        rows = []
-        for w, c in P.facets:
-            rows.append((tuple(-wi for wi in w), -c))  # <w,x> >= c
-        for i in range(n):
-            e = tuple(1 if j == i else 0 for j in range(n))
-            rows.append((tuple(-c for c in e), 0))  # x_i >= 0
-            rows.append((e, M))                     # x_i <= M
-        return M ** n - _poly_volume(rows, n)
-
-    v1 = complement(M0)
-    v2 = complement(M0 + 1)
-    if v1 != v2:
-        raise GeometryError("covolume depends on the bounding box; facet list broken")
-    _COVOL_CACHE[key] = v1
-    return v1
+    vol = _complement_volume(P, max(intercepts))
+    _COVOL_CACHE[key] = vol
+    return vol

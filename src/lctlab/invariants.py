@@ -70,16 +70,9 @@ def lct_monomial(a: MonomialIdeal) -> Fraction:
 
 
 def loja_monomial(a: MonomialIdeal) -> Fraction:
-    """Max axis intercept, cross-checked against the dual weight program."""
+    """Max axis intercept of the Newton polyhedron."""
     _require_zero_dim(a, "Lojasiewicz exponent")
-    P = polyhedron_of(a)
-    primal = max(t for t in axis_intercepts(P))
-    # dual: sup over weights w >= 0 with min_i w_i = 1 of min_g <v, w>;
-    # the optimum lies on a normal-fan ray, i.e. a facet normal rescaled.
-    dual = max(Fraction(c, min(w)) for w, c in P.facets)
-    if primal != dual:
-        raise ArithmeticError(f"Lojasiewicz primal/dual mismatch: {primal} vs {dual}")
-    return primal
+    return max(axis_intercepts(polyhedron_of(a)))
 
 
 def _staircase_box(a: MonomialIdeal) -> tuple[int, ...]:

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactgeom import InvalidInputError, polyhedron_of
+from .exactgeom import InvalidInputError, _rank, polyhedron_of
 from .germs import (
     IdealPresentation,
     Monomialization,
@@ -75,28 +75,6 @@ class LojaParams:
     starts: int = 64
     seeds: tuple[int, ...] = (0, 1)
     iters: int = 250
-    tolerance: float = 0.05
-
-
-def _matrix_rank(matrix) -> int:
-    rows = [list(r) for r in matrix]
-    rank = 0
-    ncols = len(rows[0])
-    col = 0
-    while rank < len(rows) and col < ncols:
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        prow = rows[rank]
-        for i in range(rank + 1, len(rows)):
-            if rows[i][col] != 0:
-                f = Fraction(rows[i][col], 1) / prow[col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
-        rank += 1
-        col += 1
-    return rank
 
 
 def _mix_seed(n: int, j: int, seed: int, attempt: int) -> int:
@@ -113,7 +91,7 @@ def sample_plane(n: int, j: int, seed: int, max_attempts: int = 1000) -> PlaneRe
         matrix = tuple(
             tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(cols))
             for _ in range(n))
-        if _matrix_rank(matrix) == cols:
+        if _rank(matrix) == cols:
             return PlaneRestriction(n, j, matrix, seed)
     raise SamplingError("could not draw a full-rank plane")
 

@@ -6,7 +6,6 @@ integral-closure domination of lct(f), and the hyperplane-restriction probe.
 """
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import random
 from dataclasses import dataclass, field
@@ -52,10 +51,6 @@ EXIT_EXACT_FAILURE = 2
 EXIT_NUMERIC_FAILURE = 3
 
 DEFAULT_TOLERANCE = 0.05
-
-
-def _num(x):
-    return float(x) if not isinstance(x, Fraction) else x
 
 
 @dataclass(frozen=True)
@@ -216,7 +211,7 @@ def probe_pham(
             break
         except DegenerateRestrictionError:
             continue
-    # the two coordinate lines
+    # the two coordinate lines: not dominated when the sampled line is an axis
     for axis in range(2):
         orders = [g[axis] for g in a.generators
                   if all(c == 0 for i, c in enumerate(g) if i != axis)]
@@ -255,7 +250,6 @@ class CorpusConfig:
     count: int
     seed: int = 0
     budget: int = 5
-    probe: bool = True
     include_numeric: bool = False
     tolerance: float = DEFAULT_TOLERANCE
 
@@ -319,7 +313,7 @@ class Report:
 class CorpusReport:
     config: CorpusConfig
     cases: int
-    summaries: dict  # verdict name -> {count, failures, min_margin, worst_seed}
+    summaries: dict  # verdict name -> {count, failures, min_margin, worst_index}
     failures: list  # reproduction data
     meta: dict = field(default_factory=dict)
 
@@ -350,28 +344,18 @@ class CorpusReport:
         return EXIT_OK
 
 
-def _corpus_case(config: CorpusConfig, index: int):
-    a = random_ideal(config.dim, config.seed + index, config.budget)
-    verdicts = verify_chain(
-        a, seed=config.seed + index, tolerance=config.tolerance,
-        include_numeric=config.include_numeric)
-    if config.dim == 2 and config.probe:
-        verdicts.append(probe_pham(a, seed=config.seed + index))
-    return a, verdicts
-
-
-def corpus_run(config: CorpusConfig, workers: int = 1) -> CorpusReport:
+def corpus_run(config: CorpusConfig) -> CorpusReport:
     """Run chain (and probe) verdicts over a seeded corpus; deterministic."""
-    indices = list(range(config.count))
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda i: _corpus_case(config, i), indices))
-    else:
-        results = [_corpus_case(config, i) for i in indices]
-
     summaries: dict[str, dict] = {}
     failures = []
-    for index, (a, verdicts) in zip(indices, results):
+    for index in range(config.count):
+        seed = config.seed + index
+        a = random_ideal(config.dim, seed, config.budget)
+        verdicts = verify_chain(
+            a, seed=seed, tolerance=config.tolerance,
+            include_numeric=config.include_numeric)
+        if config.dim == 2:
+            verdicts.append(probe_pham(a, seed=seed))
         for v in verdicts:
             s = summaries.setdefault(v.name, {
                 "count": 0, "failures": 0, "min_margin": None, "worst_index": None})
@@ -385,7 +369,7 @@ def corpus_run(config: CorpusConfig, workers: int = 1) -> CorpusReport:
                 s["failures"] += 1
                 failures.append({
                     "index": index,
-                    "seed": config.seed + index,
+                    "seed": seed,
                     "ideal": [list(g) for g in a.generators],
                     "verdict": _verdict_dict(v),
                     "numeric": v.numeric,

@@ -21,8 +21,9 @@ from lctlab.exactgeom import (
     polyhedron_of,
     scale_ideal,
     _facet_eval,
-    _lp_member,
 )
+
+from oracles import grid_points, lp_member
 
 
 def shoelace_covolume(gens):
@@ -179,27 +180,6 @@ class TestCovolume:
             covolume(build_polyhedron({(1, 1)}, 2))
 
 
-def _grid_points(P):
-    gens = [tuple(Fraction(c) for c in g) for g in P.generators]
-    pts = list(gens)
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            pts.append(tuple((a + b) / 2 for a, b in zip(gens[i], gens[j])))
-    for i, t in enumerate(axis_intercepts(P)):
-        if t is not None:
-            pts.append(tuple(t if k == i else Fraction(0) for k in range(P.dim)))
-    t0 = diagonal_intercept(P)
-    pts.append(tuple(t0 for _ in range(P.dim)))
-    eps = Fraction(1, 7)
-    shifted = []
-    for p in pts:
-        shifted.append(tuple(c + eps for c in p))
-        minus = tuple(c - eps for c in p)
-        if all(c >= 0 for c in minus):
-            shifted.append(minus)
-    return pts + shifted
-
-
 gens2 = st.lists(
     st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(lambda v: sum(v) > 0),
     min_size=1, max_size=5)
@@ -214,15 +194,15 @@ class TestProperties:
     @given(gens2)
     def test_facets_agree_with_lp_on_grid(self, gens):
         P = build_polyhedron(gens, 2)
-        for q in _grid_points(P):
-            assert _facet_eval(P, q) == _lp_member(P, q)
+        for q in grid_points(P):
+            assert _facet_eval(P, q) == lp_member(P, q)
 
     @settings(max_examples=20, deadline=None)
     @given(gens3)
     def test_facets_agree_with_lp_on_grid_3d(self, gens):
         P = build_polyhedron(gens, 3)
-        for q in _grid_points(P)[:25]:
-            assert _facet_eval(P, q) == _lp_member(P, q)
+        for q in grid_points(P)[:25]:
+            assert _facet_eval(P, q) == lp_member(P, q)
 
     @settings(max_examples=25, deadline=None)
     @given(gens2, st.sampled_from([1, 2, 3]))

