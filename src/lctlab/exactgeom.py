@@ -1,16 +1,16 @@
 """Exact rational convex geometry over the nonnegative orthant.
 
-Newton polyhedra of monomial ideals in dimension n <= 4: facet enumeration,
-membership, Minkowski sums, diagonal/axis intercepts and orthant-complement
-volumes (covolumes).  Everything is integer/Fraction arithmetic; floats never
-enter this module.
+Newton polyhedra of monomial ideals in dimension n <= 4: vertex and facet
+enumeration, membership, Minkowski sums, diagonal/axis intercepts and
+orthant-complement volumes (covolumes, by triangulating the facets).
+Everything is integer/Fraction arithmetic; floats never enter this module.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import factorial
 
 import numpy as np
 
@@ -41,13 +41,26 @@ def _check_dim(n: int) -> None:
 
 
 def minimalize(gens) -> tuple[Exponent, ...]:
-    """Reduce a set of exponent vectors to its componentwise-minimal elements."""
+    """Reduce a set of exponent vectors to its componentwise-minimal elements.
+
+    In lexicographic order a vector can only be dominated by an earlier one.
+    Large sets are compared as arrays, a block of rows at a time.
+    """
     unique = sorted(set(tuple(int(c) for c in g) for g in gens))
-    keep = []
-    for v in unique:
-        if not any(u != v and all(ui <= vi for ui, vi in zip(u, v)) for u in unique):
-            keep.append(v)
-    return tuple(keep)
+    if len(unique) <= 24:
+        return tuple(v for j, v in enumerate(unique)
+                     if not any(all(a <= b for a, b in zip(u, v)) for u in unique[:j]))
+    top = max(abs(c) for v in unique for c in v)
+    arr = np.array(unique, dtype=np.int64 if top < 2 ** 63 else object)
+    cols = arr.T
+    rows = max(1, 2 ** 22 // len(arr))
+    dominated = []
+    for block in np.split(cols, range(rows, len(arr), rows), axis=1):
+        below = cols[0][None, :] <= block[0][:, None]
+        for k in range(1, len(cols)):
+            below &= cols[k][None, :] <= block[k][:, None]
+        dominated += (np.count_nonzero(below, axis=1) > 1).tolist()
+    return tuple(v for v, d in zip(unique, dominated) if not d)
 
 
 @dataclass(frozen=True)
@@ -125,36 +138,18 @@ class NewtonPolyhedron:
 
     Facets are pairs (normal, offset) with primitive integer normal >= 0
     describing {x >= 0 : <normal, x> >= offset}; offsets are positive
-    integers (inequalities implied by x >= 0 are not stored).
+    integers (inequalities implied by x >= 0 are not stored).  The
+    vertices are the generators that are vertices of the polyhedron.
     """
 
     dim: int
     generators: tuple[Exponent, ...]
     facets: tuple[tuple[Exponent, int], ...]
+    vertices: tuple[Exponent, ...]
 
     @property
     def is_orthant(self) -> bool:
         return not self.facets
-
-
-def _primitive(vec) -> Exponent | None:
-    g = 0
-    for c in vec:
-        g = gcd(g, abs(int(c)))
-    if g == 0:
-        return None
-    return tuple(int(c) // g for c in vec)
-
-
-def _sign_fix(vec) -> Exponent | None:
-    """Orient an integer vector to be componentwise >= 0, else drop it."""
-    has_pos = any(c > 0 for c in vec)
-    has_neg = any(c < 0 for c in vec)
-    if has_pos and has_neg:
-        return None
-    if has_neg:
-        vec = tuple(-c for c in vec)
-    return _primitive(vec)
 
 
 def _rank(rows) -> int:
@@ -179,97 +174,150 @@ def _rank(rows) -> int:
     return rank
 
 
-def _directions(gens: tuple[Exponent, ...], n: int) -> list[Exponent]:
-    dirs = set()
-    for u, v in itertools.combinations(gens, 2):
-        d = _primitive(tuple(a - b for a, b in zip(u, v)))
-        if d is not None:
-            # canonical sign: first nonzero entry positive
-            first = next(c for c in d if c != 0)
-            if first < 0:
-                d = tuple(-c for c in d)
-            dirs.add(d)
-    for i in range(n):
-        dirs.add(tuple(1 if j == i else 0 for j in range(n)))
-    return sorted(dirs)
+def _array_dtype(gens, n: int):
+    """np.int64 when no product formed in facet enumeration can overflow it,
+    else object (Python ints).
+
+    With every coordinate in [0, D], a normal entry is an (n-1)-minor of
+    differences and unit vectors, at most (n-1)! D^(n-1) in size, and a
+    value <normal, point> is at most n! D^n.
+    """
+    top = max(max(g) for g in gens)
+    return np.int64 if factorial(n) * top ** n < 2 ** 63 else object
 
 
-def _candidate_normals(dirs: list[Exponent], n: int) -> set[Exponent]:
-    cands: set[Exponent] = set()
+def _normals(dirs):
+    """Generalized cross product of each (n-1) x n block of direction rows:
+    a normal of the hyperplane they span, zero when they are dependent."""
+    k, _, n = dirs.shape
     if n == 1:
-        cands.add((1,))
-    elif n == 2:
-        for dx, dy in dirs:
-            w = _sign_fix((dy, -dx))
-            if w is not None:
-                cands.add(w)
-    elif n == 3:
-        arr = np.array(dirs, dtype=np.int64)
-        cross = np.cross(arr[:, None, :], arr[None, :, :]).reshape(-1, 3)
-        nz = cross[np.any(cross != 0, axis=1)]
-        if len(nz):
-            neg = np.all(nz <= 0, axis=1)
-            nz[neg] *= -1
-            ok = nz[np.all(nz >= 0, axis=1)]
-            if len(ok):
-                g = np.gcd.reduce(ok, axis=1)
-                ok = ok // g[:, None]
-                cands.update(map(tuple, np.unique(ok, axis=0).tolist()))
-    else:  # n == 4: generalized cross product of 3 directions
-        for trip in itertools.combinations(dirs, 3):
-            m = [list(d) for d in trip]
-            w = []
-            for i in range(4):
-                cols = [j for j in range(4) if j != i]
-                sub = [[m[r][c] for c in cols] for r in range(3)]
-                det = (sub[0][0] * (sub[1][1] * sub[2][2] - sub[1][2] * sub[2][1])
-                       - sub[0][1] * (sub[1][0] * sub[2][2] - sub[1][2] * sub[2][0])
-                       + sub[0][2] * (sub[1][0] * sub[2][1] - sub[1][1] * sub[2][0]))
-                w.append((-1) ** i * det)
-            fixed = _sign_fix(w)
-            if fixed is not None:
-                cands.add(fixed)
-    return cands
+        return np.ones((k, 1), dtype=dirs.dtype)
+    if n == 2:
+        return np.stack([dirs[:, 0, 1], -dirs[:, 0, 0]], axis=1)
+    if n == 3:
+        a, b = dirs[:, 0], dirs[:, 1]
+        return np.stack([a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1],
+                         a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2],
+                         a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]], axis=1)
+    a, b, c = dirs[:, 0], dirs[:, 1], dirs[:, 2]
+    minor = {(p, q): b[:, p] * c[:, q] - b[:, q] * c[:, p]
+             for p, q in itertools.combinations(range(4), 2)}
+    cols = []
+    for i in range(4):
+        p, q, r = (j for j in range(4) if j != i)
+        det = a[:, p] * minor[q, r] - a[:, q] * minor[p, r] + a[:, r] * minor[p, q]
+        cols.append(det if i % 2 == 0 else -det)
+    return np.stack(cols, axis=1)
+
+
+_BATCH = 1 << 15  # candidates per array pass: a few MB, however many points
+
+
+def _candidate_rows(k: int, n: int):
+    """Index rows (b, d_1, .., d_{n-1}) of the facet candidates of k points,
+    in batches of about _BATCH rows.  Each increasing tuple of m points
+    comes once with every set of n - m axes; an index k + j stands for the
+    unit vector e_j."""
+    batch, size = [], 0
+    for z in range(n):
+        m = n - z
+        axes = list(itertools.combinations(range(n), z))
+        axes = k + np.array(axes, dtype=np.intp).reshape(len(axes), z)
+        flat = itertools.chain.from_iterable(itertools.combinations(range(k), m))
+        chunk = max(1, _BATCH // len(axes)) * m
+        while len(tuples := np.fromiter(itertools.islice(flat, chunk), dtype=np.intp)):
+            tuples = tuples.reshape(-1, m)
+            batch.append(np.concatenate([np.repeat(tuples, len(axes), axis=0),
+                                         np.tile(axes, (len(tuples), 1))], axis=1))
+            size += len(batch[-1])
+            if size >= _BATCH:
+                yield np.concatenate(batch)
+                batch, size = [], 0
+    if batch:
+        yield np.concatenate(batch)
+
+
+def _facets_of(pts, n: int) -> list[tuple[Exponent, int]]:
+    """Facets {<w, x> >= c} with c > 0 of conv(pts) + orthant, sorted.
+
+    A facet whose normal vanishes on the axes Z contains n - |Z| affinely
+    independent points together with the directions e_i, i in Z.  So the
+    candidates are the normals of the hyperplanes through every such tuple
+    of points and set of unit directions (see _candidate_rows); a candidate
+    is a facet when no point lies below it and its offset is positive.
+    """
+    k = len(pts)
+    ext = np.concatenate([pts, np.eye(n, dtype=pts.dtype)])
+    facets = set()
+    for cand in _candidate_rows(k, n):
+        base = pts[cand[:, 0]]
+        W = _normals(ext[cand[:, 1:]] - (cand[:, 1:, None] < k) * base[:, None, :])
+        nonpos = np.all(W <= 0, axis=1)
+        keep = (np.all(W >= 0, axis=1) | nonpos) & np.any(W != 0, axis=1)
+        W, base = W[keep], base[keep]
+        W[nonpos[keep]] *= -1
+        offsets = np.sum(W * base, axis=1)
+        W, offsets = W[offsets > 0], offsets[offsets > 0]
+        for p in pts:  # most candidates have a point below them early on
+            above = W @ p >= offsets
+            W, offsets = W[above], offsets[above]
+        g = np.gcd.reduce(W, axis=1)
+        W, offsets = W // g[:, None], offsets // g
+        facets.update(zip(map(tuple, W.tolist()), offsets.tolist()))
+    return sorted(facets)
+
+
+def _vertices_and_facets(gens, n: int):
+    """Vertices and facets of conv(gens) + orthant, for sorted minimal gens.
+
+    Incremental hull: S starts with the generators minimizing each x_i and
+    the coordinate sum, ties broken lexicographically; each is a vertex.
+    While a generator lies strictly below a facet of conv(S) + orthant, the
+    lexicographically first generator minimizing that facet's normal (again a
+    vertex) joins S.  At the end conv(S) + orthant contains every generator,
+    so it is the polyhedron and S is exactly its vertex set.
+    """
+    dtype = _array_dtype(gens, n)
+    garr = np.array(gens, dtype=dtype)
+    start = {min(gens, key=lambda g: (g[i],) + g) for i in range(n)}
+    start.add(min(gens, key=lambda g: (sum(g),) + g))
+    chosen = {gens.index(v) for v in start}
+    while True:
+        idx = sorted(chosen)
+        facets = _facets_of(garr[idx], n)
+        if not facets:
+            break
+        W = np.array([w for w, _ in facets], dtype=dtype)
+        offsets = np.array([c for _, c in facets], dtype=dtype)
+        dots = garr @ W.T
+        below = np.nonzero(dots.min(axis=0) < offsets)[0]
+        if not len(below):
+            break
+        chosen.update(int(np.argmin(dots[:, j])) for j in below)
+    return tuple(gens[i] for i in idx), tuple(facets)
 
 
 _POLY_CACHE: dict[tuple[int, tuple[Exponent, ...]], NewtonPolyhedron] = {}
 
 
 def build_polyhedron(gens, n: int) -> NewtonPolyhedron:
-    """Newton polyhedron conv(gens) + orthant, with exact facet list."""
+    """Newton polyhedron conv(gens) + orthant, with exact vertices and facets."""
     _check_dim(n)
-    gens = minimalize(gens)
-    if not gens:
-        raise InvalidInputError("empty generator set")
+    gens = list(gens)
     for g in gens:
         if len(g) != n:
             raise InvalidInputError("generator dimension mismatch")
         if any(c < 0 for c in g):
             raise InvalidInputError("negative exponent")
+    gens = minimalize(gens)
+    if not gens:
+        raise InvalidInputError("empty generator set")
     key = (n, gens)
     cached = _POLY_CACHE.get(key)
     if cached is not None:
         return cached
-
-    dirs = _directions(gens, n)
-    cands = _candidate_normals(dirs, n)
-
-    garr = np.array(gens, dtype=np.int64)
-    facets: set[tuple[Exponent, int]] = set()
-    for w in sorted(cands):
-        dots = garr @ np.array(w, dtype=np.int64)
-        c = int(dots.min())
-        if c <= 0:
-            continue  # implied by x >= 0
-        tight = [gens[i] for i in np.nonzero(dots == c)[0]]
-        base = tight[0]
-        rows = [tuple(a - b for a, b in zip(g, base)) for g in tight[1:]]
-        rows += [tuple(1 if j == i else 0 for j in range(n))
-                 for i in range(n) if w[i] == 0]
-        if n == 1 or _rank(rows) == n - 1:
-            facets.add((w, c))
-
-    poly = NewtonPolyhedron(n, gens, tuple(sorted(facets)))
+    vertices, facets = _vertices_and_facets(gens, n)
+    poly = NewtonPolyhedron(n, gens, facets, vertices)
     _POLY_CACHE[key] = poly
     return poly
 
@@ -321,88 +369,57 @@ def axis_intercepts(P: NewtonPolyhedron) -> tuple[Fraction | None, ...]:
     return tuple(out)
 
 
-def _dedup_rows(rows):
-    """Normalize rows (a, b) of a*x <= b and keep the tightest per direction."""
-    best: dict[tuple, Fraction] = {}
-    trivial_feasible = True
-    for a, b in rows:
-        a = tuple(Fraction(c) for c in a)
-        b = Fraction(b)
-        if all(c == 0 for c in a):
-            if b < 0:
-                return None  # infeasible
-            continue
-        denom_lcm = 1
-        for c in a:
-            denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-        ints = [int(c * denom_lcm) for c in a]
-        g = 0
-        for c in ints:
-            g = gcd(g, abs(c))
-        key = tuple(c // g for c in ints)
-        bb = b * denom_lcm / g
-        if key not in best or bb < best[key]:
-            best[key] = bb
-    return [(k, v) for k, v in sorted(best.items())]
+def _det(rows) -> int:
+    """Determinant of a small square integer matrix, by cofactor expansion."""
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum((-1) ** j * a * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, a in enumerate(rows[0]) if a)
 
 
-def _poly_volume(rows, n: int) -> Fraction:
-    """Exact volume of {x : a*x <= b}, all rows rational; must be bounded.
+def _cone_volume(P: NewtonPolyhedron) -> Fraction:
+    """Volume of the union of conv(0, F) over the facets F of P.
 
-    Divergence-theorem recursion: each facet contributes
-    (b_i/|a_ij|) * vol_{n-1}(face projected along x_j), summed and divided by n.
+    Each facet is cut into simplices by a pulling triangulation: pick its
+    first vertex, then recurse into every sub-face that misses it.  The
+    faces come from facet-vertex incidences, with the coordinate
+    hyperplanes counted as facets; each simplex s adds |det(s)| / n!.
     """
-    deduped = _dedup_rows(rows)
-    if deduped is None:
-        return Fraction(0)
-    if n == 1:
-        lo, hi = None, None
-        for (a,), b in deduped:
-            v = Fraction(b, a)
-            if a > 0:
-                hi = v if hi is None else min(hi, v)
-            else:
-                lo = v if lo is None else max(lo, v)
-        if lo is None or hi is None:
-            raise GeometryError("unbounded region in volume recursion")
-        return max(Fraction(0), hi - lo)
-    total = Fraction(0)
-    for i, (a, b) in enumerate(deduped):
-        j = max(range(n), key=lambda k: abs(a[k]))
-        if a[j] == 0:
-            continue
-        aj = Fraction(a[j])
-        sub = []
-        for k, (a2, b2) in enumerate(deduped):
-            if k == i:
-                continue
-            t = Fraction(a2[j]) / aj
-            new_a = tuple(Fraction(a2[l]) - t * a[l] for l in range(n) if l != j)
-            new_b = Fraction(b2) - t * b
-            sub.append((new_a, new_b))
-        face = _poly_volume(sub, n - 1)
-        if face:
-            total += Fraction(b) / abs(aj) * face
-    return total / n
-
-
-def _complement_volume(P: NewtonPolyhedron, M: Fraction) -> Fraction:
-    """Volume of {0 <= x <= M : x not in P}; the covolume once M is at
-    least every axis intercept."""
+    verts = P.vertices
     n = P.dim
-    rows = [(tuple(-wi for wi in w), -c) for w, c in P.facets]  # <w,x> >= c
-    for i in range(n):
-        e = tuple(1 if j == i else 0 for j in range(n))
-        rows.append((tuple(-c for c in e), 0))  # x_i >= 0
-        rows.append((e, M))                     # x_i <= M
-    return M ** n - _poly_volume(rows, n)
+    planes = [frozenset(k for k, v in enumerate(verts)
+                        if sum(a * b for a, b in zip(w, v)) == c) for w, c in P.facets]
+    cuts = planes + [frozenset(k for k, v in enumerate(verts) if v[i] == 0)
+                     for i in range(n)]
+    triangulations: dict[frozenset, list[tuple[int, ...]]] = {}
+
+    def simplices(face: frozenset, d: int) -> list[tuple[int, ...]]:
+        if d == 0:
+            return [tuple(face)]
+        if face not in triangulations:
+            apex = min(face)
+            subs = {face & h for h in cuts} - {face, frozenset()}
+            triangulations[face] = [
+                s + (apex,) for g in subs
+                if apex not in g and not any(g < h for h in subs)
+                for s in simplices(g, d - 1)]
+        return triangulations[face]
+
+    total = sum(abs(_det([verts[k] for k in s]))
+                for f in planes for s in simplices(f, n - 1))
+    return Fraction(total, factorial(n))
 
 
 _COVOL_CACHE: dict[tuple[int, tuple[Exponent, ...]], Fraction] = {}
 
 
 def covolume(P: NewtonPolyhedron) -> Fraction:
-    """Exact n-volume of {x >= 0 : x not in P}; requires finite axis intercepts."""
+    """Exact n-volume of {x >= 0 : x not in P}; requires finite axis intercepts.
+
+    Then every facet normal is positive, so every facet is compact, and each
+    ray from 0 leaves the complement through one of them: the cones
+    conv(0, F) tile the complement.
+    """
     key = (P.dim, P.generators)
     cached = _COVOL_CACHE.get(key)
     if cached is not None:
@@ -413,6 +430,6 @@ def covolume(P: NewtonPolyhedron) -> Fraction:
     intercepts = axis_intercepts(P)
     if any(t is None for t in intercepts):
         raise NotZeroDimensionalError("unbounded orthant complement")
-    vol = _complement_volume(P, max(intercepts))
+    vol = _cone_volume(P)
     _COVOL_CACHE[key] = vol
     return vol

@@ -184,7 +184,8 @@ def _var_index(name: str) -> int:
 
 def parse_polynomial(text: str, dim: int | None = None) -> Polynomial:
     """Parse the grammar: +/- separated terms of optional rational coefficient
-    times variable powers; '*' optional; variables x,y,z,w or x1..x4."""
+    times variable powers; '*' optional; variables x,y,z,w or x1..x4, not
+    both in one input."""
     tokens = _tokenize(text)
     end = len(text)
     if not tokens:
@@ -198,6 +199,7 @@ def parse_polynomial(text: str, dim: int | None = None) -> Polynomial:
         return tokens[i] if i < n_tokens else (None, None, end)
 
     max_var = -1
+    style = None
     sign = 1
     while i < n_tokens:
         kind, val, at = tokens[i]
@@ -227,6 +229,8 @@ def parse_polynomial(text: str, dim: int | None = None) -> Polynomial:
                     k3, v3, a3 = peek()
                     if k3 != "num":
                         raise ParseError("expected denominator", a3)
+                    if int(v3) == 0:
+                        raise ParseError("zero denominator", a3)
                     i += 1
                     coeff *= Fraction(numer, int(v3))
                 else:
@@ -234,6 +238,10 @@ def parse_polynomial(text: str, dim: int | None = None) -> Polynomial:
                 saw_factor = True
             elif kind == "var":
                 i += 1
+                if style is None:
+                    style = len(val)  # 1 for x,y,z,w; 2 for x1..x4
+                elif len(val) != style:
+                    raise ParseError("mixed variable names x,y,z,w and x1..x4", at)
                 idx = _var_index(val)
                 max_var = max(max_var, idx)
                 exp = 1
@@ -364,7 +372,13 @@ def check_isolated(f: Polynomial) -> str:
     if not all(used):
         return NOT_ISOLATED
     try:
-        mono = monomialize(jacobian_ideal(f), NONDEGENERATE)
+        jac = jacobian_ideal(f)
     except DegenerateGermError:
         return NOT_ISOLATED
-    return ISOLATED if mono.ideal.zero_dimensional else UNKNOWN
+    if monomialize(jac, NONDEGENERATE).ideal.zero_dimensional:
+        return ISOLATED
+    # a monomial Jacobian ideal that is not zero-dimensional vanishes on a
+    # coordinate line through 0; f is constant there, so the line is singular
+    if all(g.is_monomial for g in jac.generators):
+        return NOT_ISOLATED
+    return UNKNOWN

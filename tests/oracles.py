@@ -2,31 +2,43 @@
 
 Each oracle computes a value that production computes one way by a second
 route; test_oracles.py compares the two over the test corpora.  grid_points
-gives the probe points of the membership oracle.
+gives the probe points of the membership oracle.  The facet enumeration over
+all generators and the H-representation volume recursion are the production
+code that the vertex-based core replaced.
 """
+import itertools
 from fractions import Fraction
+from math import gcd
+
+import numpy as np
 
 from lctlab.exactgeom import (
+    GeometryError,
     NewtonPolyhedron,
-    _complement_volume,
+    _rank,
     axis_intercepts,
     diagonal_intercept,
+    minimalize,
 )
 from lctlab.simplex import solve_lp
 
 
-def lp_member(P: NewtonPolyhedron, q) -> bool:
+def lp_hull_member(gens, n: int, q) -> bool:
     """q in conv(gens)+orthant, by exact LP feasibility over the generators."""
-    g = len(P.generators)
-    n = P.dim
+    g = len(gens)
     nvars = g + n  # convex weights, then slack per coordinate
     constraints = [([Fraction(1)] * g + [Fraction(0)] * n, "==", Fraction(1))]
     for k in range(n):
-        coeffs = [Fraction(P.generators[i][k]) for i in range(g)]
+        coeffs = [Fraction(gens[i][k]) for i in range(g)]
         coeffs += [Fraction(1) if j == k else Fraction(0) for j in range(n)]
         constraints.append((coeffs, "==", Fraction(q[k])))
     res = solve_lp([Fraction(0)] * nvars, constraints, nvars)
     return res.status == "optimal"
+
+
+def lp_member(P: NewtonPolyhedron, q) -> bool:
+    """q in P, by exact LP feasibility over its generators."""
+    return lp_hull_member(P.generators, P.dim, q)
 
 
 def grid_points(P: NewtonPolyhedron) -> list:
@@ -60,13 +72,185 @@ def lp_diagonal_intercept(P: NewtonPolyhedron) -> Fraction:
     return res.value
 
 
-def covolume_larger_box(P: NewtonPolyhedron) -> Fraction:
-    """Complement volume in the box of side M0 + 1, M0 the max axis intercept.
+def _primitive(vec):
+    g = 0
+    for c in vec:
+        g = gcd(g, abs(int(c)))
+    if g == 0:
+        return None
+    return tuple(int(c) // g for c in vec)
 
-    It equals the covolume only if the facets bound the complement inside the
-    box of side M0, so a broken facet list shows as a difference.
+
+def _sign_fix(vec):
+    """Orient an integer vector to be componentwise >= 0, else drop it."""
+    has_pos = any(c > 0 for c in vec)
+    has_neg = any(c < 0 for c in vec)
+    if has_pos and has_neg:
+        return None
+    if has_neg:
+        vec = tuple(-c for c in vec)
+    return _primitive(vec)
+
+
+def _directions(gens, n: int) -> list:
+    dirs = set()
+    for u, v in itertools.combinations(gens, 2):
+        d = _primitive(tuple(a - b for a, b in zip(u, v)))
+        if d is not None:
+            # canonical sign: first nonzero entry positive
+            first = next(c for c in d if c != 0)
+            if first < 0:
+                d = tuple(-c for c in d)
+            dirs.add(d)
+    for i in range(n):
+        dirs.add(tuple(1 if j == i else 0 for j in range(n)))
+    return sorted(dirs)
+
+
+def _candidate_normals(dirs: list, n: int) -> set:
+    cands = set()
+    if n == 1:
+        cands.add((1,))
+    elif n == 2:
+        for dx, dy in dirs:
+            w = _sign_fix((dy, -dx))
+            if w is not None:
+                cands.add(w)
+    elif n == 3:
+        arr = np.array(dirs, dtype=np.int64)
+        cross = np.cross(arr[:, None, :], arr[None, :, :]).reshape(-1, 3)
+        nz = cross[np.any(cross != 0, axis=1)]
+        if len(nz):
+            neg = np.all(nz <= 0, axis=1)
+            nz[neg] *= -1
+            ok = nz[np.all(nz >= 0, axis=1)]
+            if len(ok):
+                g = np.gcd.reduce(ok, axis=1)
+                ok = ok // g[:, None]
+                cands.update(map(tuple, np.unique(ok, axis=0).tolist()))
+    else:  # n == 4: generalized cross product of 3 directions
+        for trip in itertools.combinations(dirs, 3):
+            m = [list(d) for d in trip]
+            w = []
+            for i in range(4):
+                cols = [j for j in range(4) if j != i]
+                sub = [[m[r][c] for c in cols] for r in range(3)]
+                det = (sub[0][0] * (sub[1][1] * sub[2][2] - sub[1][2] * sub[2][1])
+                       - sub[0][1] * (sub[1][0] * sub[2][2] - sub[1][2] * sub[2][0])
+                       + sub[0][2] * (sub[1][0] * sub[2][1] - sub[1][1] * sub[2][0]))
+                w.append((-1) ** i * det)
+            fixed = _sign_fix(w)
+            if fixed is not None:
+                cands.add(fixed)
+    return cands
+
+
+def facets_all_generators(gens, n: int) -> tuple:
+    """Facets of conv(gens)+orthant from every minimal generator: candidate
+    normals span n-1 of all pairwise difference directions and unit vectors;
+    a candidate is a facet when the generators on it and its zero axes span
+    a hyperplane.  It works in np.int64 and is meant for small exponents."""
+    gens = minimalize(gens)
+    garr = np.array(gens, dtype=np.int64)
+    facets = set()
+    for w in sorted(_candidate_normals(_directions(gens, n), n)):
+        dots = garr @ np.array(w, dtype=np.int64)
+        c = int(dots.min())
+        if c <= 0:
+            continue  # implied by x >= 0
+        tight = [gens[i] for i in np.nonzero(dots == c)[0]]
+        base = tight[0]
+        rows = [tuple(a - b for a, b in zip(g, base)) for g in tight[1:]]
+        rows += [tuple(1 if j == i else 0 for j in range(n))
+                 for i in range(n) if w[i] == 0]
+        if n == 1 or _rank(rows) == n - 1:
+            facets.add((w, c))
+    return tuple(sorted(facets))
+
+
+def _dedup_rows(rows):
+    """Normalize rows (a, b) of a*x <= b and keep the tightest per direction."""
+    best = {}
+    for a, b in rows:
+        a = tuple(Fraction(c) for c in a)
+        b = Fraction(b)
+        if all(c == 0 for c in a):
+            if b < 0:
+                return None  # infeasible
+            continue
+        denom_lcm = 1
+        for c in a:
+            denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
+        ints = [int(c * denom_lcm) for c in a]
+        g = 0
+        for c in ints:
+            g = gcd(g, abs(c))
+        key = tuple(c // g for c in ints)
+        bb = b * denom_lcm / g
+        if key not in best or bb < best[key]:
+            best[key] = bb
+    return [(k, v) for k, v in sorted(best.items())]
+
+
+def _poly_volume(rows, n: int) -> Fraction:
+    """Exact volume of {x : a*x <= b}, all rows rational; must be bounded.
+
+    Divergence-theorem recursion: each facet contributes
+    (b_i/|a_ij|) * vol_{n-1}(face projected along x_j), summed and divided by n.
     """
-    return _complement_volume(P, max(axis_intercepts(P)) + 1)
+    deduped = _dedup_rows(rows)
+    if deduped is None:
+        return Fraction(0)
+    if n == 1:
+        lo, hi = None, None
+        for (a,), b in deduped:
+            v = Fraction(b, a)
+            if a > 0:
+                hi = v if hi is None else min(hi, v)
+            else:
+                lo = v if lo is None else max(lo, v)
+        if lo is None or hi is None:
+            raise GeometryError("unbounded region in volume recursion")
+        return max(Fraction(0), hi - lo)
+    total = Fraction(0)
+    for i, (a, b) in enumerate(deduped):
+        j = max(range(n), key=lambda k: abs(a[k]))
+        if a[j] == 0:
+            continue
+        aj = Fraction(a[j])
+        sub = []
+        for k, (a2, b2) in enumerate(deduped):
+            if k == i:
+                continue
+            t = Fraction(a2[j]) / aj
+            new_a = tuple(Fraction(a2[l]) - t * a[l] for l in range(n) if l != j)
+            new_b = Fraction(b2) - t * b
+            sub.append((new_a, new_b))
+        face = _poly_volume(sub, n - 1)
+        if face:
+            total += Fraction(b) / abs(aj) * face
+    return total / n
+
+
+def _complement_volume(P: NewtonPolyhedron, M: Fraction) -> Fraction:
+    """Volume of {0 <= x <= M : x not in P}, from the facets of P."""
+    n = P.dim
+    rows = [(tuple(-wi for wi in w), -c) for w, c in P.facets]  # <w,x> >= c
+    for i in range(n):
+        e = tuple(1 if j == i else 0 for j in range(n))
+        rows.append((tuple(-c for c in e), 0))  # x_i >= 0
+        rows.append((e, M))                     # x_i <= M
+    return M ** n - _poly_volume(rows, n)
+
+
+def covolume_box(P: NewtonPolyhedron, extra: int = 0) -> Fraction:
+    """Complement volume in the box of side M0 + extra, M0 the max axis
+    intercept, by the H-representation recursion.
+
+    Both sides equal the covolume only if the facets bound the complement
+    inside the box of side M0, so a broken facet list shows as a difference.
+    """
+    return _complement_volume(P, max(axis_intercepts(P)) + extra)
 
 
 def loja_dual(P: NewtonPolyhedron) -> Fraction:

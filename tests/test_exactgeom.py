@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lctlab import exactgeom
 from lctlab.exactgeom import (
     InvalidInputError,
     MonomialIdeal,
@@ -22,6 +23,8 @@ from lctlab.exactgeom import (
     scale_ideal,
     _facet_eval,
 )
+
+from lctlab.verify import random_ideal
 
 from oracles import grid_points, lp_member
 
@@ -84,6 +87,27 @@ class TestBuildPolyhedron:
         # no pure power on the y axis: facet x >= 1 with zero normal entry
         P = build_polyhedron({(2, 0), (1, 1)}, 2)
         assert ((1, 0), 1) in P.facets
+
+    def test_vertices_drop_interior_generators(self):
+        P = polyhedron_of(ideal_power(maximal_ideal(4), 5))
+        assert len(P.generators) == 56
+        assert P.vertices == ((0, 0, 0, 5), (0, 0, 5, 0), (0, 5, 0, 0), (5, 0, 0, 0))
+        assert P.facets == (((1, 1, 1, 1), 5),)
+
+    def test_batch_size_does_not_change_result(self, monkeypatch):
+        polys = [polyhedron_of(random_ideal(n, s, 5)) for n in (3, 4) for s in range(4)]
+        polys.append(polyhedron_of(ideal_power(maximal_ideal(4), 3)))
+        monkeypatch.setattr(exactgeom, "_BATCH", 5)
+        for P in polys:
+            assert exactgeom._vertices_and_facets(P.generators, P.dim) == (P.vertices, P.facets)
+
+    @pytest.mark.parametrize("N", [1000, 4 * 10 ** 9, 10 ** 30])
+    def test_large_exponents_exact(self, N):
+        # 4e9 overflowed the int64 cross products of an earlier version,
+        # which then read the polyhedron as the whole orthant
+        P = build_polyhedron([(N, 0, 0), (0, N, 0), (0, 0, N), (1, 1, 1)], 3)
+        assert P.facets == (((1, 1, N - 2), N), ((1, N - 2, 1), N), ((N - 2, 1, 1), N))
+        assert covolume(P) == Fraction(N * N, 2)
 
 
 class TestContains:
@@ -250,6 +274,14 @@ class TestProperties:
 class TestMonomialIdeal:
     def test_minimalize(self):
         assert minimalize([(2, 0), (2, 1), (0, 3), (1, 3)]) == ((0, 3), (2, 0))
+
+    @pytest.mark.parametrize("top", [100, 2 ** 70])
+    def test_minimalize_large_sets(self, top):
+        # an antichain, points above it and a far point (int64 or Python ints)
+        stair = [(i, 40 - i, 0) for i in range(41)]
+        above = [(i + 1, 40 - i, 1) for i in range(40)] + [(top, top, top)]
+        assert minimalize(above + stair) == tuple(stair)
+        assert minimalize(above) == tuple(above[:40])
 
     def test_zero_dimensional(self):
         assert MonomialIdeal.make({(2, 0), (0, 3)}, 2).zero_dimensional

@@ -45,6 +45,17 @@ class TestParser:
         with pytest.raises(ParseError):
             parse_polynomial("x^-2")
 
+    def test_zero_denominator(self):
+        with pytest.raises(ParseError) as err:
+            parse_polynomial("1/0*x^2 + y^2")
+        assert err.value.position == 2
+
+    @pytest.mark.parametrize("text,position", [("x + x1^2", 4), ("x1*y", 3)])
+    def test_mixed_variable_names(self, text, position):
+        with pytest.raises(ParseError) as err:
+            parse_polynomial(text)
+        assert err.value.position == position
+
     def test_unknown_character(self):
         with pytest.raises(ParseError):
             parse_polynomial("x + q")
@@ -174,7 +185,11 @@ class TestCheckIsolated:
         assert check_isolated(parse_polynomial("x^3 + y^3")) == "isolated"
 
     def test_unknown(self):
-        assert check_isolated(parse_polynomial("x^2*y^2")) == "unknown"
+        # non-monomial partials whose supports miss the y axis
+        assert check_isolated(parse_polynomial("x^2*y^2 + x^3*y^2")) == "unknown"
+
+    def test_monomial_jacobian_not_zero_dimensional(self):
+        assert check_isolated(parse_polynomial("x^2*y^2")) == "not-isolated"
 
     def test_missing_variable(self):
         assert check_isolated(parse_polynomial("x^2", 2)) == "not-isolated"

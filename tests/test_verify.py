@@ -98,6 +98,14 @@ class TestVerifyLctDominates:
             verify_lct_dominates(parse_polynomial("x^2", 2))
 
 
+class TestVerifyChainDim4:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_random_ideal_holds(self, seed):
+        verdicts = verify_chain(random_ideal(4, seed, 5), seed=seed)
+        assert [v.name for v in verdicts] == ["chain-lct", "chain-term-j0", "chain-term-j3"]
+        assert all(not v.numeric and v.holds for v in verdicts)
+
+
 class TestProbePham:
     def test_staircase(self):
         v = probe_pham(A)
@@ -253,3 +261,8 @@ class TestCli:
         res = run_cli("verify-main", "x + ")
         assert res.returncode == EXIT_EXACT_FAILURE
         assert "error" in res.stderr
+
+    def test_zero_denominator_exit(self):
+        res = run_cli("verify-main", "1/0*x^2 + y^2")
+        assert res.returncode == EXIT_EXACT_FAILURE
+        assert res.stderr == "error: zero denominator at offset 2\n"
