@@ -43,24 +43,15 @@ def _check_dim(n: int) -> None:
 def minimalize(gens) -> tuple[Exponent, ...]:
     """Reduce a set of exponent vectors to its componentwise-minimal elements.
 
-    In lexicographic order a vector can only be dominated by an earlier one.
-    Large sets are compared as arrays, a block of rows at a time.
+    In lexicographic order a vector can only be dominated by an earlier one,
+    and then also by an earlier minimal one, so each vector is compared with
+    the minimal vectors kept so far.
     """
-    unique = sorted(set(tuple(int(c) for c in g) for g in gens))
-    if len(unique) <= 24:
-        return tuple(v for j, v in enumerate(unique)
-                     if not any(all(a <= b for a, b in zip(u, v)) for u in unique[:j]))
-    top = max(abs(c) for v in unique for c in v)
-    arr = np.array(unique, dtype=np.int64 if top < 2 ** 63 else object)
-    cols = arr.T
-    rows = max(1, 2 ** 22 // len(arr))
-    dominated = []
-    for block in np.split(cols, range(rows, len(arr), rows), axis=1):
-        below = cols[0][None, :] <= block[0][:, None]
-        for k in range(1, len(cols)):
-            below &= cols[k][None, :] <= block[k][:, None]
-        dominated += (np.count_nonzero(below, axis=1) > 1).tolist()
-    return tuple(v for v, d in zip(unique, dominated) if not d)
+    keep = []
+    for v in sorted(set(tuple(int(c) for c in g) for g in gens)):
+        if not any(all(a <= b for a, b in zip(u, v)) for u in keep):
+            keep.append(v)
+    return tuple(keep)
 
 
 @dataclass(frozen=True)
