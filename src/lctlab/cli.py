@@ -31,7 +31,8 @@ from .invariants import (
 from .sections import polar_invariant
 from .verify import (
     CorpusConfig,
-    EXIT_EXACT_FAILURE,
+    EXIT_COMPUTE_ERROR,
+    EXIT_INPUT_ERROR,
     Report,
     corpus_run,
     emit_report,
@@ -257,9 +258,12 @@ def main(argv=None) -> int:
         args.elapsed_ms = lambda: round((time.monotonic() - start) * 1000.0, 3)
     try:
         return args.func(args)
-    except (ValueError, RuntimeError) as err:
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_EXACT_FAILURE
+        return EXIT_INPUT_ERROR
+    except RuntimeError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_COMPUTE_ERROR
 
 
 if __name__ == "__main__":

@@ -314,6 +314,11 @@ def build_polyhedron(gens, n: int) -> NewtonPolyhedron:
 
 
 def polyhedron_of(a: MonomialIdeal) -> NewtonPolyhedron:
+    # cache keys are sorted minimal generator tuples, like the generators of
+    # MonomialIdeal.make; a hit skips build_polyhedron's checks and minimalize
+    cached = _POLY_CACHE.get((a.dim, a.generators))
+    if cached is not None:
+        return cached
     return build_polyhedron(a.generators, a.dim)
 
 

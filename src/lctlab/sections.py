@@ -19,7 +19,6 @@ from .germs import (
     NotMonomializableError,
     Polynomial,
     check_isolated,
-    derivative,
     jacobian_ideal,
     monomialize,
     poly,
@@ -60,6 +59,11 @@ class LojaEstimate:
     radii: tuple[float, ...]
     starts: int
     rational: Fraction | None = None
+    # numeric estimates only: min-max value per (seed, radius), slope per
+    # (seed, dropped radius) and RMS residual of the first seed's fit
+    minmax: tuple[tuple[float, ...], ...] = ()
+    loo_slopes: tuple[tuple[float, ...], ...] = ()
+    residual: float = 0.0
 
     @property
     def restricted_loja(self) -> float:
@@ -145,88 +149,105 @@ def loja_line(I: IdealPresentation) -> int:
     return min(orders)
 
 
-def _eval_batch(exps: np.ndarray, coeffs: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """Values of one polynomial at a batch of complex points Z (s x m)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        monos = np.prod(Z[:, None, :] ** exps[None, :, :], axis=2)
-    return monos @ coeffs
-
-
-def _minmax_on_sphere(gen_data, m: int, r: float, seed: int, starts: int, iters: int) -> float:
-    """min over |z| = r (complex) of max_j |g_j(z)| by multi-start descent."""
-    rng = np.random.default_rng(seed)
-    Z = rng.standard_normal((starts, m)) + 1j * rng.standard_normal((starts, m))
-    extra = []
-    for i in range(m):
-        e = np.zeros(m, dtype=complex)
-        e[i] = 1.0
-        extra.append(e)
-    extra.append(np.ones(m, dtype=complex))
-    Z = np.vstack([Z, np.array(extra)])
-    norms = np.linalg.norm(Z, axis=1, keepdims=True)
-    Z = r * Z / norms
-
-    def F_and_active(Z):
-        vals = np.stack([np.abs(_eval_batch(E, C, Z)) for E, C, _ in gen_data], axis=1)
-        return vals.max(axis=1), vals.argmax(axis=1)
-
-    best = np.inf
-    lr = 0.3
-    F, _ = F_and_active(Z)
-    best = min(best, float(F.min()))
-    for it in range(iters):
-        vals = [np.abs(_eval_batch(E, C, Z)) for E, C, _ in gen_data]
-        stackv = np.stack(vals, axis=1)
-        active = stackv.argmax(axis=1)
-        F = stackv.max(axis=1)
-        best = min(best, float(F.min()))
-        grad = np.zeros_like(Z)
-        for j, (E, C, partials) in enumerate(gen_data):
-            mask = active == j
-            if not mask.any():
-                continue
-            Zm = Z[mask]
-            g = _eval_batch(E, C, Zm)
-            gmod = np.abs(g)
-            gmod[gmod == 0] = 1.0
-            phase = np.conj(g) / gmod
-            dg = np.stack([_eval_batch(Ep, Cp, Zm) for Ep, Cp in partials], axis=1)
-            # descent direction in C^m for |g|: conj(phase * dg)
-            grad[mask] = np.conj(phase[:, None] * dg)
-        gn = np.linalg.norm(grad, axis=1, keepdims=True)
-        gn[gn == 0] = 1.0
-        step = lr * r * grad / gn
-        Z = Z - step
-        zn = np.linalg.norm(Z, axis=1, keepdims=True)
-        zn[zn == 0] = 1.0
-        Z = r * Z / zn
-        lr *= 0.97
-    F, _ = F_and_active(Z)
-    best = min(best, float(F.min()))
-    return best
-
-
-def _prepare_gen_data(I: IdealPresentation):
-    data = []
-    for g in I.generators:
-        if g.is_zero:
-            continue
-        exps = np.array(list(g.terms.keys()), dtype=float)
-        coeffs = np.array([float(c) for c in g.terms.values()], dtype=complex)
-        partials = []
-        for i in range(I.dim):
-            d = derivative(g, i)
-            if d.is_zero:
-                partials.append((np.zeros((1, I.dim)), np.zeros(1, dtype=complex)))
-            else:
-                partials.append((
-                    np.array(list(d.terms.keys()), dtype=float),
-                    np.array([float(c) for c in d.terms.values()], dtype=complex),
-                ))
-        data.append((exps, coeffs, partials))
-    if not data:
+def _term_tables(I: IdealPresentation) -> tuple[np.ndarray, np.ndarray]:
+    """Exponent table E (terms x m, integers) over every term of the nonzero
+    generators, and coefficient matrix C (terms x generators)."""
+    gens = [g for g in I.generators if not g.is_zero]
+    if not gens:
         raise DegenerateRestrictionError("all generators are zero")
-    return data
+    index: dict = {}
+    for g in gens:
+        for v in g.terms:
+            index.setdefault(v, len(index))
+    E = np.array(list(index), dtype=np.intp).reshape(len(index), I.dim)
+    C = np.zeros((len(index), len(gens)), dtype=complex)
+    for j, g in enumerate(gens):
+        for v, c in g.terms.items():
+            C[index[v], j] = float(c)
+    return E, C
+
+
+def _divide(w: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """w / d for complex w and real d > 0, |w| <= d up to rounding, by real
+    divisions: numpy divides a complex by a denormal through its overflowing
+    reciprocal."""
+    out = np.empty_like(w)
+    np.divide(w.real, d, out=out.real)
+    np.divide(w.imag, d, out=out.imag)
+    return out
+
+
+def _minmax(E: np.ndarray, C: np.ndarray, radii, params: LojaParams) -> np.ndarray:
+    """min over |z| = r (complex) of max_j |g_j(z)| for every (seed, radius),
+    as a seeds x radii array, by one multi-start descent over all of them.
+
+    Every (seed, radius) pair has its own rows: the starts drawn by
+    default_rng(seed), the unit vectors and the all-ones vector, scaled to r.
+    Points are the columns of Z (m x rows).  Each step evaluates the
+    monomials once from a table of integer powers of Z, and the gradient of
+    each row's largest generator from the same table.
+    """
+    terms, m = E.shape
+    blocks = []
+    for seed in params.seeds:
+        rng = np.random.default_rng(seed)
+        Z = rng.standard_normal((params.starts, m)) + 1j * rng.standard_normal((params.starts, m))
+        blocks.append(np.vstack([Z, np.eye(m), np.ones((1, m))]))
+    U = np.stack(blocks)[:, None]  # seeds x 1 x S x m
+    R = np.asarray(radii, dtype=float)[None, :, None, None]
+    Z = R * U / np.linalg.norm(U, axis=3, keepdims=True)
+    shape = Z.shape[:3]
+    Z = Z.reshape(-1, m).T.copy()
+    R = np.broadcast_to(R[..., 0], shape).reshape(-1)
+    rows = Z.shape[1]
+    cols = np.arange(rows)
+
+    # power table: row k * m + i of P is Z[i] ** k.  A term's factor in
+    # variable i is row E[t, i] * m + i; in the partial by z_i, its own
+    # factor is one power lower (the coefficient E[t, i] is 0 at 0).
+    D = max(int(E.max()), 1)
+    idx = E * m + np.arange(m)
+    didx = np.broadcast_to(idx, (m, terms, m)).copy()
+    for i in range(m):
+        didx[i, :, i] = np.maximum(E[:, i] - 1, 0) * m + i
+    CT = C.T.copy()
+    dCT = E.T[:, None, :] * CT  # m x gens x terms
+    P = np.empty((D + 1, m, rows), dtype=complex)
+    P[0] = 1.0
+    Pf = P.reshape(-1, rows)
+
+    best = np.full(rows, np.inf)
+    lr = 0.3
+    for it in range(params.iters + 1):
+        P[1] = Z
+        for k in range(2, D + 1):
+            np.multiply(P[k - 1], Z, out=P[k])
+        mono = Pf[idx[:, 0]]
+        for i in range(1, m):
+            mono *= Pf[idx[:, i]]
+        G = CT @ mono  # gens x rows
+        absG = np.abs(G)
+        active = absG.argmax(axis=0)
+        g = G[active, cols]
+        gmod = absG[active, cols]
+        np.minimum(best, gmod, out=best)
+        if it == params.iters:
+            break
+        dmono = Pf[didx[:, :, 0]]
+        for i in range(1, m):
+            dmono *= Pf[didx[:, :, i]]
+        dg = (dCT @ dmono)[:, active, cols]  # m x rows
+        # descent direction in C^m for |g|: (g / |g|) * conj(dg)
+        gmod[gmod == 0] = 1.0
+        grad = _divide(g, gmod) * np.conj(dg)
+        gn = np.linalg.norm(grad, axis=0)
+        gn[gn == 0] = 1.0
+        Z = Z - _divide(lr * R * grad, gn)
+        zn = np.linalg.norm(Z, axis=0)
+        zn[zn == 0] = 1.0
+        Z = _divide(R * Z, zn)
+        lr *= 0.97
+    return best.reshape(shape).min(axis=2)
 
 
 def loja_numeric(I: IdealPresentation, params: LojaParams | None = None) -> LojaEstimate:
@@ -234,40 +255,30 @@ def loja_numeric(I: IdealPresentation, params: LojaParams | None = None) -> Loja
     if I.dim < 2:
         raise InvalidInputError("loja_numeric requires >= 2 variables")
     params = params or LojaParams()
-    gen_data = _prepare_gen_data(I)
+    E, C = _term_tables(I)
     radii = [params.r0 * params.ratio ** i for i in range(params.n_radii)]
-
-    def run(radii):
-        per_seed = {}
-        for seed in params.seeds:
-            vals = [
-                _minmax_on_sphere(gen_data, I.dim, r, seed, params.starts, params.iters)
-                for r in radii
-            ]
-            if any(v <= 0 or v < 1e-250 for v in vals):
-                return None
-            per_seed[seed] = vals
-        return per_seed
-
-    per_seed = run(radii)
-    if per_seed is None:
+    minmax = _minmax(E, C, radii, params)
+    if not (minmax >= 1e-250).all():
         radii = [r * 10 for r in radii]  # shrink the range upward and retry once
-        per_seed = run(radii)
-        if per_seed is None:
-            raise NumericFailureError("min-max collapsed below float range")
+        minmax = _minmax(E, C, radii, params)
+    if np.isnan(minmax).any():
+        raise NumericFailureError("min-max is NaN")
+    if not (minmax >= 1e-250).all():
+        raise NumericFailureError("min-max collapsed below float range")
 
     logs_r = np.log(radii)
-    slopes = []
-    for seed in params.seeds:
-        ys = np.log(per_seed[seed])
-        slopes.append(float(np.polyfit(logs_r, ys, 1)[0]))
-        for drop in range(len(radii)):
-            xs = np.delete(logs_r, drop)
-            yd = np.delete(ys, drop)
-            slopes.append(float(np.polyfit(xs, yd, 1)[0]))
-    value = slopes[0]
-    spread = max(slopes) - min(slopes)
-    return LojaEstimate(value, "numeric", spread, tuple(radii), params.starts)
+    logs_v = np.log(minmax)
+    fits = [np.polyfit(logs_r, ys, 1) for ys in logs_v]
+    loo_slopes = tuple(
+        tuple(float(np.polyfit(np.delete(logs_r, k), np.delete(ys, k), 1)[0])
+              for k in range(len(radii)))
+        for ys in logs_v)
+    slopes = [float(fit[0]) for fit in fits] + [s for loo in loo_slopes for s in loo]
+    residual = float(np.sqrt(np.mean((logs_v[0] - np.polyval(fits[0], logs_r)) ** 2)))
+    return LojaEstimate(
+        slopes[0], "numeric", max(slopes) - min(slopes), tuple(radii), params.starts,
+        minmax=tuple(tuple(float(v) for v in row) for row in minmax),
+        loo_slopes=loo_slopes, residual=residual)
 
 
 def _exact_estimate(value: Fraction, method: str) -> LojaEstimate:

@@ -49,6 +49,8 @@ from .sections import (
 EXIT_OK = 0
 EXIT_EXACT_FAILURE = 2
 EXIT_NUMERIC_FAILURE = 3
+EXIT_INPUT_ERROR = 4  # ValueError: unparsable, invalid or unsupported input
+EXIT_COMPUTE_ERROR = 5  # RuntimeError: numeric failure, sampling, budget
 
 DEFAULT_TOLERANCE = 0.05
 

@@ -4,7 +4,8 @@ Each oracle computes a value that production computes one way by a second
 route; test_oracles.py compares the two over the test corpora.  grid_points
 gives the probe points of the membership oracle.  The facet enumeration over
 all generators and the H-representation volume recursion are the production
-code that the vertex-based core replaced.
+code that the vertex-based core replaced; minmax_loop is the per-sphere
+descent loop that the batched numeric estimator replaced.
 """
 import itertools
 from fractions import Fraction
@@ -20,6 +21,7 @@ from lctlab.exactgeom import (
     diagonal_intercept,
     minimalize,
 )
+from lctlab.germs import IdealPresentation, derivative
 from lctlab.simplex import solve_lp
 
 
@@ -258,3 +260,93 @@ def loja_dual(P: NewtonPolyhedron) -> Fraction:
     min_g <g, w>; the optimum lies on a normal-fan ray, a facet normal
     rescaled."""
     return max(Fraction(c, min(w)) for w, c in P.facets)
+
+
+def _eval_batch(exps: np.ndarray, coeffs: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """Values of one polynomial at a batch of complex points Z (s x m)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        monos = np.prod(Z[:, None, :] ** exps[None, :, :], axis=2)
+    return monos @ coeffs
+
+
+def _minmax_on_sphere(gen_data, m: int, r: float, seed: int, starts: int, iters: int) -> float:
+    """min over |z| = r (complex) of max_j |g_j(z)| by multi-start descent."""
+    rng = np.random.default_rng(seed)
+    Z = rng.standard_normal((starts, m)) + 1j * rng.standard_normal((starts, m))
+    extra = []
+    for i in range(m):
+        e = np.zeros(m, dtype=complex)
+        e[i] = 1.0
+        extra.append(e)
+    extra.append(np.ones(m, dtype=complex))
+    Z = np.vstack([Z, np.array(extra)])
+    norms = np.linalg.norm(Z, axis=1, keepdims=True)
+    Z = r * Z / norms
+
+    def F_and_active(Z):
+        vals = np.stack([np.abs(_eval_batch(E, C, Z)) for E, C, _ in gen_data], axis=1)
+        return vals.max(axis=1), vals.argmax(axis=1)
+
+    best = np.inf
+    lr = 0.3
+    F, _ = F_and_active(Z)
+    best = min(best, float(F.min()))
+    for it in range(iters):
+        vals = [np.abs(_eval_batch(E, C, Z)) for E, C, _ in gen_data]
+        stackv = np.stack(vals, axis=1)
+        active = stackv.argmax(axis=1)
+        F = stackv.max(axis=1)
+        best = min(best, float(F.min()))
+        grad = np.zeros_like(Z)
+        for j, (E, C, partials) in enumerate(gen_data):
+            mask = active == j
+            if not mask.any():
+                continue
+            Zm = Z[mask]
+            g = _eval_batch(E, C, Zm)
+            gmod = np.abs(g)
+            gmod[gmod == 0] = 1.0
+            phase = np.conj(g) / gmod
+            dg = np.stack([_eval_batch(Ep, Cp, Zm) for Ep, Cp in partials], axis=1)
+            # descent direction in C^m for |g|: conj(phase * dg)
+            grad[mask] = np.conj(phase[:, None] * dg)
+        gn = np.linalg.norm(grad, axis=1, keepdims=True)
+        gn[gn == 0] = 1.0
+        step = lr * r * grad / gn
+        Z = Z - step
+        zn = np.linalg.norm(Z, axis=1, keepdims=True)
+        zn[zn == 0] = 1.0
+        Z = r * Z / zn
+        lr *= 0.97
+    F, _ = F_and_active(Z)
+    best = min(best, float(F.min()))
+    return best
+
+
+def _prepare_gen_data(I: IdealPresentation):
+    data = []
+    for g in I.generators:
+        if g.is_zero:
+            continue
+        exps = np.array(list(g.terms.keys()), dtype=float)
+        coeffs = np.array([float(c) for c in g.terms.values()], dtype=complex)
+        partials = []
+        for i in range(I.dim):
+            d = derivative(g, i)
+            if d.is_zero:
+                partials.append((np.zeros((1, I.dim)), np.zeros(1, dtype=complex)))
+            else:
+                partials.append((
+                    np.array(list(d.terms.keys()), dtype=float),
+                    np.array([float(c) for c in d.terms.values()], dtype=complex),
+                ))
+        data.append((exps, coeffs, partials))
+    assert data, "all generators are zero"
+    return data
+
+
+def minmax_loop(I: IdealPresentation, radii, seed: int, starts: int, iters: int) -> list:
+    """min over |z| = r of max_j |g_j(z)| for each r in radii, one sphere at a
+    time, every generator and partial derivative evaluated on its own."""
+    gen_data = _prepare_gen_data(I)
+    return [_minmax_on_sphere(gen_data, I.dim, r, seed, starts, iters) for r in radii]

@@ -94,6 +94,12 @@ class TestBuildPolyhedron:
         assert P.vertices == ((0, 0, 0, 5), (0, 0, 5, 0), (0, 5, 0, 0), (5, 0, 0, 0))
         assert P.facets == (((1, 1, 1, 1), 5),)
 
+    def test_cached_polyhedron_skips_minimalize(self, monkeypatch):
+        a = random_ideal(3, 11, 5)
+        P = polyhedron_of(a)
+        monkeypatch.setattr(exactgeom, "minimalize", None)  # a call would fail
+        assert polyhedron_of(a) is P
+
     def test_batch_size_does_not_change_result(self, monkeypatch):
         polys = [polyhedron_of(random_ideal(n, s, 5)) for n in (3, 4) for s in range(4)]
         polys.append(polyhedron_of(ideal_power(maximal_ideal(4), 3)))

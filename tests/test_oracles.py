@@ -4,11 +4,13 @@ The inputs are those of the acceptance suite: its corpora, the powers its
 scaling criterion takes, the dim-4 ideals the other tests build (m, m^5,
 two random ideals and the 16-generator m*J_f of a Fermat germ) and every
 polyhedron whose covolume lelong_numbers or the diagonal mixed multiplicity
-takes (products a^i * m^j and a^i).
+takes (products a^i * m^j and a^i).  The numeric estimator's batched descent
+is compared with the per-sphere loop on plane ideals and plane restrictions.
 """
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from lctlab import invariants
@@ -21,8 +23,16 @@ from lctlab.exactgeom import (
     maximal_ideal,
     polyhedron_of,
 )
-from lctlab.germs import jacobian_ideal, monomialize, parse_polynomial, product_with_maximal
+from lctlab.germs import (
+    IdealPresentation,
+    jacobian_ideal,
+    monomialize,
+    parse_polynomial,
+    poly,
+    product_with_maximal,
+)
 from lctlab.invariants import lelong_numbers, loja_monomial, mixed_multiplicity
+from lctlab.sections import LojaParams, loja_numeric, restrict, sample_plane
 from lctlab.verify import random_ideal
 
 from oracles import (
@@ -33,6 +43,7 @@ from oracles import (
     lp_diagonal_intercept,
     lp_hull_member,
     lp_member,
+    minmax_loop,
 )
 from test_acceptance import CORPUS_2D, CORPUS_3D
 
@@ -117,3 +128,56 @@ def test_vertices_are_exactly_the_extreme_generators():
             assert not (others and lp_hull_member(others, P.dim, v)), (a.generators, v)
         for g in P.generators:
             assert lp_hull_member(P.vertices, P.dim, g), (a.generators, g)
+
+
+FAST = LojaParams(starts=24, iters=150)
+
+
+def monomial_presentation(gens, n):
+    return IdealPresentation(n, tuple(poly(n, {v: 1}) for v in gens))
+
+
+def loop_minmax(I, params):
+    """Radii and seeds x radii min-max values of the per-sphere loop, with
+    loja_numeric's retry at ten times the radii."""
+    radii = [params.r0 * params.ratio ** i for i in range(params.n_radii)]
+    for _ in range(2):
+        values = [minmax_loop(I, radii, seed, params.starts, params.iters)
+                  for seed in params.seeds]
+        if np.all(np.array(values) >= 1e-250):
+            return radii, values
+        radii = [r * 10 for r in radii]
+    raise AssertionError("loop min-max collapsed below float range")
+
+
+def test_batched_minmax_matches_loop():
+    cases = [(monomial_presentation(a.generators, 2), 1e-9) for a in CORPUS_2D[:10]]
+    for s, rtol in ((1, 1e-9), (2, 1e-6)):
+        # 3 variables, Fraction coefficients.  The descent on the s = 2
+        # restriction amplifies rounding: in the loop alone, writing the
+        # phase as exp(-1j * angle(g)) moves its values by 2e-8.
+        a = random_ideal(4, s, 5)
+        cases.append((restrict(monomial_presentation(a.generators, 4),
+                               sample_plane(4, 1, s)), rtol))
+    cases.append((monomial_presentation([(3, 0), (0, 2)], 2), 1e-9))  # a zero partial
+    cases.append((monomial_presentation([(80, 0), (0, 80)], 2), 1e-9))  # radius retry
+    for I, rtol in cases:
+        est = loja_numeric(I, FAST)
+        radii, values = loop_minmax(I, FAST)
+        assert est.radii == tuple(radii), I
+        np.testing.assert_allclose(est.minmax, values, rtol=rtol, atol=0)
+    assert est.radii[0] == 1.0
+
+
+def test_descent_raises_no_float_error():
+    I = monomial_presentation([(90, 0), (3, 70), (0, 85)], 2)
+    # the loop's phase conj(g) / |g| overflows where |g| is denormal, in the
+    # pass at the first radii, which the retry at ten times them discards
+    with np.errstate(over="ignore", invalid="ignore"):
+        radii, values = loop_minmax(I, FAST)
+    with np.errstate(over="raise", invalid="raise"):
+        est = loja_numeric(I, FAST)
+    assert est.radii == tuple(radii)
+    np.testing.assert_allclose(est.minmax, values, rtol=1e-9, atol=0)
+    slope = np.polyfit(np.log(radii), np.log(values[0]), 1)[0]
+    assert est.value == pytest.approx(slope, rel=1e-9)

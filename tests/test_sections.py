@@ -1,14 +1,17 @@
 """Plane restrictions, line and numeric Lojasiewicz exponents, polar invariants."""
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from lctlab import sections
 from lctlab.exactgeom import MonomialIdeal
 from lctlab.germs import IdealPresentation, jacobian_ideal, parse_polynomial, poly
 from lctlab.invariants import loja_monomial
 from lctlab.sections import (
     DegenerateRestrictionError,
     LojaParams,
+    NumericFailureError,
     loja_line,
     loja_numeric,
     polar_invariant,
@@ -98,6 +101,33 @@ class TestLojaNumeric:
     def test_determinism(self):
         I = monomial_presentation([(3, 0), (0, 2)], 2)
         assert loja_numeric(I, FAST) == loja_numeric(I, FAST)
+
+    def test_diagnostics(self):
+        est = loja_numeric(monomial_presentation([(2, 0), (1, 1), (0, 3)], 2), FAST)
+        assert np.shape(est.minmax) == np.shape(est.loo_slopes) == (2, 6)
+        logs_r = np.log(est.radii)
+        for row, loo in zip(est.minmax, est.loo_slopes):
+            for k, slope in enumerate(loo):
+                xs, ys = np.delete(logs_r, k), np.delete(np.log(row), k)
+                assert slope == pytest.approx(np.polyfit(xs, ys, 1)[0], rel=1e-12)
+        ys = np.log(est.minmax[0])
+        fit = np.polyfit(logs_r, ys, 1)
+        assert est.value == pytest.approx(fit[0], rel=1e-12)
+        rms = np.sqrt(np.mean((ys - np.polyval(fit, logs_r)) ** 2))
+        assert est.residual == pytest.approx(rms, rel=1e-9, abs=1e-15)
+        slopes = [np.polyfit(logs_r, np.log(row), 1)[0] for row in est.minmax]
+        slopes += [s for loo in est.loo_slopes for s in loo]
+        assert est.spread == pytest.approx(max(slopes) - min(slopes), abs=1e-12)
+
+    def test_exact_estimates_carry_no_diagnostics(self):
+        est = polar_invariant(parse_polynomial("x^3 + y^3"), 1)
+        assert (est.minmax, est.loo_slopes, est.residual) == ((), (), 0.0)
+
+    def test_nan_min_max_raises(self, monkeypatch):
+        monkeypatch.setattr(sections, "_minmax", lambda E, C, radii, params: np.full(
+            (len(params.seeds), len(radii)), np.nan))
+        with pytest.raises(NumericFailureError):
+            loja_numeric(monomial_presentation([(2, 0), (0, 2)], 2), FAST)
 
     def test_agrees_with_exact_on_corpus(self):
         for i in range(5):

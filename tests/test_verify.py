@@ -6,12 +6,15 @@ from fractions import Fraction
 
 import pytest
 
+from lctlab import cli, verify
 from lctlab.cli import build_parser
 from lctlab.exactgeom import MonomialIdeal, ideal_power, maximal_ideal
 from lctlab.germs import parse_polynomial
+from lctlab.sections import NumericFailureError
 from lctlab.verify import (
     CorpusConfig,
-    EXIT_EXACT_FAILURE,
+    EXIT_COMPUTE_ERROR,
+    EXIT_INPUT_ERROR,
     EXIT_OK,
     Report,
     corpus_run,
@@ -259,10 +262,19 @@ class TestCli:
 
     def test_parse_error_exit(self):
         res = run_cli("verify-main", "x + ")
-        assert res.returncode == EXIT_EXACT_FAILURE
+        assert res.returncode == EXIT_INPUT_ERROR
         assert "error" in res.stderr
 
     def test_zero_denominator_exit(self):
         res = run_cli("verify-main", "1/0*x^2 + y^2")
-        assert res.returncode == EXIT_EXACT_FAILURE
+        assert res.returncode == EXIT_INPUT_ERROR
         assert res.stderr == "error: zero denominator at offset 2\n"
+
+    def test_numeric_failure_exit(self, monkeypatch, capsys):
+        def fail(I, params=None):
+            raise NumericFailureError("min-max collapsed below float range")
+
+        monkeypatch.setattr(verify, "loja_numeric", fail)
+        code = cli.main(["verify-chain", "x^2; y^3; z^4", "--numeric"])
+        assert code == EXIT_COMPUTE_ERROR
+        assert capsys.readouterr().err == "error: min-max collapsed below float range\n"
