@@ -168,9 +168,9 @@ def _term_tables(I: IdealPresentation) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _divide(w: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """w / d for complex w and real d > 0, |w| <= d up to rounding, by real
-    divisions: numpy divides a complex by a denormal through its overflowing
-    reciprocal."""
+    """w / d for complex w and real d > 0, by two real divisions: numpy
+    divides a complex by a real through the reciprocal of d, which overflows
+    when d is denormal."""
     out = np.empty_like(w)
     np.divide(w.real, d, out=out.real)
     np.divide(w.imag, d, out=out.imag)
@@ -251,7 +251,11 @@ def _minmax(E: np.ndarray, C: np.ndarray, radii, params: LojaParams) -> np.ndarr
 
 
 def loja_numeric(I: IdealPresentation, params: LojaParams | None = None) -> LojaEstimate:
-    """Slope of log(min-max of |generators|) against log(radius)."""
+    """Slope of log(min-max of |generators|) against log(radius).
+
+    If a min-max value falls below 1e-250, every radius is retried once at
+    ten times its size; NumericFailureError if one still does or is NaN.
+    """
     if I.dim < 2:
         raise InvalidInputError("loja_numeric requires >= 2 variables")
     params = params or LojaParams()
