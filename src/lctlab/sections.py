@@ -202,26 +202,28 @@ def _minmax(E: np.ndarray, C: np.ndarray, radii, params: LojaParams) -> np.ndarr
     rows = Z.shape[1]
     cols = np.arange(rows)
 
-    # power table: row k * m + i of P is Z[i] ** k.  A term's factor in
-    # variable i is row E[t, i] * m + i; in the partial by z_i, its own
-    # factor is one power lower (the coefficient E[t, i] is 0 at 0).
-    D = max(int(E.max()), 1)
-    idx = E * m + np.arange(m)
+    # power table: row j * m + i of P is Z[i] ** powers[j], for the powers
+    # the terms take and, in the partial by z_i, their own factor one power
+    # lower (the coefficient E[t, i] is 0 at 0).  Consecutive powers differ
+    # by one unless the exponents are sparse.
+    lower = np.maximum(E - 1, 0)
+    powers = np.unique(np.concatenate([[0], E.ravel(), lower.ravel()]))
+    gaps = np.diff(powers).tolist()
+    idx = np.searchsorted(powers, E) * m + np.arange(m)
     didx = np.broadcast_to(idx, (m, terms, m)).copy()
     for i in range(m):
-        didx[i, :, i] = np.maximum(E[:, i] - 1, 0) * m + i
+        didx[i, :, i] = np.searchsorted(powers, lower[:, i]) * m + i
     CT = C.T.copy()
     dCT = E.T[:, None, :] * CT  # m x gens x terms
-    P = np.empty((D + 1, m, rows), dtype=complex)
+    P = np.empty((len(powers), m, rows), dtype=complex)
     P[0] = 1.0
     Pf = P.reshape(-1, rows)
 
     best = np.full(rows, np.inf)
     lr = 0.3
     for it in range(params.iters + 1):
-        P[1] = Z
-        for k in range(2, D + 1):
-            np.multiply(P[k - 1], Z, out=P[k])
+        for j, gap in enumerate(gaps, 1):
+            np.multiply(P[j - 1], Z if gap == 1 else Z ** gap, out=P[j])
         mono = Pf[idx[:, 0]]
         for i in range(1, m):
             mono *= Pf[idx[:, i]]

@@ -23,7 +23,14 @@ from lctlab.exactgeom import (
     maximal_ideal,
     polyhedron_of,
 )
-from lctlab.germs import jacobian_ideal, monomialize, parse_polynomial, product_with_maximal
+from lctlab.germs import (
+    IdealPresentation,
+    jacobian_ideal,
+    monomialize,
+    parse_polynomial,
+    poly,
+    product_with_maximal,
+)
 from lctlab.invariants import lelong_numbers, loja_monomial, mixed_multiplicity
 from lctlab.sections import loja_numeric, restrict, sample_plane
 from lctlab.verify import random_ideal
@@ -147,6 +154,9 @@ def test_batched_minmax_matches_loop():
         cases.append((restrict(monomial_presentation(a.generators, 4),
                                sample_plane(4, 1, s)), rtol))
     cases.append((monomial_presentation([(3, 0), (0, 2)], 2), 1e-9))  # a zero partial
+    # powers 0, 1, 2, 119, 120: the table skips from x^2 to x^119
+    cases.append((IdealPresentation(2, (poly(2, {(2, 0): 1}), poly(2, {(0, 2): 1, (120, 0): 1}))),
+                  1e-9))
     cases.append((monomial_presentation([(80, 0), (0, 80)], 2), 1e-9))  # radius retry
     for I, rtol in cases:
         est = loja_numeric(I, FAST)
