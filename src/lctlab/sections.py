@@ -159,6 +159,8 @@ def _term_tables(I: IdealPresentation) -> tuple[np.ndarray, np.ndarray]:
     for g in gens:
         for v in g.terms:
             index.setdefault(v, len(index))
+    if max(max(v) for v in index) > np.iinfo(np.intp).max:
+        raise NumericFailureError("exponent beyond the estimator's integer range")
     E = np.array(list(index), dtype=np.intp).reshape(len(index), I.dim)
     C = np.zeros((len(index), len(gens)), dtype=complex)
     for j, g in enumerate(gens):
@@ -207,7 +209,7 @@ def _minmax(E: np.ndarray, C: np.ndarray, radii, params: LojaParams) -> np.ndarr
     # lower (the coefficient E[t, i] is 0 at 0).  Consecutive powers differ
     # by one unless the exponents are sparse.
     lower = np.maximum(E - 1, 0)
-    powers = np.unique(np.concatenate([[0], E.ravel(), lower.ravel()]))
+    powers = np.array(sorted({0, *E.ravel().tolist(), *lower.ravel().tolist()}))
     gaps = np.diff(powers).tolist()
     idx = np.searchsorted(powers, E) * m + np.arange(m)
     didx = np.broadcast_to(idx, (m, terms, m)).copy()

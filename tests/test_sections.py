@@ -129,6 +129,10 @@ class TestLojaNumeric:
         with pytest.raises(NumericFailureError):
             loja_numeric(monomial_presentation([(2, 0), (0, 2)], 2), FAST)
 
+    def test_exponent_beyond_int64_raises(self):
+        with pytest.raises(NumericFailureError):
+            loja_numeric(monomial_presentation([(2 ** 70, 0), (0, 2)], 2), FAST)
+
     def test_agrees_with_exact_on_corpus(self):
         for i in range(5):
             a = random_ideal(2, 100 + i, 4)
