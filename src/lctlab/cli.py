@@ -258,12 +258,9 @@ def main(argv=None) -> int:
         args.elapsed_ms = lambda: round((time.monotonic() - start) * 1000.0, 3)
     try:
         return args.func(args)
-    except ValueError as err:
+    except (ValueError, RuntimeError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except RuntimeError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_COMPUTE_ERROR
+        return EXIT_INPUT_ERROR if isinstance(err, ValueError) else EXIT_COMPUTE_ERROR
 
 
 if __name__ == "__main__":
