@@ -1,13 +1,20 @@
 #!/usr/bin/env python3
 """Run the randomized inequality corpus and write the JSON report to a file.
 
-Exit status follows the library convention: 0 when every verdict holds,
-2 on an exact-arithmetic failure, 3 when only numeric verdicts fail.
+The report's bytes are those of `lctlab corpus --json`.  Exit status follows
+the CLI: 0 when every verdict holds, 2 on an exact-arithmetic failure, 3 when
+only numeric verdicts fail, 4 on invalid input, 5 when a computation fails.
 """
 import argparse
 import sys
 
-from lctlab.verify import CorpusConfig, corpus_run, emit_report
+from lctlab.verify import (
+    EXIT_COMPUTE_ERROR,
+    EXIT_INPUT_ERROR,
+    CorpusConfig,
+    corpus_run,
+    emit_report,
+)
 
 
 def main() -> int:
@@ -27,13 +34,17 @@ def main() -> int:
     config = CorpusConfig(dim=args.dim, count=args.count, seed=args.seed,
                           budget=args.budget, include_numeric=args.numeric,
                           tolerance=args.tolerance)
-    report = corpus_run(config)
+    try:
+        report = corpus_run(config)
+    except (ValueError, RuntimeError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_INPUT_ERROR if isinstance(err, ValueError) else EXIT_COMPUTE_ERROR
     text = emit_report(report, "json")
     if args.output == "-":
-        print(text)
+        sys.stdout.write(text)
     else:
         with open(args.output, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
         print(f"wrote {args.output}: {report.cases} cases, "
               f"{len(report.failures)} failures", file=sys.stderr)
     return report.exit_code

@@ -23,7 +23,6 @@ from .germs import (
 )
 from .invariants import (
     UnitIdealError,
-    dh_lower_bound,
     lct_monomial,
     lelong_numbers,
     loja_monomial,
@@ -72,7 +71,7 @@ def _ideal_invariants(a: MonomialIdeal) -> dict:
         inv["L"] = frac_str(loja_monomial(a))
         lv = lelong_numbers(a)
         inv["e"] = [frac_str(e) for e in lv.e]
-        inv["dh_lower_bound"] = frac_str(dh_lower_bound(a))
+        inv["dh_lower_bound"] = frac_str(lv.ratio_sum)
     return inv
 
 

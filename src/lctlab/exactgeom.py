@@ -338,10 +338,15 @@ def contains(P: NewtonPolyhedron, q) -> bool:
 
 
 def minkowski_sum(P: NewtonPolyhedron, Q: NewtonPolyhedron) -> NewtonPolyhedron:
+    """P + Q, the Newton polyhedron of the product ideal.
+
+    P = conv(P.vertices) + orthant, so every vertex of P + Q is the sum of a
+    vertex of P and a vertex of Q, and the vertex sums generate it.
+    """
     if P.dim != Q.dim:
         raise InvalidInputError("dimension mismatch in Minkowski sum")
     sums = {tuple(x + y for x, y in zip(u, v))
-            for u in P.generators for v in Q.generators}
+            for u in P.vertices for v in Q.vertices}
     return build_polyhedron(sums, P.dim)
 
 

@@ -22,6 +22,7 @@ from .exactgeom import (
     diagonal_intercept,
     ideal_product,
     maximal_ideal,
+    minkowski_sum,
     polyhedron_of,
 )
 
@@ -48,6 +49,12 @@ class LelongVector:
         if k == 0:
             return self.e0
         return self.e[k - 1]
+
+    @property
+    def ratio_sum(self) -> Fraction:
+        """Sum of consecutive ratios e_{k-1}/e_k: the lower bound on lct."""
+        return sum((self[k - 1] / self[k] for k in range(1, len(self.e) + 1)),
+                   Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -130,7 +137,12 @@ def samuel_multiplicity(a: MonomialIdeal) -> Fraction:
 
 
 def mixed_multiplicity(ideals) -> MixedMass:
-    """Polarization of covolumes over Minkowski sums of the arguments."""
+    """Polarization of covolumes over Minkowski sums of the Newton polyhedra.
+
+    Subsets that take the same multiset of arguments share one Minkowski
+    sum, built once from the sum one argument smaller, and one covolume
+    term weighted by their number.
+    """
     ideals = tuple(ideals)
     if not ideals:
         raise InvalidInputError("no ideals given")
@@ -141,14 +153,19 @@ def mixed_multiplicity(ideals) -> MixedMass:
         if a.dim != n:
             raise InvalidInputError("dimension mismatch among mixed arguments")
         _require_zero_dim(a, "mixed multiplicity")
-    total = Fraction(0)
+    first = [ideals.index(a) for a in ideals]
+    weights: dict[tuple[int, ...], int] = {}  # sorted multiset -> signed count
     for size in range(1, n + 1):
-        sign = (-1) ** (n - size)
         for subset in itertools.combinations(range(n), size):
-            acc = ideals[subset[0]]
-            for i in subset[1:]:
-                acc = ideal_product(acc, ideals[i])
-            total += sign * covolume(polyhedron_of(acc))
+            key = tuple(sorted(first[i] for i in subset))
+            weights[key] = weights.get(key, 0) + (-1) ** (n - size)
+    polys = [polyhedron_of(a) for a in ideals]
+    sums = {}
+    total = Fraction(0)
+    for key, weight in weights.items():  # every key comes after its prefix
+        sums[key] = (polys[key[0]] if len(key) == 1
+                     else minkowski_sum(sums[key[:-1]], polys[key[-1]]))
+        total += weight * covolume(sums[key])
     return MixedMass(total, ideals)
 
 
@@ -171,6 +188,4 @@ def lelong_numbers(a: MonomialIdeal) -> LelongVector:
 
 def dh_lower_bound(a: MonomialIdeal) -> Fraction:
     """Sum of consecutive Lelong-number ratios e_{k-1}/e_k, with e_0 = 1."""
-    lv = lelong_numbers(a)
-    n = a.dim
-    return sum((lv[k - 1] / lv[k] for k in range(1, n + 1)), Fraction(0))
+    return lelong_numbers(a).ratio_sum

@@ -30,7 +30,6 @@ from .germs import (
     product_with_maximal,
 )
 from .invariants import (
-    dh_lower_bound,
     lelong_numbers,
     lct_monomial,
     loja_monomial,
@@ -53,6 +52,7 @@ EXIT_INPUT_ERROR = 4  # ValueError: unparsable, invalid or unsupported input
 EXIT_COMPUTE_ERROR = 5  # RuntimeError: numeric failure, sampling, budget
 
 DEFAULT_TOLERANCE = 0.05
+_MAX_RESEEDS = 5  # line draws before a restriction counts as degenerate
 
 
 @dataclass(frozen=True)
@@ -123,24 +123,31 @@ def verify_main(
     return _verdict("theorem-main", lhs, rhs, sources, tolerance), thetas
 
 
-def verify_chain(
-    a: MonomialIdeal,
-    seed: int = 0,
-    tolerance: float = DEFAULT_TOLERANCE,
-    params: LojaParams | None = None,
-    include_numeric: bool = False,
-    max_reseeds: int = 5,
-) -> list[Verdict]:
-    """The Lelong-ratio chain and its termwise Lojasiewicz lower bounds."""
+def _presentation(a: MonomialIdeal) -> IdealPresentation:
+    return IdealPresentation(a.dim, tuple(poly(a.dim, {v: 1}) for v in a.generators))
+
+
+def _line_order(a: MonomialIdeal, seed: int, max_reseeds: int) -> int | None:
+    """Order of a on the first line sample_plane(n, n-1, seed + attempt),
+    attempt < max_reseeds, on which it is not identically zero."""
+    gens_poly = _presentation(a)
+    for attempt in range(max_reseeds):
+        try:
+            plane = sample_plane(a.dim, a.dim - 1, seed + attempt)
+            return loja_line(restrict(gens_poly, plane))
+        except DegenerateRestrictionError:
+            continue
+    return None
+
+
+def _chain_verdicts(a, lv, lct, line_order, seed, tolerance, params,
+                    include_numeric) -> list[Verdict]:
+    """verify_chain's verdicts from a's Lelong vector, lct and line order
+    (None when every line draw was degenerate)."""
     n = a.dim
-    lv = lelong_numbers(a)
-    lct = lct_monomial(a)
     verdicts = [
-        _verdict("chain-lct", dh_lower_bound(a), lct,
-                 ["dh_lower_bound", "lct_monomial"]),
+        _verdict("chain-lct", lv.ratio_sum, lct, ["dh_lower_bound", "lct_monomial"]),
     ]
-    gens_poly = IdealPresentation(
-        n, tuple(poly(n, {v: 1}) for v in a.generators))
     for j in range(n):
         ratio = lv[n - j - 1] / lv[n - j]
         if j == 0:
@@ -149,26 +156,33 @@ def verify_chain(
                 "chain-term-j0", Fraction(1) / L, ratio,
                 ["loja_monomial", "lelong_numbers"]))
         elif j == n - 1:
-            L = None
-            for attempt in range(max_reseeds):
-                plane = sample_plane(n, j, seed + attempt)
-                try:
-                    L = loja_line(restrict(gens_poly, plane))
-                    break
-                except DegenerateRestrictionError:
-                    continue
-            if L is None:
+            if line_order is None:
                 raise DegenerateRestrictionError("all line restrictions degenerate")
             verdicts.append(_verdict(
-                f"chain-term-j{j}", Fraction(1, L), ratio,
+                f"chain-term-j{j}", Fraction(1, line_order), ratio,
                 ["loja_line", "lelong_numbers"]))
         elif include_numeric:
             plane = sample_plane(n, j, seed)
-            est = loja_numeric(restrict(gens_poly, plane), params)
+            est = loja_numeric(restrict(_presentation(a), plane), params)
             verdicts.append(_verdict(
                 f"chain-term-j{j}", 1.0 / est.value, ratio,
                 ["loja_numeric", "lelong_numbers"], tolerance))
     return verdicts
+
+
+def verify_chain(
+    a: MonomialIdeal,
+    seed: int = 0,
+    tolerance: float = DEFAULT_TOLERANCE,
+    params: LojaParams | None = None,
+    include_numeric: bool = False,
+    max_reseeds: int = _MAX_RESEEDS,
+) -> list[Verdict]:
+    """The Lelong-ratio chain and its termwise Lojasiewicz lower bounds."""
+    lv, lct = lelong_numbers(a), lct_monomial(a)
+    line_order = _line_order(a, seed, max_reseeds) if a.dim > 1 else None
+    return _chain_verdicts(a, lv, lct, line_order, seed, tolerance, params,
+                           include_numeric)
 
 
 def verify_lct_dominates(
@@ -192,27 +206,10 @@ def verify_lct_dominates(
                     strict=rhs > lct_f)
 
 
-def probe_pham(
-    a: MonomialIdeal,
-    seed: int = 0,
-    max_reseeds: int = 5,
-) -> Verdict:
-    """Evidence probe: lct(a) >= lct_1(a) + e_1/e_2 in dimension 2."""
-    if a.dim != 2:
-        raise InvalidInputError("probe is exact only in dimension 2")
-    lv = lelong_numbers(a)
-    lct = lct_monomial(a)
-    candidates = []
+def _pham_verdict(a, lv, lct, line_order) -> Verdict:
+    """probe_pham's verdict from a's Lelong vector, lct and line order."""
     # generic line: order = min total degree of a generator
-    gens_poly = IdealPresentation(
-        2, tuple(poly(2, {v: 1}) for v in a.generators))
-    for attempt in range(max_reseeds):
-        plane = sample_plane(2, 1, seed + attempt)
-        try:
-            candidates.append(Fraction(1, loja_line(restrict(gens_poly, plane))))
-            break
-        except DegenerateRestrictionError:
-            continue
+    candidates = [] if line_order is None else [Fraction(1, line_order)]
     # the two coordinate lines: not dominated when the sampled line is an axis
     for axis in range(2):
         orders = [g[axis] for g in a.generators
@@ -225,6 +222,18 @@ def probe_pham(
     lhs = lct_1 + lv[1] / lv[2]
     return _verdict("pham-probe", lhs, lct,
                     ["loja_line", "lelong_numbers", "lct_monomial"])
+
+
+def probe_pham(
+    a: MonomialIdeal,
+    seed: int = 0,
+    max_reseeds: int = _MAX_RESEEDS,
+) -> Verdict:
+    """Evidence probe: lct(a) >= lct_1(a) + e_1/e_2 in dimension 2."""
+    if a.dim != 2:
+        raise InvalidInputError("probe is exact only in dimension 2")
+    return _pham_verdict(a, lelong_numbers(a), lct_monomial(a),
+                         _line_order(a, seed, max_reseeds))
 
 
 def random_ideal(n: int, seed: int, budget: int) -> MonomialIdeal:
@@ -348,16 +357,20 @@ class CorpusReport:
 
 def corpus_run(config: CorpusConfig) -> CorpusReport:
     """Run chain (and probe) verdicts over a seeded corpus; deterministic."""
+    if config.count < 0:
+        raise InvalidInputError(f"case count must be >= 0, got {config.count}")
     summaries: dict[str, dict] = {}
     failures = []
     for index in range(config.count):
         seed = config.seed + index
         a = random_ideal(config.dim, seed, config.budget)
-        verdicts = verify_chain(
-            a, seed=seed, tolerance=config.tolerance,
-            include_numeric=config.include_numeric)
+        # the chain and the probe share the Lelong numbers, lct and line order
+        lv, lct = lelong_numbers(a), lct_monomial(a)
+        line_order = _line_order(a, seed, _MAX_RESEEDS)
+        verdicts = _chain_verdicts(a, lv, lct, line_order, seed, config.tolerance,
+                                   None, config.include_numeric)
         if config.dim == 2:
-            verdicts.append(probe_pham(a, seed=seed))
+            verdicts.append(_pham_verdict(a, lv, lct, line_order))
         for v in verdicts:
             s = summaries.setdefault(v.name, {
                 "count": 0, "failures": 0, "min_margin": None, "worst_index": None})

@@ -4,8 +4,10 @@ Each oracle computes a value that production computes one way by a second
 route; test_oracles.py compares the two over the test corpora.  grid_points
 gives the probe points of the membership oracle.  The facet enumeration over
 all generators and the H-representation volume recursion are the production
-code that the vertex-based core replaced; minmax_loop is the per-sphere
-descent loop that the batched numeric estimator replaced.
+code that the vertex-based core replaced; mixed_multiplicity_products is
+the polarization over product ideals that the vertex Minkowski sums
+replaced; minmax_loop is the per-sphere descent loop that the batched
+numeric estimator replaced.
 """
 import itertools
 from fractions import Fraction
@@ -18,8 +20,11 @@ from lctlab.exactgeom import (
     NewtonPolyhedron,
     _rank,
     axis_intercepts,
+    covolume,
     diagonal_intercept,
+    ideal_product,
     minimalize,
+    polyhedron_of,
 )
 from lctlab.germs import IdealPresentation, derivative
 from lctlab.simplex import solve_lp
@@ -260,6 +265,21 @@ def loja_dual(P: NewtonPolyhedron) -> Fraction:
     min_g <g, w>; the optimum lies on a normal-fan ray, a facet normal
     rescaled."""
     return max(Fraction(c, min(w)) for w, c in P.facets)
+
+
+def mixed_multiplicity_products(ideals) -> Fraction:
+    """Polarization of covolumes over the product ideal of every nonempty
+    subset of the n arguments, each product built generator by generator."""
+    ideals = tuple(ideals)
+    n = len(ideals)
+    total = Fraction(0)
+    for size in range(1, n + 1):
+        for subset in itertools.combinations(ideals, size):
+            acc = subset[0]
+            for b in subset[1:]:
+                acc = ideal_product(acc, b)
+            total += (-1) ** (n - size) * covolume(polyhedron_of(acc))
+    return total
 
 
 def _eval_batch(exps: np.ndarray, coeffs: np.ndarray, Z: np.ndarray) -> np.ndarray:

@@ -147,3 +147,15 @@ def test_criterion_8_determinism():
     identical = len(set(outs)) == 1
     report("8 determinism", identical,
            "3 runs byte-identical" if identical else "reports differ")
+
+
+def test_criterion_9_dim4_corpus():
+    t0 = time.perf_counter()
+    rep = corpus_run(CorpusConfig(dim=4, count=20))
+    elapsed = time.perf_counter() - t0
+    # without --numeric every verdict is exact: the chain and its j0, j3 terms
+    counts = {name: (s["count"], s["failures"]) for name, s in rep.summaries.items()}
+    ok = (not rep.failures and counts == {
+        "chain-lct": (20, 0), "chain-term-j0": (20, 0), "chain-term-j3": (20, 0)})
+    report("9 dim4-corpus", ok,
+           f"20 ideals, {len(rep.failures)} failures, {elapsed:.1f}s")

@@ -4,8 +4,11 @@ The inputs are those of the acceptance suite: its corpora, the powers its
 scaling criterion takes, the dim-4 ideals the other tests build (m, m^5,
 two random ideals and the 16-generator m*J_f of a Fermat germ) and every
 polyhedron whose covolume lelong_numbers or the diagonal mixed multiplicity
-takes (products a^i * m^j and a^i).  The numeric estimator's batched descent
-is compared with the per-sphere loop on plane ideals and plane restrictions.
+takes (products a^i * m^j and a^i).  Mixed multiplicities and Lelong
+numbers, which production takes over vertex Minkowski sums, are compared
+with the polarization over product ideals.  The numeric estimator's batched
+descent is compared with the per-sphere loop on plane ideals and plane
+restrictions.
 """
 import itertools
 from fractions import Fraction
@@ -20,7 +23,9 @@ from lctlab.exactgeom import (
     covolume,
     diagonal_intercept,
     ideal_power,
+    ideal_product,
     maximal_ideal,
+    minkowski_sum,
     polyhedron_of,
 )
 from lctlab.germs import (
@@ -44,6 +49,7 @@ from oracles import (
     lp_hull_member,
     lp_member,
     minmax_loop,
+    mixed_multiplicity_products,
 )
 from test_acceptance import CORPUS_2D, CORPUS_3D
 from test_sections import FAST, monomial_presentation
@@ -129,6 +135,35 @@ def test_vertices_are_exactly_the_extreme_generators():
             assert not (others and lp_hull_member(others, P.dim, v)), (a.generators, v)
         for g in P.generators:
             assert lp_hull_member(P.vertices, P.dim, g), (a.generators, g)
+
+
+def test_minkowski_sum_matches_product():
+    m2, m3 = maximal_ideal(2), maximal_ideal(3)
+    pairs = list(zip(CORPUS_2D, CORPUS_2D[1:])) + list(zip(CORPUS_3D, CORPUS_3D[1:]))
+    pairs += [(a, a) for a in CORPORA] + [(a, m2) for a in CORPUS_2D]
+    pairs += [(a, m3) for a in CORPUS_3D] + [(M4, M4), (FERMAT4, M4)]
+    pairs += [(a, b) for a in DIM4 for b in DIM4 + [M4]]
+    for a, b in pairs:
+        S = minkowski_sum(polyhedron_of(a), polyhedron_of(b))
+        P = polyhedron_of(ideal_product(a, b))
+        assert (S.vertices, S.facets) == (P.vertices, P.facets), (a.generators, b.generators)
+
+
+def test_mixed_multiplicity_matches_products():
+    dim4 = [random_ideal(4, s, 5) for s in (1, 2, 3)]
+    for a in CORPORA + dim4:
+        n = a.dim
+        m = maximal_ideal(n)
+        e = tuple(mixed_multiplicity_products([a] * k + [m] * (n - k))
+                  for k in range(1, n + 1))
+        assert lelong_numbers(a).e == e, a.generators
+        assert mixed_multiplicity([a] * n).value == e[-1], a.generators
+    # distinct arguments, repeated out of order
+    mixed = [[a, b, a] for a, b in zip(CORPUS_3D[:20], CORPUS_3D[1:])]
+    mixed += [[maximal_ideal(3), a, b] for a, b in zip(CORPUS_3D[:20], CORPUS_3D[2:])]
+    mixed += [[dim4[0], M4, dim4[0], dim4[1]], [M4, dim4[2], dim4[1], M4]]
+    for args in mixed:
+        assert mixed_multiplicity(args).value == mixed_multiplicity_products(args), args
 
 
 def loop_minmax(I, params):

@@ -3,12 +3,13 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from lctlab import cli, verify
 from lctlab.cli import build_parser
-from lctlab.exactgeom import MonomialIdeal, ideal_power, maximal_ideal
+from lctlab.exactgeom import InvalidInputError, MonomialIdeal, ideal_power, maximal_ideal
 from lctlab.germs import parse_polynomial
 from lctlab.sections import NumericFailureError
 from lctlab.verify import (
@@ -19,6 +20,7 @@ from lctlab.verify import (
     Report,
     corpus_run,
     emit_report,
+    frac_str,
     probe_pham,
     random_ideal,
     verify_chain,
@@ -156,6 +158,23 @@ class TestCorpusRun:
         assert report.cases == 0
         assert emit_report(report, "json").find('"cases": 0') >= 0
 
+    @pytest.mark.parametrize("dim,seeds", [(2, range(60)), (3, range(10))])
+    def test_cases_match_chain_and_probe(self, dim, seeds):
+        # corpus_run shares one Lelong vector, lct and line order between
+        # the chain and the probe; each margin must be the public functions'
+        for seed in seeds:
+            a = random_ideal(dim, seed, 5)
+            verdicts = verify_chain(a, seed=seed)
+            if dim == 2:
+                verdicts.append(probe_pham(a, seed=seed))
+            report = corpus_run(CorpusConfig(dim=dim, count=1, seed=seed))
+            assert ({name: s["min_margin"] for name, s in report.summaries.items()}
+                    == {v.name: frac_str(v.margin) for v in verdicts}), seed
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(InvalidInputError):
+            corpus_run(CorpusConfig(dim=2, count=-1))
+
     def test_determinism_across_runs_and_workers(self):
         cfg = CorpusConfig(dim=2, count=15, seed=9, budget=5)
         outs = {emit_report(corpus_run(cfg), "json") for _ in range(3)}
@@ -259,6 +278,22 @@ class TestCli:
         res = run_cli("corpus", "--dim", "2", "--count", "5", "--seed", "3", "--json")
         assert res.returncode == 0
         assert json.loads(res.stdout)["cases"] == 5
+
+    def test_negative_count_exit(self):
+        res = run_cli("corpus", "--count", "-1", "--json")
+        assert res.returncode == EXIT_INPUT_ERROR
+        assert res.stdout == ""
+        assert res.stderr == "error: case count must be >= 0, got -1\n"
+
+    def test_run_corpus_script(self, tmp_path):
+        script = [sys.executable, str(Path(__file__).parents[1] / "scripts" / "run_corpus.py")]
+        out = tmp_path / "corpus.json"
+        res = subprocess.run(script + ["--count", "5", "-o", str(out)], capture_output=True)
+        assert res.returncode == 0
+        assert out.read_text() == run_cli("corpus", "--count", "5", "--json").stdout
+        res = subprocess.run(script + ["--budget", "1"], capture_output=True, text=True)
+        assert res.returncode == EXIT_INPUT_ERROR
+        assert res.stderr == "error: budget must be >= 2\n"
 
     def test_parse_error_exit(self):
         res = run_cli("verify-main", "x + ")
