@@ -9,7 +9,7 @@ import pytest
 
 from lctlab import cli, verify
 from lctlab.cli import build_parser
-from lctlab.exactgeom import InvalidInputError, MonomialIdeal, ideal_power, maximal_ideal
+from lctlab.exactgeom import MonomialIdeal, ideal_power, maximal_ideal
 from lctlab.germs import parse_polynomial
 from lctlab.sections import NumericFailureError
 from lctlab.verify import (
@@ -170,10 +170,6 @@ class TestCorpusRun:
             report = corpus_run(CorpusConfig(dim=dim, count=1, seed=seed))
             assert ({name: s["min_margin"] for name, s in report.summaries.items()}
                     == {v.name: frac_str(v.margin) for v in verdicts}), seed
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(InvalidInputError):
-            corpus_run(CorpusConfig(dim=2, count=-1))
 
     def test_determinism_across_runs_and_workers(self):
         cfg = CorpusConfig(dim=2, count=15, seed=9, budget=5)
