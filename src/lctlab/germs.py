@@ -106,13 +106,6 @@ def poly_scale(p: Polynomial, c) -> Polynomial:
     return poly(p.dim, {v: c * a for v, a in p.terms.items()})
 
 
-def poly_pow(p: Polynomial, k: int) -> Polynomial:
-    out = poly(p.dim, {(0,) * p.dim: 1})
-    for _ in range(k):
-        out = poly_mul(out, p)
-    return out
-
-
 def derivative(p: Polynomial, axis: int) -> Polynomial:
     terms = {}
     for v, c in p.terms.items():

@@ -28,7 +28,8 @@ from .exactgeom import (
 
 
 class UnitIdealError(ValueError):
-    """The unit ideal: lct is +infinity, reported as a status, not a number."""
+    """The unit ideal: lct is +infinity, reported as a status, not a number,
+    and every Lelong number is 0."""
 
 
 class OracleBudgetExceededError(RuntimeError):
@@ -171,6 +172,9 @@ def mixed_multiplicity(ideals) -> MixedMass:
 
 def lelong_numbers(a: MonomialIdeal) -> LelongVector:
     """e_k = mixed mass of a taken k times against the maximal ideal."""
+    if a.is_unit:
+        raise UnitIdealError(
+            "Lelong numbers of the unit ideal are 0; its ratios are undefined")
     _require_zero_dim(a, "Lelong numbers")
     n = a.dim
     m = maximal_ideal(n)

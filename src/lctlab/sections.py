@@ -9,6 +9,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import product
+from math import comb
+from operator import add, mul
 
 import numpy as np
 
@@ -21,9 +25,6 @@ from .germs import (
     check_isolated,
     jacobian_ideal,
     monomialize,
-    poly,
-    poly_add,
-    poly_mul,
     NOT_ISOLATED,
 )
 from .invariants import loja_monomial
@@ -100,42 +101,70 @@ def sample_plane(n: int, j: int, seed: int, max_attempts: int = 1000) -> PlaneRe
     raise SamplingError("could not draw a full-rank plane")
 
 
+def _linear_power(row: tuple[Fraction, ...], e: int) -> list:
+    """(sum_k row[k] t_k)^e, e > 0, by the multinomial theorem: (exponent,
+    coefficient) pairs over the nonzero entries of row, with coefficients
+    e!/alpha! prod row[k]^alpha_k, in the order that repeated multiplication
+    by the linear form gives (descending lexicographic).  On a line this is
+    [((e,), row[0]^e)]."""
+    support = [k for k, c in enumerate(row) if c]
+    if not support:
+        return []
+    out = []
+    for head in product(range(e, -1, -1), repeat=len(support) - 1):
+        alpha = head + (e - sum(head),)
+        if alpha[-1] < 0:
+            continue
+        exp = [0] * len(row)
+        multinomial, rest = 1, e
+        for k, a in zip(support, alpha):
+            exp[k] = a
+            multinomial *= comb(rest, a)
+            rest -= a
+        # a power of a reduced Fraction needs no gcd; normalizing the
+        # product as one integer ratio would take a gcd of e-digit numbers
+        coef = reduce(mul, [row[k] ** a for k, a in zip(support, alpha) if a])
+        out.append((tuple(exp), coef if multinomial == 1 else multinomial * coef))
+    return out
+
+
 def restrict(I: IdealPresentation, plane: PlaneRestriction) -> IdealPresentation:
-    """Substitute z = M t into every generator; exact arithmetic."""
+    """Substitute z = M t into every generator; exact arithmetic.
+
+    Each power (M_i . t)^e that a generator takes is expanded once, directly;
+    every term c z^v is multiplied out coordinate by coordinate and summed
+    into its generator's dict, so a term on a line maps to c M^v t^|v|.
+    Terms come out in the order of repeated polynomial products: first
+    occurrence, with a coefficient that cancels to zero dropped and
+    re-appended if it returns."""
     if I.dim != plane.ambient:
         raise InvalidInputError("dimension mismatch in restriction")
     m = plane.ambient - plane.codim
-    linear_forms = []
-    for i in range(plane.ambient):
-        terms = {}
-        for k in range(m):
-            c = plane.matrix[i][k]
-            if c != 0:
-                terms[tuple(1 if l == k else 0 for l in range(m))] = c
-        linear_forms.append(poly(m, terms))
-
-    max_exp = [0] * plane.ambient
-    for g in I.generators:
-        for v in g.terms:
-            for i, e in enumerate(v):
-                max_exp[i] = max(max_exp[i], e)
-    pow_cache = []
-    for i, lf in enumerate(linear_forms):
-        cache = [poly(m, {(0,) * m: 1})]
-        for _ in range(max_exp[i]):
-            cache.append(poly_mul(cache[-1], lf))
-        pow_cache.append(cache)
-
+    powers: dict = {}
     out = []
     for g in I.generators:
-        acc = poly(m, {})
+        acc: dict = {}
         for v, c in g.terms.items():
-            term = poly(m, {(0,) * m: c})
+            term = {(0,) * m: c}
             for i, e in enumerate(v):
-                if e:
-                    term = poly_mul(term, pow_cache[i][e])
-            acc = poly_add(acc, term)
-        out.append(acc)
+                if not e:
+                    continue
+                power = powers.get((i, e))
+                if power is None:
+                    power = powers[i, e] = _linear_power(plane.matrix[i], e)
+                prod: dict = {}
+                for u, a in term.items():
+                    for w, b in power:
+                        key = tuple(map(add, u, w))
+                        prod[key] = prod[key] + a * b if key in prod else a * b
+                term = {u: a for u, a in prod.items() if a}
+            for u, a in term.items():
+                s = acc[u] + a if u in acc else a
+                if s:
+                    acc[u] = s
+                else:
+                    del acc[u]
+        out.append(Polynomial(m, acc))
     return IdealPresentation(m, tuple(out))
 
 

@@ -7,7 +7,8 @@ all generators and the H-representation volume recursion are the production
 code that the vertex-based core replaced; mixed_multiplicity_products is
 the polarization over product ideals that the vertex Minkowski sums
 replaced; minmax_loop is the per-sphere descent loop that the batched
-numeric estimator replaced.
+numeric estimator replaced; restrict_products is the substitution by one
+polynomial product per degree that direct substitution replaced.
 """
 import itertools
 from fractions import Fraction
@@ -26,7 +27,7 @@ from lctlab.exactgeom import (
     minimalize,
     polyhedron_of,
 )
-from lctlab.germs import IdealPresentation, derivative
+from lctlab.germs import IdealPresentation, derivative, poly, poly_add, poly_mul
 from lctlab.simplex import solve_lp
 
 
@@ -280,6 +281,45 @@ def mixed_multiplicity_products(ideals) -> Fraction:
                 acc = ideal_product(acc, b)
             total += (-1) ** (n - size) * covolume(polyhedron_of(acc))
     return total
+
+
+def restrict_products(I: IdealPresentation, plane) -> IdealPresentation:
+    """Substitute z = M t into every generator, with every power of each
+    linear form M_i . t up to the largest exponent built by one polynomial
+    product per degree."""
+    m = plane.ambient - plane.codim
+    linear_forms = []
+    for i in range(plane.ambient):
+        terms = {}
+        for k in range(m):
+            c = plane.matrix[i][k]
+            if c != 0:
+                terms[tuple(1 if l == k else 0 for l in range(m))] = c
+        linear_forms.append(poly(m, terms))
+
+    max_exp = [0] * plane.ambient
+    for g in I.generators:
+        for v in g.terms:
+            for i, e in enumerate(v):
+                max_exp[i] = max(max_exp[i], e)
+    pow_cache = []
+    for i, lf in enumerate(linear_forms):
+        cache = [poly(m, {(0,) * m: 1})]
+        for _ in range(max_exp[i]):
+            cache.append(poly_mul(cache[-1], lf))
+        pow_cache.append(cache)
+
+    out = []
+    for g in I.generators:
+        acc = poly(m, {})
+        for v, c in g.terms.items():
+            term = poly(m, {(0,) * m: c})
+            for i, e in enumerate(v):
+                if e:
+                    term = poly_mul(term, pow_cache[i][e])
+            acc = poly_add(acc, term)
+        out.append(acc)
+    return IdealPresentation(m, tuple(out))
 
 
 def _eval_batch(exps: np.ndarray, coeffs: np.ndarray, Z: np.ndarray) -> np.ndarray:

@@ -54,6 +54,9 @@ class TestLct:
     def test_unit_ideal_status(self):
         with pytest.raises(UnitIdealError):
             lct_monomial(MonomialIdeal.make({(0, 0)}, 2))
+        for n in (1, 2, 3):
+            with pytest.raises(UnitIdealError):
+                lelong_numbers(MonomialIdeal.make({(0,) * n}, n))
 
 
 class TestLoja:

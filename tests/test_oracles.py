@@ -8,9 +8,11 @@ takes (products a^i * m^j and a^i).  Mixed multiplicities and Lelong
 numbers, which production takes over vertex Minkowski sums, are compared
 with the polarization over product ideals.  The numeric estimator's batched
 descent is compared with the per-sphere loop on plane ideals and plane
-restrictions.
+restrictions.  Restriction by direct substitution is compared with the one
+polynomial product per degree on random multi-term polynomials.
 """
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -37,7 +39,7 @@ from lctlab.germs import (
     product_with_maximal,
 )
 from lctlab.invariants import lelong_numbers, loja_monomial, mixed_multiplicity
-from lctlab.sections import loja_numeric, restrict, sample_plane
+from lctlab.sections import PlaneRestriction, loja_numeric, restrict, sample_plane
 from lctlab.verify import random_ideal
 
 from oracles import (
@@ -50,6 +52,7 @@ from oracles import (
     lp_member,
     minmax_loop,
     mixed_multiplicity_products,
+    restrict_products,
 )
 from test_acceptance import CORPUS_2D, CORPUS_3D
 from test_sections import FAST, monomial_presentation
@@ -164,6 +167,50 @@ def test_mixed_multiplicity_matches_products():
     mixed += [[dim4[0], M4, dim4[0], dim4[1]], [M4, dim4[2], dim4[1], M4]]
     for args in mixed:
         assert mixed_multiplicity(args).value == mixed_multiplicity_products(args), args
+
+
+def _random_restriction(n: int, j: int, seed: int):
+    """Up to 4 generators of up to 6 terms, exponents <= 3, on
+    sample_plane(n, j, seed); every third plane has entries set to 0 or +-1,
+    which makes rows vanish and partial products cancel."""
+    rng = random.Random(seed * 100 + n * 10 + j)
+    gens = []
+    for _ in range(rng.randint(1, 4)):
+        gens.append(poly(n, {tuple(rng.randint(0, 3) for _ in range(n)):
+                             Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                             for _ in range(rng.randint(1, 6))}))
+    plane = sample_plane(n, j, seed)
+    if seed % 3 == 0:
+        matrix = tuple(
+            tuple(Fraction(0) if rng.random() < 0.3
+                  else Fraction(rng.choice((-1, 1))) if rng.random() < 0.3 else c
+                  for c in row)
+            for row in plane.matrix)
+        plane = PlaneRestriction(n, j, matrix, seed)
+    return IdealPresentation(n, tuple(gens)), plane
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_restrict_matches_products(n):
+    """Equal polynomials with the same term order: the order fixes the
+    numeric estimator's float sums through its term table."""
+    for j in range(1, n):
+        for seed in range(100):
+            I, plane = _random_restriction(n, j, seed)
+            got, want = restrict(I, plane), restrict_products(I, plane)
+            assert got == want, (I, plane)
+            assert ([list(g.terms) for g in got.generators]
+                    == [list(g.terms) for g in want.generators]), (I, plane)
+
+
+def test_restrict_reappends_cancelled_term():
+    """x^2 and -y^2/4 cancel on t^2 before x^3 adds t^3; x*y brings t^2
+    back, after t^3, as in repeated polynomial products."""
+    line = PlaneRestriction(2, 1, ((Fraction(1),), (Fraction(2),)), 0)
+    I = IdealPresentation(2, (poly(2, {(2, 0): 1, (0, 2): Fraction(-1, 4),
+                                       (3, 0): 1, (1, 1): 1}),))
+    (got,), (want,) = restrict(I, line).generators, restrict_products(I, line).generators
+    assert list(got.terms.items()) == list(want.terms.items()) == [((3,), 1), ((2,), 2)]
 
 
 def loop_minmax(I, params):

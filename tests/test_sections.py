@@ -12,6 +12,7 @@ from lctlab.sections import (
     DegenerateRestrictionError,
     LojaParams,
     NumericFailureError,
+    PlaneRestriction,
     loja_line,
     loja_numeric,
     polar_invariant,
@@ -66,6 +67,13 @@ class TestRestrict:
         line = PlaneRestriction(2, 1, ((Fraction(1),), (Fraction(1),)), 0)
         R = restrict(monomial_presentation([(2, 0), (1, 1), (0, 3)], 2), line)
         assert [g.terms for g in R.generators] == [{(2,): 1}, {(2,): 1}, {(3,): 1}]
+
+    def test_large_exponent(self):
+        c1, c2 = Fraction(-7, 3), Fraction(5, 2)
+        line = PlaneRestriction(2, 1, ((c1,), (c2,)), 0)
+        R = restrict(monomial_presentation([(100000, 0), (0, 2)], 2), line)
+        assert R.generators[0].terms == {(100000,): c1 ** 100000}
+        assert R.generators[1].terms == {(2,): c2 ** 2}
 
 
 class TestLojaLine:

@@ -301,6 +301,19 @@ class TestCli:
         assert res.returncode == EXIT_INPUT_ERROR
         assert res.stderr == "error: zero denominator at offset 2\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["verify-chain", "1"],
+        ["verify-chain", "1", "--dim", "2"],
+        ["verify-chain", "1", "--dim", "3"],
+        ["verify-chain", "x^0"],
+        ["probe-pham", "1", "--dim", "2"],
+    ])
+    def test_unit_ideal_exit(self, argv, capsys):
+        assert cli.main(argv) == EXIT_INPUT_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: Lelong numbers of the unit ideal are 0; its ratios are undefined\n"
+
     def test_numeric_failure_exit(self, monkeypatch, capsys):
         def fail(I, params=None):
             raise NumericFailureError("min-max collapsed below float range")
