@@ -156,10 +156,11 @@ def _rank(rows) -> int:
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
         prow = mat[rank]
-        for i in range(rank + 1, len(mat)):
-            if mat[i][col] != 0:
-                factor = mat[i][col] / prow[col]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], prow)]
+        if col + 1 < ncols:  # nothing reads the last column once it has a pivot
+            for i in range(rank + 1, len(mat)):
+                if mat[i][col] != 0:
+                    factor = mat[i][col] / prow[col]
+                    mat[i] = [a - factor * b for a, b in zip(mat[i], prow)]
         rank += 1
         col += 1
     return rank

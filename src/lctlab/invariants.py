@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, factorial
 
 import numpy as np
 
@@ -131,10 +132,7 @@ def multiplicity_oracle(a: MonomialIdeal, budget: int = 64) -> int:
 def samuel_multiplicity(a: MonomialIdeal) -> Fraction:
     """n! * covolume of the Newton polyhedron."""
     _require_zero_dim(a, "Samuel multiplicity")
-    n = a.dim
-    import math
-
-    return math.factorial(n) * covolume(polyhedron_of(a))
+    return factorial(a.dim) * covolume(polyhedron_of(a))
 
 
 def mixed_multiplicity(ideals) -> MixedMass:
@@ -171,17 +169,39 @@ def mixed_multiplicity(ideals) -> MixedMass:
 
 
 def lelong_numbers(a: MonomialIdeal) -> LelongVector:
-    """e_k = mixed mass of a taken k times against the maximal ideal."""
+    """e_k from the covolume polynomial of P + tD, P the Newton polyhedron of
+    a and D that of the maximal ideal m:
+
+        n! covol(P + tD) = sum_k C(n, k) e_k t^(n-k),   e_0 = e(m) = 1,
+
+    since e_k is the mixed multiplicity of a taken k times against m, which is
+    n! times the mixed covolume (Kaveh & Khovanskii 2014).  So e_n = n! covol(P),
+    and the middle coefficients are solved exactly from t = 1..n-1, each
+    P + tD built from P + (t-1)D.
+    """
     if a.is_unit:
         raise UnitIdealError(
             "Lelong numbers of the unit ideal are 0; its ratios are undefined")
     _require_zero_dim(a, "Lelong numbers")
-    n = a.dim
-    m = maximal_ideal(n)
-    e = []
-    for k in range(1, n):
-        e.append(mixed_multiplicity([a] * k + [m] * (n - k)).value)
-    e.append(samuel_multiplicity(a))
+    n, nf = a.dim, factorial(a.dim)
+    S = polyhedron_of(a)
+    D = polyhedron_of(maximal_ideal(n))
+    en = nf * covolume(S)
+    # rows [t, t^2, .., t^(n-1) | sum_{0<j<n} C(n, n-j) e_(n-j) t^j], t = 1..n-1
+    rows = []
+    for t in range(1, n):
+        S = minkowski_sum(S, D)  # P + tD
+        rows.append([Fraction(t ** j) for j in range(1, n)]
+                    + [nf * covolume(S) - t ** n - en])
+    # Gauss-Jordan with no row swaps: a Vandermonde matrix on increasing
+    # positive nodes is totally positive, so every pivot is nonzero
+    for i, pivot in enumerate(rows):
+        pivot[:] = [x / pivot[i] for x in pivot]
+        for row in rows:
+            if row is not pivot and row[i]:
+                factor = row[i]
+                row[:] = [x - factor * y for x, y in zip(row, pivot)]
+    e = [rows[n - k - 1][-1] / comb(n, k) for k in range(1, n)] + [en]
     if e[0] != a.min_degree:
         raise ArithmeticError(
             f"e_1 = {e[0]} differs from minimal generator degree {a.min_degree}")

@@ -7,6 +7,7 @@ integral-closure domination of lct(f), and the hyperplane-restriction probe.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -85,6 +86,13 @@ def _verdict(name, lhs, rhs, sources, tolerance=None, strict=None) -> Verdict:
                    tolerance if numeric else None, strict, tuple(sources))
 
 
+def _check_tolerance(tolerance: float) -> None:
+    # a negative tolerance fails verdicts that hold, inf passes every one,
+    # and nan would reach a JSON report as a bare NaN
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise InvalidInputError(f"tolerance must be finite and >= 0, got {tolerance}")
+
+
 def _estimate_value(est: LojaEstimate):
     return est.rational if est.rational is not None else est.value
 
@@ -97,6 +105,7 @@ def verify_main(
     allow_nondegenerate: bool = False,
 ) -> tuple[Verdict, list[LojaEstimate]]:
     """Sum of 1/(1+theta(f_j)) against lct(m*J_f)."""
+    _check_tolerance(tolerance)
     if check_isolated(f) == NOT_ISOLATED:
         raise InvalidInputError("germ has non-isolated singularity")
     n = f.dim
@@ -179,6 +188,7 @@ def verify_chain(
     max_reseeds: int = _MAX_RESEEDS,
 ) -> list[Verdict]:
     """The Lelong-ratio chain and its termwise Lojasiewicz lower bounds."""
+    _check_tolerance(tolerance)
     lv, lct = lelong_numbers(a), lct_monomial(a)
     line_order = _line_order(a, seed, max_reseeds) if a.dim > 1 else None
     return _chain_verdicts(a, lv, lct, line_order, seed, tolerance, params,
@@ -359,6 +369,7 @@ def corpus_run(config: CorpusConfig) -> CorpusReport:
     """Run chain (and probe) verdicts over a seeded corpus; deterministic."""
     if config.count < 0:
         raise InvalidInputError(f"case count must be >= 0, got {config.count}")
+    _check_tolerance(config.tolerance)
     summaries: dict[str, dict] = {}
     failures = []
     for index in range(config.count):

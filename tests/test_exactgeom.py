@@ -1,4 +1,6 @@
 """Newton polyhedron geometry: facets, membership, intercepts, covolumes."""
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -300,3 +302,18 @@ class TestMonomialIdeal:
             MonomialIdeal.make([], 2)
         with pytest.raises(InvalidInputError):
             MonomialIdeal.make([(1, -1)], 2)
+
+
+def test_rank_matches_largest_nonzero_minor():
+    # entries mostly 0 or +-1, so pivots go missing and rows cancel; the
+    # n x 1 columns are the line matrices of sample_plane
+    rng = random.Random(5)
+    for _ in range(600):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        mat = [[rng.choice((0, 0, 0, 1, -1, 2, Fraction(1, 3))) for _ in range(cols)]
+               for _ in range(rows)]
+        minors = [k for k in range(1, min(rows, cols) + 1)
+                  for r in itertools.combinations(mat, k)
+                  for c in itertools.combinations(range(cols), k)
+                  if exactgeom._det([[row[j] for j in c] for row in r])]
+        assert exactgeom._rank(mat) == max(minors, default=0), mat

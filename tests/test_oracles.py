@@ -4,16 +4,20 @@ The inputs are those of the acceptance suite: its corpora, the powers its
 scaling criterion takes, the dim-4 ideals the other tests build (m, m^5,
 two random ideals and the 16-generator m*J_f of a Fermat germ) and every
 polyhedron whose covolume lelong_numbers or the diagonal mixed multiplicity
-takes (products a^i * m^j and a^i).  Mixed multiplicities and Lelong
-numbers, which production takes over vertex Minkowski sums, are compared
-with the polarization over product ideals.  The numeric estimator's batched
-descent is compared with the per-sphere loop on plane ideals and plane
-restrictions.  Restriction by direct substitution is compared with the one
-polynomial product per degree on random multi-term polynomials.
+takes (P + tD for the Newton polyhedra P of a and D of m, t < n, and the
+sums P + .. + P).  Lelong numbers, which production reads off the covolume
+polynomial t -> covol(P + tD), are compared with both polarizations: over
+vertex Minkowski sums and over product ideals; the polynomial's t^n
+coefficient, which production never evaluates, must be e_0 = 1.  The
+numeric estimator's batched descent is compared with the per-sphere loop on
+plane ideals and plane restrictions.  Restriction by direct substitution is
+compared with the one polynomial product per degree on random multi-term
+polynomials.
 """
 import itertools
 import random
 from fractions import Fraction
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -63,9 +67,16 @@ M4 = maximal_ideal(4)
 DIM4 = [random_ideal(4, s, 5) for s in (1, 2)]
 FERMAT4 = monomialize(product_with_maximal(jacobian_ideal(
     parse_polynomial("x^5 + y^5 + z^5 + w^5")))).ideal
-# 35 generators, every one a vertex: more facet candidates than one batch
-SQUARES4 = MonomialIdeal.make(
-    [tuple(c * c for c in t) for t in itertools.product(range(5), repeat=4) if sum(t) == 4], 4)
+
+
+def squared_compositions(d: int) -> MonomialIdeal:
+    """The squares of the compositions of d into 4 parts: every one a vertex."""
+    return MonomialIdeal.make([tuple(c * c for c in t)
+                               for t in itertools.product(range(d + 1), repeat=4)
+                               if sum(t) == d], 4)
+
+
+SQUARES4 = squared_compositions(4)  # 35 vertices: more facet candidates than one batch
 
 
 def test_contains_matches_lp_membership():
@@ -152,15 +163,38 @@ def test_minkowski_sum_matches_product():
         assert (S.vertices, S.facets) == (P.vertices, P.facets), (a.generators, b.generators)
 
 
+def test_lelong_numbers_match_polarizations():
+    seeds = {2: range(300), 3: range(60), 4: range(6)}
+    randoms = [random_ideal(n, s, 5) for n, ss in seeds.items() for s in ss]
+    for a in CORPORA + randoms:
+        n = a.dim
+        m = maximal_ideal(n)
+        args = [[a] * k + [m] * (n - k) for k in range(1, n + 1)]
+        e = tuple(mixed_multiplicity_products(x) for x in args)
+        assert lelong_numbers(a).e == e, a.generators
+        assert tuple(mixed_multiplicity(x).value for x in args) == e, a.generators
+
+
+def test_lelong_numbers_give_e0():
+    """n! covol(P + nD) - sum_{k >= 1} C(n, k) e_k n^(n-k) = e_0 n^n = n^n,
+    with P + nD the Newton polyhedron of the product ideal a * m^n."""
+    for a in CORPORA + [random_ideal(4, s, 5) for s in range(40)]:
+        n = a.dim
+        e = lelong_numbers(a).e
+        P = polyhedron_of(ideal_product(a, ideal_power(maximal_ideal(n), n)))
+        rest = sum(comb(n, k) * e[k - 1] * n ** (n - k) for k in range(1, n + 1))
+        assert factorial(n) * covolume(P) - rest == n ** n, a.generators
+
+
+def test_lelong_numbers_of_many_vertices():
+    assert lelong_numbers(squared_compositions(3)).e == (3, 9, 39, 241)
+
+
 def test_mixed_multiplicity_matches_products():
     dim4 = [random_ideal(4, s, 5) for s in (1, 2, 3)]
     for a in CORPORA + dim4:
-        n = a.dim
-        m = maximal_ideal(n)
-        e = tuple(mixed_multiplicity_products([a] * k + [m] * (n - k))
-                  for k in range(1, n + 1))
-        assert lelong_numbers(a).e == e, a.generators
-        assert mixed_multiplicity([a] * n).value == e[-1], a.generators
+        assert (mixed_multiplicity([a] * a.dim).value
+                == mixed_multiplicity_products([a] * a.dim)), a.generators
     # distinct arguments, repeated out of order
     mixed = [[a, b, a] for a, b in zip(CORPUS_3D[:20], CORPUS_3D[1:])]
     mixed += [[maximal_ideal(3), a, b] for a, b in zip(CORPUS_3D[:20], CORPUS_3D[2:])]

@@ -281,6 +281,20 @@ class TestCli:
         assert res.stdout == ""
         assert res.stderr == "error: case count must be >= 0, got -1\n"
 
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("argv", [
+        ["corpus", "--numeric", "--count", "1"],
+        ["verify-chain", "x^2; y^3; z^4", "--numeric"],
+        ["verify-main", "x^3 + y^3"],
+    ])
+    def test_invalid_tolerance_exit(self, argv, value, capsys):
+        # -1 failed verdicts with a margin of 5e-16, inf held every numeric
+        # verdict, and nan reached the JSON report as a bare NaN
+        assert cli.main([*argv, "--tolerance", value, "--json"]) == EXIT_INPUT_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: tolerance must be finite and >= 0, got {float(value)}\n"
+
     def test_run_corpus_script(self, tmp_path):
         script = [sys.executable, str(Path(__file__).parents[1] / "scripts" / "run_corpus.py")]
         out = tmp_path / "corpus.json"
