@@ -17,13 +17,11 @@ from .exactgeom import (  # noqa: F401
 from .invariants import (  # noqa: F401
     LelongVector,
     MixedMass,
-    colength,
     dh_lower_bound,
     lct_monomial,
     lelong_numbers,
     loja_monomial,
     mixed_multiplicity,
-    multiplicity_oracle,
     samuel_multiplicity,
 )
 from .germs import (  # noqa: F401

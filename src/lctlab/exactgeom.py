@@ -1,18 +1,16 @@
 """Exact rational convex geometry over the nonnegative orthant.
 
-Newton polyhedra of monomial ideals in dimension n <= 4: vertex and facet
-enumeration, membership, Minkowski sums, diagonal/axis intercepts and
-orthant-complement volumes (covolumes, by triangulating the facets).
-Everything is integer/Fraction arithmetic; floats never enter this module.
+Newton polyhedra of monomial ideals in dimension n <= 4: vertices and
+facets in one double description pass, membership, Minkowski sums,
+diagonal/axis intercepts and orthant-complement volumes (covolumes, by
+triangulating the facets).  Everything is integer/Fraction arithmetic;
+floats never enter this module.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
-
-import numpy as np
+from math import factorial, gcd
 
 MAX_DIM = 4
 
@@ -166,127 +164,47 @@ def _rank(rows) -> int:
     return rank
 
 
-def _array_dtype(gens, n: int):
-    """np.int64 when no product formed in facet enumeration can overflow it,
-    else object (Python ints).
-
-    With every coordinate in [0, D], a normal entry is an (n-1)-minor of
-    differences and unit vectors, at most (n-1)! D^(n-1) in size, and a
-    value <normal, point> is at most n! D^n.
-    """
-    top = max(max(g) for g in gens)
-    return np.int64 if factorial(n) * top ** n < 2 ** 63 else object
-
-
-def _normals(dirs):
-    """Generalized cross product of each (n-1) x n block of direction rows:
-    a normal of the hyperplane they span, zero when they are dependent."""
-    k, _, n = dirs.shape
-    if n == 1:
-        return np.ones((k, 1), dtype=dirs.dtype)
-    if n == 2:
-        return np.stack([dirs[:, 0, 1], -dirs[:, 0, 0]], axis=1)
-    if n == 3:
-        a, b = dirs[:, 0], dirs[:, 1]
-        return np.stack([a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1],
-                         a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2],
-                         a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]], axis=1)
-    a, b, c = dirs[:, 0], dirs[:, 1], dirs[:, 2]
-    minor = {(p, q): b[:, p] * c[:, q] - b[:, q] * c[:, p]
-             for p, q in itertools.combinations(range(4), 2)}
-    cols = []
-    for i in range(4):
-        p, q, r = (j for j in range(4) if j != i)
-        det = a[:, p] * minor[q, r] - a[:, q] * minor[p, r] + a[:, r] * minor[p, q]
-        cols.append(det if i % 2 == 0 else -det)
-    return np.stack(cols, axis=1)
-
-
-_BATCH = 1 << 15  # candidates per array pass: a few MB, however many points
-
-
-def _candidate_rows(k: int, n: int):
-    """Index rows (b, d_1, .., d_{n-1}) of the facet candidates of k points,
-    in batches of about _BATCH rows.  Each increasing tuple of m points
-    comes once with every set of n - m axes; an index k + j stands for the
-    unit vector e_j."""
-    batch, size = [], 0
-    for z in range(n):
-        m = n - z
-        axes = list(itertools.combinations(range(n), z))
-        axes = k + np.array(axes, dtype=np.intp).reshape(len(axes), z)
-        flat = itertools.chain.from_iterable(itertools.combinations(range(k), m))
-        chunk = max(1, _BATCH // len(axes)) * m
-        while len(tuples := np.fromiter(itertools.islice(flat, chunk), dtype=np.intp)):
-            tuples = tuples.reshape(-1, m)
-            batch.append(np.concatenate([np.repeat(tuples, len(axes), axis=0),
-                                         np.tile(axes, (len(tuples), 1))], axis=1))
-            size += len(batch[-1])
-            if size >= _BATCH:
-                yield np.concatenate(batch)
-                batch, size = [], 0
-    if batch:
-        yield np.concatenate(batch)
-
-
-def _facets_of(pts, n: int) -> list[tuple[Exponent, int]]:
-    """Facets {<w, x> >= c} with c > 0 of conv(pts) + orthant, sorted.
-
-    A facet whose normal vanishes on the axes Z contains n - |Z| affinely
-    independent points together with the directions e_i, i in Z.  So the
-    candidates are the normals of the hyperplanes through every such tuple
-    of points and set of unit directions (see _candidate_rows); a candidate
-    is a facet when no point lies below it and its offset is positive.
-    """
-    k = len(pts)
-    ext = np.concatenate([pts, np.eye(n, dtype=pts.dtype)])
-    facets = set()
-    for cand in _candidate_rows(k, n):
-        base = pts[cand[:, 0]]
-        W = _normals(ext[cand[:, 1:]] - (cand[:, 1:, None] < k) * base[:, None, :])
-        nonpos = np.all(W <= 0, axis=1)
-        keep = (np.all(W >= 0, axis=1) | nonpos) & np.any(W != 0, axis=1)
-        W, base = W[keep], base[keep]
-        W[nonpos[keep]] *= -1
-        offsets = np.sum(W * base, axis=1)
-        W, offsets = W[offsets > 0], offsets[offsets > 0]
-        for p in pts:  # most candidates have a point below them early on
-            above = W @ p >= offsets
-            W, offsets = W[above], offsets[above]
-        g = np.gcd.reduce(W, axis=1)
-        W, offsets = W // g[:, None], offsets // g
-        facets.update(zip(map(tuple, W.tolist()), offsets.tolist()))
-    return sorted(facets)
-
-
 def _vertices_and_facets(gens, n: int):
-    """Vertices and facets of conv(gens) + orthant, for sorted minimal gens.
+    """Vertices and facets of P = conv(gens) + orthant, for sorted minimal gens.
 
-    Incremental hull: S starts with the generators minimizing each x_i and
-    the coordinate sum, ties broken lexicographically; each is a vertex.
-    While a generator lies strictly below a facet of conv(S) + orthant, the
-    lexicographically first generator minimizing that facet's normal (again a
-    vertex) joins S.  At the end conv(S) + orthant contains every generator,
-    so it is the polyhedron and S is exactly its vertex set.
+    Double description method (Fukuda & Prodon 1996) on the cone over P in
+    dimension n + 1, generated by the rays (e_j, 0), indexed j < n, and the
+    points (g, 1), indexed n + i for g = gens[i].  Each facet of the cone is a
+    primitive integer row h with h.x >= 0 on it, kept with the set of
+    generators on it.  The cone starts from gens[0] + orthant, whose facets
+    are s >= 0 and x_j >= gens[0][j] s.  Adding a point drops the facets it
+    violates and joins each violated facet to each kept one adjacent to it,
+    that is, whose common generators Z number at least n - 1 and lie on no
+    third facet (the combinatorial test).  The facets of P are the rows with
+    a negative last entry; its vertices are the points that are the only
+    generator on all of their facets.
     """
-    dtype = _array_dtype(gens, n)
-    garr = np.array(gens, dtype=dtype)
-    start = {min(gens, key=lambda g: (g[i],) + g) for i in range(n)}
-    start.add(min(gens, key=lambda g: (sum(g),) + g))
-    chosen = {gens.index(v) for v in start}
-    while True:
-        idx = sorted(chosen)
-        facets = _facets_of(garr[idx], n)
-        if not facets:
-            break
-        W = np.array([w for w, _ in facets], dtype=dtype)
-        offsets = np.array([c for _, c in facets], dtype=dtype)
-        dots = garr @ W.T
-        below = np.nonzero(dots.min(axis=0) < offsets)[0]
-        if not len(below):
-            break
-        chosen.update(int(np.argmin(dots[:, j])) for j in below)
-    return tuple(gens[i] for i in idx), tuple(facets)
+    rows = [((0,) * n + (1,), frozenset(range(n)))]
+    rows += [(tuple(int(j == i) for j in range(n)) + (-gens[0][i],),
+              frozenset(range(n + 1)) - {i}) for i in range(n)]
+    for i in range(1, len(gens)):
+        p, q = gens[i] + (1,), n + i
+        dots = [sum(a * b for a, b in zip(h, p)) for h, _ in rows]
+        kept = [(h, z | {q} if d == 0 else z) for (h, z), d in zip(rows, dots) if d >= 0]
+        pos = [(h, z, d) for (h, z), d in zip(rows, dots) if d > 0]
+        for (hm, zm), dm in zip(rows, dots):
+            if dm >= 0:
+                continue
+            for hp, zp, dp in pos:
+                z = zm & zp
+                if len(z) < n - 1 or any(z <= w for _, w in rows
+                                         if w is not zm and w is not zp):
+                    continue
+                h = [dp * a - dm * b for a, b in zip(hm, hp)]
+                c = gcd(*h)
+                kept.append((tuple(a // c for a in h), z | {q}))
+        rows = kept
+    vertices = []
+    for i, g in enumerate(gens):
+        on = [z for _, z in rows if n + i in z]
+        if on and frozenset.intersection(*on) == {n + i}:
+            vertices.append(g)
+    return tuple(vertices), tuple(sorted((h[:n], -h[n]) for h, _ in rows if h[n] < 0))
 
 
 _POLY_CACHE: dict[tuple[int, tuple[Exponent, ...]], NewtonPolyhedron] = {}

@@ -29,6 +29,8 @@ from .germs import (
 )
 from .invariants import loja_monomial
 
+_MAX_RESEEDS = 5  # draws before a line or plane restriction counts as degenerate
+
 
 class SamplingError(RuntimeError):
     pass
@@ -86,12 +88,12 @@ def _mix_seed(n: int, j: int, seed: int, attempt: int) -> int:
     return ((seed & 0xFFFFFFFFFFFFFFFF) * 1000003 + n * 101 + j * 13 + attempt) & 0xFFFFFFFFFFFFFFFF
 
 
-def sample_plane(n: int, j: int, seed: int, max_attempts: int = 1000) -> PlaneRestriction:
+def sample_plane(n: int, j: int, seed: int) -> PlaneRestriction:
     """Deterministic pseudo-random rational plane, redrawn until full rank."""
     if not 1 <= j <= n - 1:
         raise InvalidInputError(f"codimension {j} invalid for dimension {n}")
     cols = n - j
-    for attempt in range(max_attempts):
+    for attempt in range(1000):
         rng = random.Random(_mix_seed(n, j, seed, attempt))
         matrix = tuple(
             tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(cols))
@@ -338,7 +340,6 @@ def polar_invariant(
     j: int,
     seed: int = 0,
     params: LojaParams | None = None,
-    max_reseeds: int = 5,
 ) -> LojaEstimate:
     """theta(f_j): Lojasiewicz exponent of J_f restricted to a generic
     codimension-j plane (j = 0 means no restriction)."""
@@ -369,7 +370,7 @@ def polar_invariant(
 
     if j == n - 1:
         last_err = None
-        for attempt in range(max_reseeds):
+        for attempt in range(_MAX_RESEEDS):
             plane = sample_plane(n, j, seed + attempt)
             try:
                 return _exact_estimate(
@@ -377,14 +378,14 @@ def polar_invariant(
             except DegenerateRestrictionError as err:
                 last_err = err
         raise DegenerateRestrictionError(
-            f"line restriction degenerate for {max_reseeds} seeds") from last_err
+            f"line restriction degenerate for {_MAX_RESEEDS} seeds") from last_err
 
     last_err = None
-    for attempt in range(max_reseeds):
+    for attempt in range(_MAX_RESEEDS):
         plane = sample_plane(n, j, seed + attempt)
         try:
             return loja_numeric(restrict(J, plane), params)
         except DegenerateRestrictionError as err:
             last_err = err
     raise DegenerateRestrictionError(
-        f"plane restriction degenerate for {max_reseeds} seeds") from last_err
+        f"plane restriction degenerate for {_MAX_RESEEDS} seeds") from last_err

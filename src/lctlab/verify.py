@@ -36,6 +36,7 @@ from .invariants import (
     loja_monomial,
 )
 from .sections import (
+    _MAX_RESEEDS,
     DegenerateRestrictionError,
     LojaEstimate,
     LojaParams,
@@ -50,10 +51,9 @@ EXIT_OK = 0
 EXIT_EXACT_FAILURE = 2
 EXIT_NUMERIC_FAILURE = 3
 EXIT_INPUT_ERROR = 4  # ValueError: unparsable, invalid or unsupported input
-EXIT_COMPUTE_ERROR = 5  # RuntimeError: numeric failure, sampling, budget
+EXIT_COMPUTE_ERROR = 5  # RuntimeError: numeric failure, sampling
 
 DEFAULT_TOLERANCE = 0.05
-_MAX_RESEEDS = 5  # line draws before a restriction counts as degenerate
 
 
 @dataclass(frozen=True)
@@ -136,11 +136,11 @@ def _presentation(a: MonomialIdeal) -> IdealPresentation:
     return IdealPresentation(a.dim, tuple(poly(a.dim, {v: 1}) for v in a.generators))
 
 
-def _line_order(a: MonomialIdeal, seed: int, max_reseeds: int) -> int | None:
+def _line_order(a: MonomialIdeal, seed: int) -> int | None:
     """Order of a on the first line sample_plane(n, n-1, seed + attempt),
-    attempt < max_reseeds, on which it is not identically zero."""
+    attempt < _MAX_RESEEDS, on which it is not identically zero."""
     gens_poly = _presentation(a)
-    for attempt in range(max_reseeds):
+    for attempt in range(_MAX_RESEEDS):
         try:
             plane = sample_plane(a.dim, a.dim - 1, seed + attempt)
             return loja_line(restrict(gens_poly, plane))
@@ -185,12 +185,11 @@ def verify_chain(
     tolerance: float = DEFAULT_TOLERANCE,
     params: LojaParams | None = None,
     include_numeric: bool = False,
-    max_reseeds: int = _MAX_RESEEDS,
 ) -> list[Verdict]:
     """The Lelong-ratio chain and its termwise Lojasiewicz lower bounds."""
     _check_tolerance(tolerance)
     lv, lct = lelong_numbers(a), lct_monomial(a)
-    line_order = _line_order(a, seed, max_reseeds) if a.dim > 1 else None
+    line_order = _line_order(a, seed) if a.dim > 1 else None
     return _chain_verdicts(a, lv, lct, line_order, seed, tolerance, params,
                            include_numeric)
 
@@ -237,13 +236,12 @@ def _pham_verdict(a, lv, lct, line_order) -> Verdict:
 def probe_pham(
     a: MonomialIdeal,
     seed: int = 0,
-    max_reseeds: int = _MAX_RESEEDS,
 ) -> Verdict:
     """Evidence probe: lct(a) >= lct_1(a) + e_1/e_2 in dimension 2."""
     if a.dim != 2:
         raise InvalidInputError("probe is exact only in dimension 2")
     return _pham_verdict(a, lelong_numbers(a), lct_monomial(a),
-                         _line_order(a, seed, max_reseeds))
+                         _line_order(a, seed))
 
 
 def random_ideal(n: int, seed: int, budget: int) -> MonomialIdeal:
@@ -377,7 +375,7 @@ def corpus_run(config: CorpusConfig) -> CorpusReport:
         a = random_ideal(config.dim, seed, config.budget)
         # the chain and the probe share the Lelong numbers, lct and line order
         lv, lct = lelong_numbers(a), lct_monomial(a)
-        line_order = _line_order(a, seed, _MAX_RESEEDS)
+        line_order = _line_order(a, seed)
         verdicts = _chain_verdicts(a, lv, lct, line_order, seed, config.tolerance,
                                    None, config.include_numeric)
         if config.dim == 2:

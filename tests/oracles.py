@@ -2,7 +2,9 @@
 
 Each oracle computes a value that production computes one way by a second
 route; test_oracles.py compares the two over the test corpora.  grid_points
-gives the probe points of the membership oracle.  The facet enumeration over
+gives the probe points of the membership oracle.  multiplicity_oracle gives
+the Samuel multiplicity as a finite difference of the colengths of powers,
+counted by colength on a lattice grid.  The facet enumeration over
 all generators and the H-representation volume recursion are the production
 code that the vertex-based core replaced; mixed_multiplicity_products is
 the polarization over product ideals that the vertex Minkowski sums
@@ -18,7 +20,9 @@ import numpy as np
 
 from lctlab.exactgeom import (
     GeometryError,
+    MonomialIdeal,
     NewtonPolyhedron,
+    NotZeroDimensionalError,
     _rank,
     axis_intercepts,
     covolume,
@@ -28,6 +32,7 @@ from lctlab.exactgeom import (
     polyhedron_of,
 )
 from lctlab.germs import IdealPresentation, derivative, poly, poly_add, poly_mul
+from lctlab.invariants import _require_zero_dim
 from lctlab.simplex import solve_lp
 
 
@@ -266,6 +271,55 @@ def loja_dual(P: NewtonPolyhedron) -> Fraction:
     min_g <g, w>; the optimum lies on a normal-fan ray, a facet normal
     rescaled."""
     return max(Fraction(c, min(w)) for w, c in P.facets)
+
+
+class OracleBudgetExceededError(RuntimeError):
+    pass
+
+
+def _staircase_box(a: MonomialIdeal) -> tuple[int, ...]:
+    box = []
+    for i in range(a.dim):
+        p = a.pure_power(i)
+        if p is None:
+            raise NotZeroDimensionalError("colength requires pure powers on all axes")
+        box.append(p)
+    return tuple(box)
+
+
+def colength(a: MonomialIdeal) -> int:
+    """Number of standard monomials (lattice points outside every v+orthant)."""
+    box = _staircase_box(a)
+    if any(b == 0 for b in box):
+        return 0
+    grid = np.zeros(box, dtype=bool)
+    for g in a.generators:
+        if all(gi < bi for gi, bi in zip(g, box)):
+            grid[tuple(slice(gi, None) for gi in g)] = True
+    return int((~grid).sum())
+
+
+def multiplicity_oracle(a: MonomialIdeal, budget: int = 64) -> int:
+    """n-th finite difference of colength(a^k), stabilized by doubling k0."""
+    _require_zero_dim(a, "multiplicity oracle")
+    n = a.dim
+    powers: dict[int, MonomialIdeal] = {1: a}
+
+    def power(k: int) -> MonomialIdeal:
+        if k not in powers:
+            powers[k] = ideal_product(power(k - 1), a)
+        return powers[k]
+
+    k0 = n + 1
+    while k0 <= budget:
+        vals = [colength(power(k)) for k in range(k0, k0 + n + 2)]
+        diffs = vals
+        for _ in range(n):
+            diffs = [b - a_ for a_, b in zip(diffs, diffs[1:])]
+        if diffs[0] == diffs[1]:
+            return diffs[0]
+        k0 *= 2
+    raise OracleBudgetExceededError(f"no stable finite difference up to k0={budget}")
 
 
 def mixed_multiplicity_products(ideals) -> Fraction:

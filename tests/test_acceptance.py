@@ -18,7 +18,6 @@ from lctlab.invariants import (
     lelong_numbers,
     loja_monomial,
     mixed_multiplicity,
-    multiplicity_oracle,
     samuel_multiplicity,
 )
 from lctlab.sections import LojaParams, loja_numeric
@@ -32,6 +31,8 @@ from lctlab.verify import (
     verify_lct_dominates,
     verify_main,
 )
+
+from oracles import multiplicity_oracle
 
 CORPUS_2D = [random_ideal(2, 42_000 + i, 6) for i in range(200)]
 CORPUS_3D = [random_ideal(3, 7_000 + i, 4) for i in range(100)]

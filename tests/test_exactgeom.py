@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lctlab import exactgeom
 from lctlab.exactgeom import (
@@ -28,7 +28,7 @@ from lctlab.exactgeom import (
 
 from lctlab.verify import random_ideal
 
-from oracles import grid_points, lp_member
+from oracles import facets_all_generators, grid_points, lp_hull_member, lp_member
 
 
 def shoelace_covolume(gens):
@@ -102,12 +102,23 @@ class TestBuildPolyhedron:
         monkeypatch.setattr(exactgeom, "minimalize", None)  # a call would fail
         assert polyhedron_of(a) is P
 
-    def test_batch_size_does_not_change_result(self, monkeypatch):
-        polys = [polyhedron_of(random_ideal(n, s, 5)) for n in (3, 4) for s in range(4)]
-        polys.append(polyhedron_of(ideal_power(maximal_ideal(4), 3)))
-        monkeypatch.setattr(exactgeom, "_BATCH", 5)
-        for P in polys:
-            assert exactgeom._vertices_and_facets(P.generators, P.dim) == (P.vertices, P.facets)
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(*[st.integers(0, 6)] * n), min_size=1, max_size=7))))
+    @example((2, [(0, 0), (3, 1)]))
+    @example((3, [(2, 0, 0), (1, 1, 0), (0, 3, 1)]))
+    # three collinear generators: two facets that are not adjacent share n - 1
+    @example((4, [(0, 1, 1, 3), (0, 2, 1, 2), (0, 3, 1, 1), (1, 1, 3, 1), (2, 2, 0, 3),
+                  (3, 2, 0, 2)]))
+    def test_matches_all_generator_oracle(self, case):
+        n, gens = case
+        P = build_polyhedron(gens, n)
+        assert P.facets == facets_all_generators(gens, n)
+        for v in P.vertices:
+            others = [g for g in P.generators if g != v]
+            assert not (others and lp_hull_member(others, n, v)), v
+        for g in P.generators:
+            assert lp_hull_member(P.vertices, n, g), g
 
     @pytest.mark.parametrize("N", [1000, 4 * 10 ** 9, 10 ** 30])
     def test_large_exponents_exact(self, N):

@@ -14,16 +14,16 @@ from lctlab.exactgeom import (
 )
 from lctlab.invariants import (
     UnitIdealError,
-    colength,
     dh_lower_bound,
     lct_monomial,
     lelong_numbers,
     loja_monomial,
     mixed_multiplicity,
-    multiplicity_oracle,
     samuel_multiplicity,
 )
 from lctlab.verify import random_ideal
+
+from oracles import colength, multiplicity_oracle
 
 A = MonomialIdeal.make({(2, 0), (1, 1), (0, 3)}, 2)
 
@@ -167,7 +167,7 @@ class TestLelong:
         assert lelong_numbers(maximal_ideal(4)).e == (1, 1, 1, 1)
 
     @settings(max_examples=20, deadline=None)
-    @given(st.integers(0, 10_000), st.sampled_from([2, 3]))
+    @given(st.integers(0, 10_000), st.sampled_from([2, 3, 4]))
     def test_positivity_and_endpoints(self, seed, n):
         a = random_ideal(n, seed, 4)
         lv = lelong_numbers(a)

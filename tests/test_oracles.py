@@ -76,7 +76,7 @@ def squared_compositions(d: int) -> MonomialIdeal:
                                if sum(t) == d], 4)
 
 
-SQUARES4 = squared_compositions(4)  # 35 vertices: more facet candidates than one batch
+SQUARES4 = squared_compositions(4)  # 35 vertices and 34 facets
 
 
 def test_contains_matches_lp_membership():
@@ -187,7 +187,14 @@ def test_lelong_numbers_give_e0():
 
 
 def test_lelong_numbers_of_many_vertices():
-    assert lelong_numbers(squared_compositions(3)).e == (3, 9, 39, 241)
+    for d, vertices, facets, covol, e in [
+            (3, 20, 15, Fraction(241, 24), (3, 9, 39, 241)),
+            (5, 56, 65, Fraction(6865, 24), (7, 57, 531, 6865)),
+            (7, 120, 175, Fraction(25739, 8), (13, 185, 3277, 77217))]:
+        a = squared_compositions(d)
+        P = polyhedron_of(a)
+        assert (len(P.vertices), len(P.facets), covolume(P)) == (vertices, facets, covol), d
+        assert lelong_numbers(a).e == e, d
 
 
 def test_mixed_multiplicity_matches_products():
