@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import factorial, gcd
+from operator import index
 
 MAX_DIM = 4
 
@@ -38,15 +40,24 @@ def _check_dim(n: int) -> None:
         raise UnsupportedDimensionError(f"dimension {n} not supported (1..{MAX_DIM})")
 
 
+def _exponent(g) -> Exponent:
+    """g as a tuple of ints; InvalidInputError unless every entry is an integer."""
+    try:
+        return tuple(map(index, g))
+    except TypeError:
+        raise InvalidInputError(f"non-integer exponent in generator {g}") from None
+
+
 def minimalize(gens) -> tuple[Exponent, ...]:
-    """Reduce a set of exponent vectors to its componentwise-minimal elements.
+    """Reduce a set of integer exponent vectors to its componentwise-minimal
+    elements.
 
     In lexicographic order a vector can only be dominated by an earlier one,
     and then also by an earlier minimal one, so each vector is compared with
     the minimal vectors kept so far.
     """
     keep = []
-    for v in sorted(set(tuple(int(c) for c in g) for g in gens)):
+    for v in sorted({_exponent(g) for g in gens}):
         if not any(all(a <= b for a, b in zip(u, v)) for u in keep):
             keep.append(v)
     return tuple(keep)
@@ -96,8 +107,9 @@ class MonomialIdeal:
 
 def maximal_ideal(n: int) -> MonomialIdeal:
     _check_dim(n)
-    gens = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    return MonomialIdeal.make(gens, n)
+    # the unit vectors, sorted: e_(n-1) comes first
+    return MonomialIdeal(n, tuple(tuple(int(j == i) for j in range(n))
+                                  for i in reversed(range(n))))
 
 
 def ideal_product(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
@@ -128,6 +140,8 @@ class NewtonPolyhedron:
     Facets are pairs (normal, offset) with primitive integer normal >= 0
     describing {x >= 0 : <normal, x> >= offset}; offsets are positive
     integers (inequalities implied by x >= 0 are not stored).  The
+    generators are sorted and distinct: the minimal generators of an ideal,
+    or the vertex sums of a Minkowski sum, which may be dominated.  The
     vertices are the generators that are vertices of the polyhedron.
     """
 
@@ -139,6 +153,15 @@ class NewtonPolyhedron:
     @property
     def is_orthant(self) -> bool:
         return not self.facets
+
+    @cached_property
+    def _covolume(self) -> Fraction:
+        """covolume(self), computed once per polyhedron."""
+        if self.is_orthant:
+            return Fraction(0)
+        if any(t is None for t in axis_intercepts(self)):
+            raise NotZeroDimensionalError("unbounded orthant complement")
+        return _cone_volume(self)
 
 
 def _rank(rows) -> int:
@@ -165,7 +188,13 @@ def _rank(rows) -> int:
 
 
 def _vertices_and_facets(gens, n: int):
-    """Vertices and facets of P = conv(gens) + orthant, for sorted minimal gens.
+    """Vertices and facets of P = conv(gens) + orthant, for sorted distinct gens.
+
+    The gens need not be minimal.  The first one is the lexicographic
+    minimum of P, so a vertex.  A point of g + orthant, g another generator,
+    sorts after g, so it violates no facet when it is added and only joins
+    incidence sets; the combinatorial test below holds with redundant
+    generators too.
 
     Double description method (Fukuda & Prodon 1996) on the cone over P in
     dimension n + 1, generated by the rays (e_j, 0), indexed j < n, and the
@@ -210,6 +239,16 @@ def _vertices_and_facets(gens, n: int):
 _POLY_CACHE: dict[tuple[int, tuple[Exponent, ...]], NewtonPolyhedron] = {}
 
 
+def _polyhedron(gens: tuple[Exponent, ...], n: int) -> NewtonPolyhedron:
+    """The polyhedron of sorted distinct gens, from the cache or built."""
+    key = (n, gens)
+    poly = _POLY_CACHE.get(key)
+    if poly is None:
+        vertices, facets = _vertices_and_facets(gens, n)
+        poly = _POLY_CACHE[key] = NewtonPolyhedron(n, gens, facets, vertices)
+    return poly
+
+
 def build_polyhedron(gens, n: int) -> NewtonPolyhedron:
     """Newton polyhedron conv(gens) + orthant, with exact vertices and facets."""
     _check_dim(n)
@@ -222,19 +261,13 @@ def build_polyhedron(gens, n: int) -> NewtonPolyhedron:
     gens = minimalize(gens)
     if not gens:
         raise InvalidInputError("empty generator set")
-    key = (n, gens)
-    cached = _POLY_CACHE.get(key)
-    if cached is not None:
-        return cached
-    vertices, facets = _vertices_and_facets(gens, n)
-    poly = NewtonPolyhedron(n, gens, facets, vertices)
-    _POLY_CACHE[key] = poly
-    return poly
+    return _polyhedron(gens, n)
 
 
 def polyhedron_of(a: MonomialIdeal) -> NewtonPolyhedron:
-    # cache keys are sorted minimal generator tuples, like the generators of
-    # MonomialIdeal.make; a hit skips build_polyhedron's checks and minimalize
+    # cache keys are sorted distinct generator tuples, and the generators of
+    # MonomialIdeal.make are sorted minimal ones; a hit skips
+    # build_polyhedron's checks and minimalize
     cached = _POLY_CACHE.get((a.dim, a.generators))
     if cached is not None:
         return cached
@@ -260,13 +293,14 @@ def minkowski_sum(P: NewtonPolyhedron, Q: NewtonPolyhedron) -> NewtonPolyhedron:
     """P + Q, the Newton polyhedron of the product ideal.
 
     P = conv(P.vertices) + orthant, so every vertex of P + Q is the sum of a
-    vertex of P and a vertex of Q, and the vertex sums generate it.
+    vertex of P and a vertex of Q, and the vertex sums generate it.  They go
+    to the hull sorted but not minimalized.
     """
     if P.dim != Q.dim:
         raise InvalidInputError("dimension mismatch in Minkowski sum")
     sums = {tuple(x + y for x, y in zip(u, v))
             for u in P.vertices for v in Q.vertices}
-    return build_polyhedron(sums, P.dim)
+    return _polyhedron(tuple(sorted(sums)), P.dim)
 
 
 def diagonal_intercept(P: NewtonPolyhedron) -> Fraction:
@@ -330,26 +364,11 @@ def _cone_volume(P: NewtonPolyhedron) -> Fraction:
     return Fraction(total, factorial(n))
 
 
-_COVOL_CACHE: dict[tuple[int, tuple[Exponent, ...]], Fraction] = {}
-
-
 def covolume(P: NewtonPolyhedron) -> Fraction:
     """Exact n-volume of {x >= 0 : x not in P}; requires finite axis intercepts.
 
     Then every facet normal is positive, so every facet is compact, and each
     ray from 0 leaves the complement through one of them: the cones
-    conv(0, F) tile the complement.
+    conv(0, F) tile the complement.  The value is kept on P.
     """
-    key = (P.dim, P.generators)
-    cached = _COVOL_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if P.is_orthant:
-        _COVOL_CACHE[key] = Fraction(0)
-        return Fraction(0)
-    intercepts = axis_intercepts(P)
-    if any(t is None for t in intercepts):
-        raise NotZeroDimensionalError("unbounded orthant complement")
-    vol = _cone_volume(P)
-    _COVOL_CACHE[key] = vol
-    return vol
+    return P._covolume

@@ -40,7 +40,6 @@ from .sections import (
     DegenerateRestrictionError,
     LojaEstimate,
     LojaParams,
-    loja_line,
     loja_numeric,
     polar_invariant,
     restrict,
@@ -138,14 +137,17 @@ def _presentation(a: MonomialIdeal) -> IdealPresentation:
 
 def _line_order(a: MonomialIdeal, seed: int) -> int | None:
     """Order of a on the first line sample_plane(n, n-1, seed + attempt),
-    attempt < _MAX_RESEEDS, on which it is not identically zero."""
-    gens_poly = _presentation(a)
+    attempt < _MAX_RESEEDS, on which it is not identically zero.
+
+    On the line z = c t a generator z^g restricts to c^g t^|g|, so the order
+    is the least |g| over the generators with no exponent on a zero entry
+    of c."""
     for attempt in range(_MAX_RESEEDS):
-        try:
-            plane = sample_plane(a.dim, a.dim - 1, seed + attempt)
-            return loja_line(restrict(gens_poly, plane))
-        except DegenerateRestrictionError:
-            continue
+        plane = sample_plane(a.dim, a.dim - 1, seed + attempt)
+        zeros = [i for i, (c,) in enumerate(plane.matrix) if not c]
+        orders = [sum(g) for g in a.generators if not any(g[i] for i in zeros)]
+        if orders:
+            return min(orders)
     return None
 
 

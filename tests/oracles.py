@@ -10,7 +10,9 @@ code that the vertex-based core replaced; mixed_multiplicity_products is
 the polarization over product ideals that the vertex Minkowski sums
 replaced; minmax_loop is the per-sphere descent loop that the batched
 numeric estimator replaced; restrict_products is the substitution by one
-polynomial product per degree that direct substitution replaced.
+polynomial product per degree that direct substitution replaced;
+line_order_restrict is the line order by substitution that the zero
+pattern of the line replaced.
 """
 import itertools
 from fractions import Fraction
@@ -33,6 +35,13 @@ from lctlab.exactgeom import (
 )
 from lctlab.germs import IdealPresentation, derivative, poly, poly_add, poly_mul
 from lctlab.invariants import _require_zero_dim
+from lctlab.sections import (
+    _MAX_RESEEDS,
+    DegenerateRestrictionError,
+    loja_line,
+    restrict,
+    sample_plane,
+)
 from lctlab.simplex import solve_lp
 
 
@@ -374,6 +383,21 @@ def restrict_products(I: IdealPresentation, plane) -> IdealPresentation:
             acc = poly_add(acc, term)
         out.append(acc)
     return IdealPresentation(m, tuple(out))
+
+
+def line_order_restrict(a: MonomialIdeal, seed: int) -> int | None:
+    """Order of a on the first line sample_plane(n, n-1, seed + attempt),
+    attempt < _MAX_RESEEDS, on which it is not identically zero: each
+    generator restricted to the line by exact substitution, then the least
+    vanishing order."""
+    gens = IdealPresentation(a.dim, tuple(poly(a.dim, {v: 1}) for v in a.generators))
+    for attempt in range(_MAX_RESEEDS):
+        try:
+            plane = sample_plane(a.dim, a.dim - 1, seed + attempt)
+            return loja_line(restrict(gens, plane))
+        except DegenerateRestrictionError:
+            continue
+    return None
 
 
 def _eval_batch(exps: np.ndarray, coeffs: np.ndarray, Z: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -96,6 +97,13 @@ class TestBuildPolyhedron:
         assert P.vertices == ((0, 0, 0, 5), (0, 0, 5, 0), (0, 5, 0, 0), (5, 0, 0, 0))
         assert P.facets == (((1, 1, 1, 1), 5),)
 
+    @pytest.mark.parametrize("gens", [[(1.5, 0), (0, 2)], [(2.7, 0), (0, 2)],
+                                      [(Fraction(3, 2), 0), (0, 2)],
+                                      [(Fraction(2), 0), (0, 2)]])
+    def test_non_integer_exponent(self, gens):
+        with pytest.raises(InvalidInputError, match="non-integer exponent in generator"):
+            build_polyhedron(gens, 2)
+
     def test_cached_polyhedron_skips_minimalize(self, monkeypatch):
         a = random_ideal(3, 11, 5)
         P = polyhedron_of(a)
@@ -110,10 +118,15 @@ class TestBuildPolyhedron:
     # three collinear generators: two facets that are not adjacent share n - 1
     @example((4, [(0, 1, 1, 3), (0, 2, 1, 2), (0, 3, 1, 1), (1, 1, 3, 1), (2, 2, 0, 3),
                   (3, 2, 0, 2)]))
+    # dominated points before, between and after the minimal ones
+    @example((2, [(0, 3), (0, 5), (1, 1), (1, 4), (2, 0), (2, 1), (4, 4)]))
     def test_matches_all_generator_oracle(self, case):
         n, gens = case
         P = build_polyhedron(gens, n)
         assert P.facets == facets_all_generators(gens, n)
+        # the hull also takes sorted distinct points that are not minimal
+        points = tuple(sorted(set(gens)))
+        assert exactgeom._vertices_and_facets(points, n) == (P.vertices, P.facets)
         for v in P.vertices:
             others = [g for g in P.generators if g != v]
             assert not (others and lp_hull_member(others, n, v)), v
@@ -172,6 +185,27 @@ class TestMinkowskiSum:
         with pytest.raises(InvalidInputError):
             minkowski_sum(polyhedron_of(maximal_ideal(2)),
                           polyhedron_of(maximal_ideal(3)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(*[
+        st.lists(st.tuples(*[st.integers(0, 5)] * n), min_size=1, max_size=6)] * 2)))
+    def test_matches_hull_of_sums(self, case):
+        """The sums skip minimalize: their polyhedron is the minimal ones'."""
+        ga, gb = case
+        n = len(ga[0])
+        P, Q = build_polyhedron(ga, n), build_polyhedron(gb, n)
+        S = minkowski_sum(P, Q)
+        sums = {tuple(x + y for x, y in zip(u, v)) for u in P.vertices for v in Q.vertices}
+        assert S.generators == tuple(sorted(sums))
+        R = build_polyhedron(sums, n)
+        assert (S.vertices, S.facets) == (R.vertices, R.facets)
+
+
+def test_covolume_is_kept_on_the_polyhedron(monkeypatch):
+    P = build_polyhedron({(5, 0, 0), (1, 2, 1), (0, 6, 0), (0, 0, 7)}, 3)
+    vol = covolume(P)
+    monkeypatch.setattr(exactgeom, "_cone_volume", None)  # a call would fail
+    assert covolume(P) is vol
 
 
 class TestIntercepts:
@@ -313,6 +347,21 @@ class TestMonomialIdeal:
             MonomialIdeal.make([], 2)
         with pytest.raises(InvalidInputError):
             MonomialIdeal.make([(1, -1)], 2)
+
+    @pytest.mark.parametrize("bad", [1.5, 2.0, Fraction(3, 2), Fraction(2), np.float64(2)])
+    def test_non_integer_exponent(self, bad):
+        with pytest.raises(InvalidInputError, match=r"generator \(.*, 0\)"):
+            MonomialIdeal.make([(bad, 0), (0, 2)], 2)
+
+    def test_numpy_integer_exponents(self):
+        a = MonomialIdeal.make([(np.int64(3), np.int32(0)), (0, np.uint8(2))], 2)
+        assert a.generators == ((0, 2), (3, 0))
+        assert all(type(c) is int for g in a.generators for c in g)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_maximal_ideal(self, n):
+        units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+        assert maximal_ideal(n) == MonomialIdeal.make(units, n)
 
 
 def test_rank_matches_largest_nonzero_minor():

@@ -12,7 +12,8 @@ coefficient, which production never evaluates, must be e_0 = 1.  The
 numeric estimator's batched descent is compared with the per-sphere loop on
 plane ideals and plane restrictions.  Restriction by direct substitution is
 compared with the one polynomial product per degree on random multi-term
-polynomials.
+polynomials, and the line order read off the line's zero pattern with the
+order of the restricted generators.
 """
 import itertools
 import random
@@ -44,12 +45,13 @@ from lctlab.germs import (
 )
 from lctlab.invariants import lelong_numbers, loja_monomial, mixed_multiplicity
 from lctlab.sections import PlaneRestriction, loja_numeric, restrict, sample_plane
-from lctlab.verify import random_ideal
+from lctlab.verify import _line_order, random_ideal
 
 from oracles import (
     covolume_box,
     facets_all_generators,
     grid_points,
+    line_order_restrict,
     loja_dual,
     lp_diagonal_intercept,
     lp_hull_member,
@@ -252,6 +254,27 @@ def test_restrict_reappends_cancelled_term():
                                        (3, 0): 1, (1, 1): 1}),))
     (got,), (want,) = restrict(I, line).generators, restrict_products(I, line).generators
     assert list(got.terms.items()) == list(want.terms.items()) == [((3,), 1), ((2,), 2)]
+
+
+def test_line_order_matches_restriction():
+    """The seeds include draws of lines with a zero coordinate, on which the
+    order need not be the least degree of a generator."""
+    seeds = {2: range(2000), 3: range(1000), 4: range(200)}
+    off_degree = {n: 0 for n in seeds}
+    for n, ss in seeds.items():
+        for s in ss:
+            a = random_ideal(n, s, 5)
+            got = _line_order(a, s)
+            assert got == line_order_restrict(a, s), (a.generators, s)
+            off_degree[n] += got != a.min_degree
+    assert all(off_degree.values()), off_degree
+    # a line with a zero coordinate can miss every generator; then the next
+    # draw is taken
+    y = MonomialIdeal.make([(0, 1)], 2)
+    x_axis = [s for s in range(100) if not sample_plane(2, 1, s).matrix[1][0]]
+    for s in x_axis:
+        assert _line_order(y, s) == line_order_restrict(y, s)
+    assert x_axis
 
 
 def loop_minmax(I, params):

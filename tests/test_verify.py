@@ -1,5 +1,6 @@
 """Verdict assembly, corpus runs, reports and the CLI surface."""
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -232,10 +233,15 @@ def test_cli_accepted_flags(command):
                 parser.parse_args(argv)
 
 
+# child processes import lctlab from where this one found it
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+    str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+
+
 def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "lctlab.cli", *args],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=CHILD_ENV)
 
 
 class TestCli:
@@ -298,10 +304,12 @@ class TestCli:
     def test_run_corpus_script(self, tmp_path):
         script = [sys.executable, str(Path(__file__).parents[1] / "scripts" / "run_corpus.py")]
         out = tmp_path / "corpus.json"
-        res = subprocess.run(script + ["--count", "5", "-o", str(out)], capture_output=True)
+        res = subprocess.run(script + ["--count", "5", "-o", str(out)], capture_output=True,
+                             env=CHILD_ENV)
         assert res.returncode == 0
         assert out.read_text() == run_cli("corpus", "--count", "5", "--json").stdout
-        res = subprocess.run(script + ["--budget", "1"], capture_output=True, text=True)
+        res = subprocess.run(script + ["--budget", "1"], capture_output=True, text=True,
+                             env=CHILD_ENV)
         assert res.returncode == EXIT_INPUT_ERROR
         assert res.stderr == "error: budget must be >= 2\n"
 
