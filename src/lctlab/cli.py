@@ -9,9 +9,8 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from .exactgeom import MonomialIdeal
+from .exactgeom import InvalidInputError, MonomialIdeal
 from .germs import (
-    NONDEGENERATE,
     NotMonomializableError,
     format_polynomial,
     jacobian_ideal,
@@ -33,6 +32,7 @@ from .verify import (
     EXIT_COMPUTE_ERROR,
     EXIT_INPUT_ERROR,
     Report,
+    _estimate_value,
     corpus_run,
     emit_report,
     frac_str,
@@ -45,8 +45,10 @@ from .verify import (
 
 def _parse_ideal(text: str, dim: int | None) -> MonomialIdeal:
     parts = [p.strip() for p in text.split(";") if p.strip()]
+    if not parts:
+        raise InvalidInputError("empty ideal")
     polys = [parse_polynomial(p, dim) for p in parts]
-    n = dim or max(p.dim for p in polys)
+    n = max(p.dim for p in polys)  # every p.dim is dim when dim is given
     exps = []
     for p in polys:
         if len(p.terms) != 1:
@@ -79,21 +81,21 @@ def _generator_strings(a: MonomialIdeal) -> list[str]:
     return [format_polynomial(poly(a.dim, {g: 1})) for g in a.generators]
 
 
+def _theta_fields(thetas) -> dict:
+    return {"theta": [frac_str(_estimate_value(t)) for t in thetas],
+            "theta_methods": [t.method for t in thetas]}
+
+
 def _germ_invariants(f, seed: int, allow_nondeg: bool) -> dict:
     lct_f, flag = lct_nondegenerate(f)
     inv = {"lct_f": frac_str(lct_f), "lct_f_mode": flag}
-    mJ = product_with_maximal(jacobian_ideal(f))
     try:
-        mono = monomialize(mJ)
+        mono = monomialize(product_with_maximal(jacobian_ideal(f)), allow_nondeg)
     except NotMonomializableError:
-        mono = monomialize(mJ, NONDEGENERATE) if allow_nondeg else None
+        mono = None
     exact = mono is not None and mono.exact
     thetas = [polar_invariant(f, j, seed=seed) for j in range(f.dim)]
-    inv["theta"] = [
-        frac_str(t.rational) if t.rational is not None else frac_str(t.value)
-        for t in thetas
-    ]
-    inv["theta_methods"] = [t.method for t in thetas]
+    inv.update(_theta_fields(thetas))
     if mono is not None:
         a = mono.ideal
         inv["lct"] = frac_str(lct_monomial(a))
@@ -112,7 +114,7 @@ def _single_report(args, input_text, n, gens, invariants, verdicts) -> int:
         ideal_generators=gens,
         invariants=invariants,
         verdicts=verdicts,
-        meta={"seed": args.seed, "timings_ms": args.elapsed_ms},
+        meta={"seed": args.seed},
     )
     sys.stdout.write(emit_report(report, _fmt(args)))
     return report.exit_code
@@ -133,12 +135,7 @@ def _cmd_verify_main(args) -> int:
     verdict, thetas = verify_main(
         f, seed=args.seed, tolerance=args.tolerance,
         allow_nondegenerate=args.nondegenerate)
-    inv = {
-        "theta": [frac_str(t.rational) if t.rational is not None
-                  else frac_str(t.value) for t in thetas],
-        "theta_methods": [t.method for t in thetas],
-        "exact": not verdict.numeric,
-    }
+    inv = {**_theta_fields(thetas), "exact": not verdict.numeric}
     return _single_report(args, args.input, f.dim,
                           [format_polynomial(f)], inv, [verdict])
 
@@ -155,8 +152,10 @@ def _cmd_verify_chain(args) -> int:
 def _cmd_verify_lct(args) -> int:
     f = parse_polynomial(args.input, args.dim)
     verdict = verify_lct_dominates(f, allow_nondegenerate=args.nondegenerate)
-    lct_f, flag = lct_nondegenerate(f)
-    inv = {"lct_f": frac_str(lct_f), "lct_f_mode": flag, "exact": not verdict.numeric}
+    # the verdict's lhs is lct(f), and its first source names lct(f)'s mode
+    flag = verdict.sources[0].removeprefix("lct_nondegenerate:")
+    inv = {"lct_f": frac_str(verdict.lhs), "lct_f_mode": flag,
+           "exact": not verdict.numeric}
     return _single_report(args, args.input, f.dim,
                           [format_polynomial(f)], inv, [verdict])
 
@@ -170,7 +169,7 @@ def _cmd_probe_pham(args) -> int:
 
 def _cmd_corpus(args) -> int:
     config = CorpusConfig(
-        dim=args.dim or 2,
+        dim=2 if args.dim is None else args.dim,
         count=args.count,
         seed=args.seed,
         budget=args.budget,
@@ -179,7 +178,7 @@ def _cmd_corpus(args) -> int:
     )
     report = corpus_run(config)
     if args.timings:
-        report.meta["timings_ms"] = args.elapsed_ms()
+        report.meta["timings_ms"] = round((time.monotonic() - args.start) * 1000.0, 3)
     sys.stdout.write(emit_report(report, _fmt(args)))
     return report.exit_code
 
@@ -251,10 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    start = time.monotonic()
-    args.elapsed_ms = None
-    if getattr(args, "timings", False):
-        args.elapsed_ms = lambda: round((time.monotonic() - start) * 1000.0, 3)
+    args.start = time.monotonic()
     try:
         return args.func(args)
     except (ValueError, RuntimeError) as err:

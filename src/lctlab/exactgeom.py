@@ -251,17 +251,7 @@ def _polyhedron(gens: tuple[Exponent, ...], n: int) -> NewtonPolyhedron:
 
 def build_polyhedron(gens, n: int) -> NewtonPolyhedron:
     """Newton polyhedron conv(gens) + orthant, with exact vertices and facets."""
-    _check_dim(n)
-    gens = list(gens)
-    for g in gens:
-        if len(g) != n:
-            raise InvalidInputError("generator dimension mismatch")
-        if any(c < 0 for c in g):
-            raise InvalidInputError("negative exponent")
-    gens = minimalize(gens)
-    if not gens:
-        raise InvalidInputError("empty generator set")
-    return _polyhedron(gens, n)
+    return _polyhedron(MonomialIdeal.make(gens, n).generators, n)
 
 
 def polyhedron_of(a: MonomialIdeal) -> NewtonPolyhedron:

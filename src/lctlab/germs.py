@@ -300,8 +300,11 @@ NONDEGENERATE = "nondegenerate-assumed"
 @dataclass(frozen=True)
 class Monomialization:
     ideal: MonomialIdeal
-    exact: bool
     mode: str
+
+    @property
+    def exact(self) -> bool:
+        return self.mode == TERM_EXACT
 
 
 def jacobian_ideal(f: Polynomial) -> IdealPresentation:
@@ -322,19 +325,17 @@ def product_with_maximal(I: IdealPresentation) -> IdealPresentation:
     return IdealPresentation(n, tuple(gens))
 
 
-def monomialize(I: IdealPresentation, mode: str = TERM_EXACT) -> Monomialization:
-    if mode == TERM_EXACT:
-        exps = []
-        for g in I.generators:
-            if not g.is_monomial:
-                raise NotMonomializableError(
-                    f"generator {format_polynomial(g)} is not a single term")
-            exps.append(next(iter(g.terms)))
-        return Monomialization(MonomialIdeal.make(exps, I.dim), True, TERM_EXACT)
-    if mode == NONDEGENERATE:
-        exps = [v for g in I.generators for v in g.terms]
-        return Monomialization(MonomialIdeal.make(exps, I.dim), False, NONDEGENERATE)
-    raise InvalidInputError(f"unknown monomialization mode {mode!r}")
+def monomialize(I: IdealPresentation, allow_nondegenerate: bool = False) -> Monomialization:
+    """The monomial ideal of every term of I: term-exact when each generator
+    is a single term, else flagged nondegenerate-assumed if allowed, else
+    NotMonomializableError naming the first generator that is not."""
+    mixed = [g for g in I.generators if not g.is_monomial]
+    if mixed and not allow_nondegenerate:
+        raise NotMonomializableError(
+            f"generator {format_polynomial(mixed[0])} is not a single term")
+    exps = [v for g in I.generators for v in g.terms]
+    return Monomialization(MonomialIdeal.make(exps, I.dim),
+                           NONDEGENERATE if mixed else TERM_EXACT)
 
 
 def lct_nondegenerate(f: Polynomial) -> tuple[Fraction, str]:
@@ -368,10 +369,11 @@ def check_isolated(f: Polynomial) -> str:
         jac = jacobian_ideal(f)
     except DegenerateGermError:
         return NOT_ISOLATED
-    if monomialize(jac, NONDEGENERATE).ideal.zero_dimensional:
+    mono = monomialize(jac, allow_nondegenerate=True)
+    if mono.ideal.zero_dimensional:
         return ISOLATED
     # a monomial Jacobian ideal that is not zero-dimensional vanishes on a
     # coordinate line through 0; f is constant there, so the line is singular
-    if all(g.is_monomial for g in jac.generators):
+    if mono.exact:
         return NOT_ISOLATED
     return UNKNOWN

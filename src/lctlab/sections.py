@@ -51,7 +51,6 @@ class PlaneRestriction:
     ambient: int
     codim: int
     matrix: tuple[tuple[Fraction, ...], ...]  # ambient x (ambient-codim)
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -60,18 +59,12 @@ class LojaEstimate:
     method: str  # "exact-line" | "exact-monomial" | "numeric"
     spread: float
     radii: tuple[float, ...]
-    starts: int
     rational: Fraction | None = None
     # numeric estimates only: min-max value per (seed, radius), slope per
     # (seed, dropped radius) and RMS residual of the first seed's fit
     minmax: tuple[tuple[float, ...], ...] = ()
     loo_slopes: tuple[tuple[float, ...], ...] = ()
     residual: float = 0.0
-
-    @property
-    def restricted_loja(self) -> float:
-        """L(phi|_plane) for phi = log|m*J_f|: the polar invariant plus 1."""
-        return self.value + 1.0
 
 
 @dataclass(frozen=True)
@@ -99,7 +92,7 @@ def sample_plane(n: int, j: int, seed: int) -> PlaneRestriction:
             tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(cols))
             for _ in range(n))
         if _rank(matrix) == cols:
-            return PlaneRestriction(n, j, matrix, seed)
+            return PlaneRestriction(n, j, matrix)
     raise SamplingError("could not draw a full-rank plane")
 
 
@@ -315,13 +308,13 @@ def loja_numeric(I: IdealPresentation, params: LojaParams | None = None) -> Loja
     slopes = [float(fit[0]) for fit in fits] + [s for loo in loo_slopes for s in loo]
     residual = float(np.sqrt(np.mean((logs_v[0] - np.polyval(fits[0], logs_r)) ** 2)))
     return LojaEstimate(
-        slopes[0], "numeric", max(slopes) - min(slopes), tuple(radii), params.starts,
+        slopes[0], "numeric", max(slopes) - min(slopes), tuple(radii),
         minmax=tuple(tuple(float(v) for v in row) for row in minmax),
         loo_slopes=loo_slopes, residual=residual)
 
 
 def _exact_estimate(value: Fraction, method: str) -> LojaEstimate:
-    return LojaEstimate(float(value), method, 0.0, (), 0, rational=value)
+    return LojaEstimate(float(value), method, 0.0, (), rational=value)
 
 
 def _is_power_of_maximal(mono: Monomialization) -> int | None:
@@ -350,7 +343,6 @@ def polar_invariant(
         raise InvalidInputError("germ has non-isolated singularity")
     J = jacobian_ideal(f)
 
-    mono = None
     try:
         mono = monomialize(J)
     except NotMonomializableError:
@@ -368,24 +360,16 @@ def polar_invariant(
             return _exact_estimate(loja_monomial(mono.ideal), "exact-monomial")
         return loja_numeric(J, params)
 
-    if j == n - 1:
-        last_err = None
-        for attempt in range(_MAX_RESEEDS):
-            plane = sample_plane(n, j, seed + attempt)
-            try:
-                return _exact_estimate(
-                    Fraction(loja_line(restrict(J, plane))), "exact-line")
-            except DegenerateRestrictionError as err:
-                last_err = err
-        raise DegenerateRestrictionError(
-            f"line restriction degenerate for {_MAX_RESEEDS} seeds") from last_err
-
+    line = j == n - 1
     last_err = None
     for attempt in range(_MAX_RESEEDS):
-        plane = sample_plane(n, j, seed + attempt)
         try:
-            return loja_numeric(restrict(J, plane), params)
+            R = restrict(J, sample_plane(n, j, seed + attempt))
+            if line:
+                return _exact_estimate(Fraction(loja_line(R)), "exact-line")
+            return loja_numeric(R, params)
         except DegenerateRestrictionError as err:
             last_err = err
     raise DegenerateRestrictionError(
-        f"plane restriction degenerate for {_MAX_RESEEDS} seeds") from last_err
+        f"{'line' if line else 'plane'} restriction degenerate for {_MAX_RESEEDS} seeds"
+    ) from last_err

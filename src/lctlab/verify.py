@@ -19,9 +19,7 @@ from .exactgeom import (
 )
 from .germs import (
     IdealPresentation,
-    NONDEGENERATE,
     NOT_ISOLATED,
-    NotMonomializableError,
     Polynomial,
     check_isolated,
     jacobian_ideal,
@@ -105,26 +103,16 @@ def verify_main(
 ) -> tuple[Verdict, list[LojaEstimate]]:
     """Sum of 1/(1+theta(f_j)) against lct(m*J_f)."""
     _check_tolerance(tolerance)
-    if check_isolated(f) == NOT_ISOLATED:
-        raise InvalidInputError("germ has non-isolated singularity")
-    n = f.dim
-    thetas = [polar_invariant(f, j, seed=seed, params=params) for j in range(n)]
+    # polar_invariant(f, 0) comes first and rejects a non-isolated germ
+    thetas = [polar_invariant(f, j, seed=seed, params=params) for j in range(f.dim)]
     lhs = Fraction(0)
-    exact = True
     for est in thetas:
         v = _estimate_value(est)
         if isinstance(v, Fraction):
             lhs = lhs + Fraction(1) / (1 + v)
         else:
-            exact = False
             lhs = float(lhs) + 1.0 / (1.0 + v)
-    mJ = product_with_maximal(jacobian_ideal(f))
-    try:
-        mono = monomialize(mJ)
-    except NotMonomializableError:
-        if not allow_nondegenerate:
-            raise
-        mono = monomialize(mJ, NONDEGENERATE)
+    mono = monomialize(product_with_maximal(jacobian_ideal(f)), allow_nondegenerate)
     rhs = lct_monomial(mono.ideal)
     sources = ["polar_invariant:" + est.method for est in thetas]
     sources.append("lct_monomial:" + mono.mode)
@@ -204,13 +192,7 @@ def verify_lct_dominates(
     if check_isolated(f) == NOT_ISOLATED:
         raise InvalidInputError("germ has non-isolated singularity")
     lct_f, flag = lct_nondegenerate(f)
-    mJ = product_with_maximal(jacobian_ideal(f))
-    try:
-        mono = monomialize(mJ)
-    except NotMonomializableError:
-        if not allow_nondegenerate:
-            raise
-        mono = monomialize(mJ, NONDEGENERATE)
+    mono = monomialize(product_with_maximal(jacobian_ideal(f)), allow_nondegenerate)
     rhs = lct_monomial(mono.ideal)
     return _verdict("lct-dominates", lct_f, rhs,
                     ["lct_nondegenerate:" + flag, "lct_monomial:" + mono.mode],
@@ -296,6 +278,14 @@ def _verdict_dict(v: Verdict) -> dict:
     return d
 
 
+def _exit_code(failed_numeric: list[bool]) -> int:
+    """Exit code from the numeric flags of the failed verdicts: an exact
+    failure outranks a numeric one."""
+    if not all(failed_numeric):
+        return EXIT_EXACT_FAILURE
+    return EXIT_NUMERIC_FAILURE if failed_numeric else EXIT_OK
+
+
 @dataclass
 class Report:
     input: str
@@ -321,13 +311,7 @@ class Report:
 
     @property
     def exit_code(self) -> int:
-        exact_fail = any(not v.holds and not v.numeric for v in self.verdicts)
-        numeric_fail = any(not v.holds and v.numeric for v in self.verdicts)
-        if exact_fail:
-            return EXIT_EXACT_FAILURE
-        if numeric_fail:
-            return EXIT_NUMERIC_FAILURE
-        return EXIT_OK
+        return _exit_code([v.numeric for v in self.verdicts if not v.holds])
 
 
 @dataclass
@@ -358,11 +342,7 @@ class CorpusReport:
 
     @property
     def exit_code(self) -> int:
-        if any(f["numeric"] is False for f in self.failures):
-            return EXIT_EXACT_FAILURE
-        if self.failures:
-            return EXIT_NUMERIC_FAILURE
-        return EXIT_OK
+        return _exit_code([f["numeric"] for f in self.failures])
 
 
 def corpus_run(config: CorpusConfig) -> CorpusReport:

@@ -11,6 +11,7 @@ from lctlab.germs import (
     NONDEGENERATE,
     NotMonomializableError,
     ParseError,
+    TERM_EXACT,
     check_isolated,
     derivative,
     format_polynomial,
@@ -144,11 +145,26 @@ class TestMonomialize:
         with pytest.raises(NotMonomializableError):
             monomialize(I)
 
+    def test_error_names_first_mixed_generator(self):
+        I = IdealPresentation(2, (poly(2, {(2, 0): 1}), poly(2, {(1, 0): 2, (0, 1): 1}),
+                                  poly(2, {(3, 0): 1, (0, 3): 1})))
+        with pytest.raises(NotMonomializableError,
+                           match=r"^generator 2\*x \+ y is not a single term$"):
+            monomialize(I)
+
     def test_nondegenerate_mode(self):
         I = jacobian_ideal(parse_polynomial("x^2 + x*y + y^3"))
-        mono = monomialize(I, NONDEGENERATE)
-        assert not mono.exact
+        mono = monomialize(I, allow_nondegenerate=True)
+        assert not mono.exact and mono.mode == NONDEGENERATE
         assert mono.ideal.generators == ((0, 1), (1, 0))  # reduces to m
+
+    @pytest.mark.parametrize("allow", [False, True])
+    def test_monomial_presentation_stays_exact(self, allow):
+        I = IdealPresentation(2, (poly(2, {(3, 0): 5}), poly(2, {(1, 1): 1}),
+                                  poly(2, {(0, 2): -1})))
+        mono = monomialize(I, allow)
+        assert mono.exact and mono.mode == TERM_EXACT
+        assert mono.ideal.generators == ((0, 2), (1, 1), (3, 0))
 
     def test_rescaling_invariance(self):
         I = jacobian_ideal(parse_polynomial("x^3 + y^4"))

@@ -229,7 +229,7 @@ def _random_restriction(n: int, j: int, seed: int):
                   else Fraction(rng.choice((-1, 1))) if rng.random() < 0.3 else c
                   for c in row)
             for row in plane.matrix)
-        plane = PlaneRestriction(n, j, matrix, seed)
+        plane = PlaneRestriction(n, j, matrix)
     return IdealPresentation(n, tuple(gens)), plane
 
 
@@ -249,7 +249,7 @@ def test_restrict_matches_products(n):
 def test_restrict_reappends_cancelled_term():
     """x^2 and -y^2/4 cancel on t^2 before x^3 adds t^3; x*y brings t^2
     back, after t^3, as in repeated polynomial products."""
-    line = PlaneRestriction(2, 1, ((Fraction(1),), (Fraction(2),)), 0)
+    line = PlaneRestriction(2, 1, ((Fraction(1),), (Fraction(2),)))
     I = IdealPresentation(2, (poly(2, {(2, 0): 1, (0, 2): Fraction(-1, 4),
                                        (3, 0): 1, (1, 1): 1}),))
     (got,), (want,) = restrict(I, line).generators, restrict_products(I, line).generators

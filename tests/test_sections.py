@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lctlab import sections
-from lctlab.exactgeom import MonomialIdeal
+from lctlab.exactgeom import InvalidInputError, MonomialIdeal
 from lctlab.germs import IdealPresentation, jacobian_ideal, parse_polynomial, poly
 from lctlab.invariants import loja_monomial
 from lctlab.sections import (
@@ -52,7 +52,7 @@ class TestRestrict:
         pl = sample_plane(2, 1, 0)
         # emulate the documented example with an explicit plane
         from lctlab.sections import PlaneRestriction
-        line = PlaneRestriction(2, 1, ((Fraction(1),), (Fraction(2),)), 0)
+        line = PlaneRestriction(2, 1, ((Fraction(1),), (Fraction(2),)))
         R = restrict(I, line)
         assert R.generators[0].terms == {(2,): 3}
         assert R.generators[1].terms == {(2,): 12}
@@ -64,13 +64,13 @@ class TestRestrict:
 
     def test_diagonal_line(self):
         from lctlab.sections import PlaneRestriction
-        line = PlaneRestriction(2, 1, ((Fraction(1),), (Fraction(1),)), 0)
+        line = PlaneRestriction(2, 1, ((Fraction(1),), (Fraction(1),)))
         R = restrict(monomial_presentation([(2, 0), (1, 1), (0, 3)], 2), line)
         assert [g.terms for g in R.generators] == [{(2,): 1}, {(2,): 1}, {(3,): 1}]
 
     def test_large_exponent(self):
         c1, c2 = Fraction(-7, 3), Fraction(5, 2)
-        line = PlaneRestriction(2, 1, ((c1,), (c2,)), 0)
+        line = PlaneRestriction(2, 1, ((c1,), (c2,)))
         R = restrict(monomial_presentation([(100000, 0), (0, 2)], 2), line)
         assert R.generators[0].terms == {(100000,): c1 ** 100000}
         assert R.generators[1].terms == {(2,): c2 ** 2}
@@ -173,8 +173,9 @@ class TestPolarInvariant:
         assert polar_invariant(f, 1).rational == 1
 
     def test_not_isolated_rejected(self):
-        with pytest.raises(ValueError):
-            polar_invariant(parse_polynomial("x^2", 2), 0)
+        for text in ("x^2", "1", "x^2*y^2"):
+            with pytest.raises(InvalidInputError, match="non-isolated"):
+                polar_invariant(parse_polynomial(text, 2), 0)
 
     def test_seed_determinism(self):
         f = parse_polynomial("x^3 + y^3")

@@ -10,15 +10,19 @@ import pytest
 
 from lctlab import cli, verify
 from lctlab.cli import build_parser
-from lctlab.exactgeom import MonomialIdeal, ideal_power, maximal_ideal
+from lctlab.exactgeom import InvalidInputError, MonomialIdeal, ideal_power, maximal_ideal
 from lctlab.germs import parse_polynomial
 from lctlab.sections import NumericFailureError
 from lctlab.verify import (
     CorpusConfig,
+    CorpusReport,
     EXIT_COMPUTE_ERROR,
+    EXIT_EXACT_FAILURE,
     EXIT_INPUT_ERROR,
+    EXIT_NUMERIC_FAILURE,
     EXIT_OK,
     Report,
+    Verdict,
     corpus_run,
     emit_report,
     frac_str,
@@ -50,8 +54,9 @@ class TestVerifyMain:
         assert not v.numeric and v.holds
 
     def test_not_isolated_rejected(self):
-        with pytest.raises(ValueError):
-            verify_main(parse_polynomial("x^2", 2))
+        for text in ("x^2", "1", "x^2*y^2"):
+            with pytest.raises(InvalidInputError, match="non-isolated"):
+                verify_main(parse_polynomial(text, 2))
 
 
 class TestVerifyChain:
@@ -100,8 +105,9 @@ class TestVerifyLctDominates:
             assert v.margin == 0
 
     def test_non_isolated_guard(self):
-        with pytest.raises(ValueError):
-            verify_lct_dominates(parse_polynomial("x^2", 2))
+        for text in ("x^2", "1", "x^2*y^2"):
+            with pytest.raises(InvalidInputError, match="non-isolated"):
+                verify_lct_dominates(parse_polynomial(text, 2))
 
 
 class TestVerifyChainDim4:
@@ -176,6 +182,31 @@ class TestCorpusRun:
         cfg = CorpusConfig(dim=2, count=15, seed=9, budget=5)
         outs = {emit_report(corpus_run(cfg), "json") for _ in range(3)}
         assert len(outs) == 1
+
+
+HELD = Verdict("held", Fraction(0), Fraction(1), False, None)
+HELD_NUMERIC = Verdict("held-numeric", 1.0, 1.0, True, 0.0)
+
+
+@pytest.mark.parametrize("failed_numeric,code", [
+    ((), EXIT_OK),
+    ((True,), EXIT_NUMERIC_FAILURE),
+    ((True, True), EXIT_NUMERIC_FAILURE),
+    ((False,), EXIT_EXACT_FAILURE),
+    ((False, True), EXIT_EXACT_FAILURE),
+    ((True, False), EXIT_EXACT_FAILURE),
+])
+def test_exit_code_table(failed_numeric, code):
+    """An exact failure outranks a numeric one, in single and corpus reports."""
+    failed = [Verdict("failed", 2.0, 1.0, True, 0.0) if numeric
+              else Verdict("failed", Fraction(2), Fraction(1), False, None)
+              for numeric in failed_numeric]
+    assert not any(v.holds for v in failed)
+    report = Report("x", 2, [], {}, [HELD, HELD_NUMERIC, *failed])
+    assert report.exit_code == code
+    corpus = CorpusReport(CorpusConfig(dim=2, count=1), 1, {},
+                          [{"numeric": v.numeric} for v in failed])
+    assert corpus.exit_code == code
 
 
 class TestEmitReport:
@@ -312,6 +343,41 @@ class TestCli:
                              env=CHILD_ENV)
         assert res.returncode == EXIT_INPUT_ERROR
         assert res.stderr == "error: budget must be >= 2\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["compute", ";"],
+        ["compute", " ; ;", "--dim", "2"],
+        ["compute", "", "--ideal"],
+        ["verify-chain", ";"],
+        ["probe-pham", ""],
+    ])
+    def test_empty_ideal_exit(self, argv, capsys):
+        assert cli.main(argv) == EXIT_INPUT_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: empty ideal\n"
+
+    def test_corpus_dim_zero_exit(self, capsys):
+        # --dim 0 is rejected, not read as the default dimension 2
+        assert cli.main(["corpus", "--dim", "0", "--count", "1"]) == EXIT_INPUT_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: corpus dimensions are 2..4\n"
+
+    @pytest.mark.parametrize("argv,timed", [
+        (["corpus", "--count", "2", "--timings"], True),
+        (["corpus", "--count", "2"], False),
+        (["compute", "x^2; y^3"], False),
+        (["verify-main", "x^3 + y^3"], False),
+        (["verify-lct", "x^3 + y^3"], False),
+    ])
+    def test_timings_only_in_timed_corpus(self, argv, timed, capsys):
+        assert cli.main([*argv, "--json"]) == EXIT_OK
+        timings = json.loads(capsys.readouterr().out)["meta"]["timings_ms"]
+        if timed:
+            assert isinstance(timings, float) and timings >= 0
+        else:
+            assert timings is None
 
     def test_parse_error_exit(self):
         res = run_cli("verify-main", "x + ")
