@@ -31,6 +31,7 @@ from .verify import (
     CorpusConfig,
     EXIT_COMPUTE_ERROR,
     EXIT_INPUT_ERROR,
+    EXIT_OK,
     Report,
     _estimate_value,
     corpus_run,
@@ -249,7 +250,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as stop:
+        # argparse has printed help (code 0) or a usage error (code 2, which
+        # is a failed exact verdict here); a usage error is an input error
+        return EXIT_INPUT_ERROR if stop.code else EXIT_OK
     args.start = time.monotonic()
     try:
         return args.func(args)

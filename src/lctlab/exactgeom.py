@@ -2,9 +2,9 @@
 
 Newton polyhedra of monomial ideals in dimension n <= 4: vertices and
 facets in one double description pass, membership, Minkowski sums,
-diagonal/axis intercepts and orthant-complement volumes (covolumes, by
-triangulating the facets).  Everything is integer/Fraction arithmetic;
-floats never enter this module.
+diagonal/axis intercepts, and the volume of conv(0, F) for each facet F,
+whose sum is the orthant-complement volume (covolume).  Everything is
+integer/Fraction arithmetic; floats never enter this module.
 """
 from __future__ import annotations
 
@@ -154,14 +154,26 @@ class NewtonPolyhedron:
     def is_orthant(self) -> bool:
         return not self.facets
 
+    def keep(self, name: str, compute):
+        """compute(), run once per polyhedron and kept under name, as a
+        cached_property keeps its value, so that a repeated input reuses it."""
+        value = self.__dict__.get(name)
+        if value is None:
+            value = self.__dict__[name] = compute()
+        return value
+
     @cached_property
-    def _covolume(self) -> Fraction:
-        """covolume(self), computed once per polyhedron."""
-        if self.is_orthant:
-            return Fraction(0)
+    def _cone_volumes(self) -> tuple[Fraction, ...]:
+        """vol conv(0, F) for each facet F, in `facets` order, computed once
+        per polyhedron; requires finite axis intercepts."""
         if any(t is None for t in axis_intercepts(self)):
             raise NotZeroDimensionalError("unbounded orthant complement")
         return _cone_volume(self)
+
+    @cached_property
+    def _covolume(self) -> Fraction:
+        """covolume(self), computed once per polyhedron."""
+        return sum(self._cone_volumes, Fraction(0))
 
 
 def _rank(rows) -> int:
@@ -321,8 +333,8 @@ def _det(rows) -> int:
                for j, a in enumerate(rows[0]) if a)
 
 
-def _cone_volume(P: NewtonPolyhedron) -> Fraction:
-    """Volume of the union of conv(0, F) over the facets F of P.
+def _cone_volume(P: NewtonPolyhedron) -> tuple[Fraction, ...]:
+    """vol conv(0, F) for each facet F of P, in P.facets order.
 
     Each facet is cut into simplices by a pulling triangulation: pick its
     first vertex, then recurse into every sub-face that misses it.  The
@@ -349,9 +361,10 @@ def _cone_volume(P: NewtonPolyhedron) -> Fraction:
                 for s in simplices(g, d - 1)]
         return triangulations[face]
 
-    total = sum(abs(_det([verts[k] for k in s]))
-                for f in planes for s in simplices(f, n - 1))
-    return Fraction(total, factorial(n))
+    nf = factorial(n)
+    return tuple(Fraction(sum(abs(_det([verts[k] for k in s]))
+                              for s in simplices(f, n - 1)), nf)
+                 for f in planes)
 
 
 def covolume(P: NewtonPolyhedron) -> Fraction:
@@ -359,6 +372,7 @@ def covolume(P: NewtonPolyhedron) -> Fraction:
 
     Then every facet normal is positive, so every facet is compact, and each
     ray from 0 leaves the complement through one of them: the cones
-    conv(0, F) tile the complement.  The value is kept on P.
+    conv(0, F) tile the complement.  The value is the sum of P's cone
+    volumes, kept on P.
     """
     return P._covolume

@@ -2,17 +2,28 @@
 
 Log canonical threshold, Lojasiewicz exponent, Samuel and mixed
 multiplicities and higher Lelong numbers, all read off Newton polyhedra.
+
+The Lelong numbers e_k of a, the mixed multiplicities of a taken k times
+against the maximal ideal (Kaveh & Khovanskii 2014), come from the facets of
+the Newton polyhedron P of a: e_1 = ord(a), e_n = n! covol(P), and
+
+    e_(n-1) = n! sum_F vol conv(0, F) min(w_F) / c_F
+
+over the facets <w_F, x> >= c_F of P, by the first variation of covolume
+(Schneider, Convex Bodies, 2nd ed. 2014, section 5.1).  Only e_2 in dim 4
+takes a Minkowski sum, P + D with D the polyhedron of the maximal ideal.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 from .exactgeom import (
     InvalidInputError,
     MonomialIdeal,
+    NewtonPolyhedron,
     NotZeroDimensionalError,
     axis_intercepts,
     covolume,
@@ -115,40 +126,44 @@ def mixed_multiplicity(ideals) -> MixedMass:
 
 
 def lelong_numbers(a: MonomialIdeal) -> LelongVector:
-    """e_k from the covolume polynomial of P + tD, P the Newton polyhedron of
-    a and D that of the maximal ideal m:
+    """e_1..e_n from the facets of the Newton polyhedron P of a, kept on P.
 
-        n! covol(P + tD) = sum_k C(n, k) e_k t^(n-k),   e_0 = e(m) = 1,
+    e_k is the mixed multiplicity of a taken k times against m, whose
+    polyhedron is D, so n! covol(P + tD) = sum_k C(n, k) e_k t^(n-k) with
+    e_0 = 1 (Kaveh & Khovanskii 2014).  Hence e_n = n! covol(P), and the t^1
+    coefficient is the first variation of covolume (Schneider, Convex Bodies,
+    2nd ed. 2014, section 5.1): the facet <w_F, x> >= c_F of P moves to offset
+    c_F + t min(w_F), so
 
-    since e_k is the mixed multiplicity of a taken k times against m, which is
-    n! times the mixed covolume (Kaveh & Khovanskii 2014).  So e_n = n! covol(P),
-    and the middle coefficients are solved exactly from t = 1..n-1, each
-    P + tD built from P + (t-1)D.
+        e_(n-1) = n! sum_F cone_F min(w_F) / c_F,   cone_F = vol conv(0, F).
+
+    e_1 is the order of a, `min_degree`.  That leaves only e_2 in dim 4, from
+    the one sum P + D at t = 1:
+
+        e_2 = (24 covol(P + D) - 1 - 4 e_1 - 4 e_3 - e_4) / 6.
     """
     if a.is_unit:
         raise UnitIdealError(
             "Lelong numbers of the unit ideal are 0; its ratios are undefined")
     _require_zero_dim(a, "Lelong numbers")
+    P = polyhedron_of(a)
+    return P.keep("lelong_numbers", lambda: _lelong_vector(a, P))
+
+
+def _lelong_vector(a: MonomialIdeal, P: NewtonPolyhedron) -> LelongVector:
     n, nf = a.dim, factorial(a.dim)
-    S = polyhedron_of(a)
-    D = polyhedron_of(maximal_ideal(n))
-    en = nf * covolume(S)
-    # rows [t, t^2, .., t^(n-1) | sum_{0<j<n} C(n, n-j) e_(n-j) t^j], t = 1..n-1
-    rows = []
-    for t in range(1, n):
-        S = minkowski_sum(S, D)  # P + tD
-        rows.append([Fraction(t ** j) for j in range(1, n)]
-                    + [nf * covolume(S) - t ** n - en])
-    # Gauss-Jordan with no row swaps: a Vandermonde matrix on increasing
-    # positive nodes is totally positive, so every pivot is nonzero
-    for i, pivot in enumerate(rows):
-        pivot[:] = [x / pivot[i] for x in pivot]
-        for row in rows:
-            if row is not pivot and row[i]:
-                factor = row[i]
-                row[:] = [x - factor * y for x, y in zip(row, pivot)]
-    e = [rows[n - k - 1][-1] / comb(n, k) for k in range(1, n)] + [en]
-    return LelongVector(tuple(e))
+    en = nf * covolume(P)
+    if n == 1:
+        return LelongVector((en,))
+    e1 = Fraction(a.min_degree)
+    if n == 2:
+        return LelongVector((e1, en))
+    e_prev = nf * sum(cone * min(w) / c for cone, (w, c) in zip(P._cone_volumes, P.facets))
+    if n == 3:
+        return LelongVector((e1, e_prev, en))
+    D = polyhedron_of(maximal_ideal(4))
+    e2 = (24 * covolume(minkowski_sum(P, D)) - 1 - 4 * e1 - 4 * e_prev - en) / 6
+    return LelongVector((e1, e2, e_prev, en))
 
 
 def dh_lower_bound(a: MonomialIdeal) -> Fraction:

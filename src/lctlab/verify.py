@@ -228,12 +228,16 @@ def probe_pham(
                          _line_order(a, seed))
 
 
-def random_ideal(n: int, seed: int, budget: int) -> MonomialIdeal:
-    """Seeded zero-dimensional monomial ideal: pure powers plus mixed terms."""
+def _check_corpus_shape(n: int, budget: int) -> None:
     if n not in (2, 3, 4):
         raise InvalidInputError("corpus dimensions are 2..4")
     if budget < 2:
         raise InvalidInputError("budget must be >= 2")
+
+
+def random_ideal(n: int, seed: int, budget: int) -> MonomialIdeal:
+    """Seeded zero-dimensional monomial ideal: pure powers plus mixed terms."""
+    _check_corpus_shape(n, budget)
     rng = random.Random((seed * 0x9E3779B1 + n * 7 + budget) & 0xFFFFFFFFFFFFFFFF)
     axis_powers = [rng.randint(2, budget) for _ in range(n)]
     gens = [tuple(axis_powers[i] if j == i else 0 for j in range(n))
@@ -350,6 +354,7 @@ def corpus_run(config: CorpusConfig) -> CorpusReport:
     if config.count < 0:
         raise InvalidInputError(f"case count must be >= 0, got {config.count}")
     _check_tolerance(config.tolerance)
+    _check_corpus_shape(config.dim, config.budget)
     summaries: dict[str, dict] = {}
     failures = []
     for index in range(config.count):

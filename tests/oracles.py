@@ -8,7 +8,8 @@ counted by colength on a lattice grid.  The facet enumeration over
 all generators and the H-representation volume recursion are the production
 code that the vertex-based core replaced; mixed_multiplicity_products is
 the polarization over product ideals that the vertex Minkowski sums
-replaced; minmax_loop is the per-sphere descent loop that the batched
+replaced; lelong_covolume_polynomial is the solve for the Lelong numbers
+from covolumes of P + tD that the facet formulas replaced; minmax_loop is the per-sphere descent loop that the batched
 numeric estimator replaced; restrict_products is the substitution by one
 polynomial product per degree that direct substitution replaced;
 line_order_restrict is the line order by substitution that the zero
@@ -16,7 +17,7 @@ pattern of the line replaced.
 """
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import comb, factorial, gcd
 
 import numpy as np
 
@@ -30,7 +31,9 @@ from lctlab.exactgeom import (
     covolume,
     diagonal_intercept,
     ideal_product,
+    maximal_ideal,
     minimalize,
+    minkowski_sum,
     polyhedron_of,
 )
 from lctlab.germs import IdealPresentation, derivative, poly, poly_add, poly_mul
@@ -344,6 +347,35 @@ def mixed_multiplicity_products(ideals) -> Fraction:
                 acc = ideal_product(acc, b)
             total += (-1) ** (n - size) * covolume(polyhedron_of(acc))
     return total
+
+
+def lelong_covolume_polynomial(a: MonomialIdeal) -> tuple[Fraction, ...]:
+    """e_1..e_n of a zero-dimensional non-unit a from the covolume polynomial
+
+        n! covol(P + tD) = sum_k C(n, k) e_k t^(n-k),   e_0 = 1,
+
+    P the Newton polyhedron of a and D that of m: e_n = n! covol(P), and the
+    middle coefficients are solved exactly from t = 1..n-1, each P + tD built
+    from P + (t-1)D."""
+    n, nf = a.dim, factorial(a.dim)
+    S = polyhedron_of(a)
+    D = polyhedron_of(maximal_ideal(n))
+    en = nf * covolume(S)
+    # rows [t, t^2, .., t^(n-1) | sum_{0<j<n} C(n, n-j) e_(n-j) t^j], t = 1..n-1
+    rows = []
+    for t in range(1, n):
+        S = minkowski_sum(S, D)  # P + tD
+        rows.append([Fraction(t ** j) for j in range(1, n)]
+                    + [nf * covolume(S) - t ** n - en])
+    # Gauss-Jordan with no row swaps: a Vandermonde matrix on increasing
+    # positive nodes is totally positive, so every pivot is nonzero
+    for i, pivot in enumerate(rows):
+        pivot[:] = [x / pivot[i] for x in pivot]
+        for row in rows:
+            if row is not pivot and row[i]:
+                factor = row[i]
+                row[:] = [x - factor * y for x, y in zip(row, pivot)]
+    return tuple(rows[n - k - 1][-1] / comb(n, k) for k in range(1, n)) + (en,)
 
 
 def restrict_products(I: IdealPresentation, plane) -> IdealPresentation:

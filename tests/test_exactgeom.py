@@ -201,6 +201,15 @@ class TestMinkowskiSum:
         assert (S.vertices, S.facets) == (R.vertices, R.facets)
 
 
+def test_cone_volumes_per_facet():
+    P = build_polyhedron({(2, 0), (1, 1), (0, 3)}, 2)
+    assert P.facets == (((1, 1), 2), ((2, 1), 3))
+    # the triangles 0, (2, 0), (1, 1) and 0, (1, 1), (0, 3)
+    assert P._cone_volumes == (1, Fraction(3, 2))
+    assert covolume(P) == Fraction(5, 2)
+    assert build_polyhedron({(0, 0)}, 2)._cone_volumes == ()
+
+
 def test_covolume_is_kept_on_the_polyhedron(monkeypatch):
     P = build_polyhedron({(5, 0, 0), (1, 2, 1), (0, 6, 0), (0, 0, 7)}, 3)
     vol = covolume(P)

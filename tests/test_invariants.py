@@ -5,12 +5,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lctlab import invariants
 from lctlab.exactgeom import (
     MonomialIdeal,
     NotZeroDimensionalError,
     ideal_power,
     ideal_product,
     maximal_ideal,
+    minkowski_sum,
+    polyhedron_of,
 )
 from lctlab.invariants import (
     UnitIdealError,
@@ -165,6 +168,33 @@ class TestLelong:
 
     def test_maximal(self):
         assert lelong_numbers(maximal_ideal(4)).e == (1, 1, 1, 1)
+
+    def test_dim_one(self):
+        assert lelong_numbers(MonomialIdeal.make({(7,)}, 1)).e == (7,)
+
+    @pytest.mark.parametrize("gens,sums", [
+        ({(97, 0), (13, 11), (0, 89)}, 0),
+        ({(83, 0, 0), (0, 79, 0), (0, 0, 73), (5, 7, 3)}, 0),
+        ({(71, 0, 0, 0), (0, 67, 0, 0), (0, 0, 61, 0), (0, 0, 0, 59), (3, 5, 2, 7)}, 1),
+    ])
+    def test_kept_on_the_polyhedron(self, monkeypatch, gens, sums):
+        """Dims 2-3 take no Minkowski sum and dim 4 one; an equal ideal
+        gets the kept vector back with no geometry at all."""
+        calls = []
+
+        def counted(P, Q):
+            calls.append((P, Q))
+            return minkowski_sum(P, Q)
+
+        monkeypatch.setattr(invariants, "minkowski_sum", counted)
+        n = len(next(iter(gens)))
+        a = MonomialIdeal.make(gens, n)
+        assert "lelong_numbers" not in vars(polyhedron_of(a))  # a first call
+        lv = lelong_numbers(a)
+        assert len(calls) == sums
+        monkeypatch.setattr(invariants, "covolume", None)  # a call would fail
+        assert lelong_numbers(MonomialIdeal.make(sorted(gens), n)) is lv
+        assert len(calls) == sums
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10_000), st.sampled_from([2, 3, 4]))

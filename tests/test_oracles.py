@@ -3,17 +3,18 @@
 The inputs are those of the acceptance suite: its corpora, the powers its
 scaling criterion takes, the dim-4 ideals the other tests build (m, m^5,
 two random ideals and the 16-generator m*J_f of a Fermat germ) and every
-polyhedron whose covolume lelong_numbers or the diagonal mixed multiplicity
-takes (P + tD for the Newton polyhedra P of a and D of m, t < n, and the
-sums P + .. + P).  Lelong numbers, which production reads off the covolume
-polynomial t -> covol(P + tD), are compared with both polarizations: over
-vertex Minkowski sums and over product ideals; the polynomial's t^n
-coefficient, which production never evaluates, must be e_0 = 1.  The
-numeric estimator's batched descent is compared with the per-sphere loop on
-plane ideals and plane restrictions.  Restriction by direct substitution is
-compared with the one polynomial product per degree on random multi-term
-polynomials, and the line order read off the line's zero pattern with the
-order of the restricted generators.
+polyhedron whose covolume the covolume-polynomial oracle or the diagonal
+mixed multiplicity takes (P + tD for the Newton polyhedra P of a and D of m,
+t < n, and the sums P + .. + P).  Lelong numbers, which production reads off
+the facets of P, are compared with the covolume polynomial t -> covol(P + tD)
+and with both polarizations: over vertex Minkowski sums and over product
+ideals; the polynomial's t^n coefficient, which neither production nor the
+oracle evaluates, must be e_0 = 1.  The numeric estimator's batched
+descent is compared with the per-sphere loop on plane ideals and plane
+restrictions.  Restriction by direct substitution is compared with the one
+polynomial product per degree on random multi-term polynomials, and the line
+order read off the line's zero pattern with the order of the restricted
+generators.
 """
 import itertools
 import random
@@ -23,6 +24,7 @@ from math import comb, factorial
 import numpy as np
 import pytest
 
+import oracles
 from lctlab import invariants
 from lctlab.exactgeom import (
     MonomialIdeal,
@@ -51,6 +53,7 @@ from oracles import (
     covolume_box,
     facets_all_generators,
     grid_points,
+    lelong_covolume_polynomial,
     line_order_restrict,
     loja_dual,
     lp_diagonal_intercept,
@@ -102,9 +105,10 @@ def test_loja_monomial_matches_dual():
 @pytest.fixture(scope="module")
 def covolume_inputs():
     """(P, complement volume of P in the box of side M0) for every polyhedron
-    whose covolume the Lelong numbers of IDEALS, m and DIM4 and the diagonal
-    mixed multiplicities of CORPORA take.  The recording stand-in returns the
-    oracle's volume, so a wrong production covolume cannot stop the run."""
+    whose covolume the covolume-polynomial Lelong numbers of IDEALS, m and
+    DIM4 and the diagonal mixed multiplicities of CORPORA take.  The
+    recording stand-in returns the oracle's volume, so a wrong production
+    covolume cannot stop the run."""
     taken = {}
 
     def record(P):
@@ -115,8 +119,9 @@ def covolume_inputs():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(invariants, "covolume", record)
+        mp.setattr(oracles, "covolume", record)
         for a in IDEALS + [M4] + DIM4:
-            lelong_numbers(a)
+            lelong_covolume_polynomial(a)
         for a in CORPORA:
             mixed_multiplicity([a] * a.dim)
     assert len(taken) > len(IDEALS)
@@ -165,16 +170,46 @@ def test_minkowski_sum_matches_product():
         assert (S.vertices, S.facets) == (P.vertices, P.facets), (a.generators, b.generators)
 
 
+def _polarizations(a: MonomialIdeal, products: bool = True) -> list:
+    """e_1..e_n of a as the polarization over vertex Minkowski sums and, if
+    asked, over product ideals."""
+    n, m = a.dim, maximal_ideal(a.dim)
+    args = [[a] * k + [m] * (n - k) for k in range(1, n + 1)]
+    out = [tuple(mixed_multiplicity(x).value for x in args)]
+    if products:
+        out.append(tuple(mixed_multiplicity_products(x) for x in args))
+    return out
+
+
+LELONG_SEEDS = {(2, 5): range(300), (3, 5): range(60), (4, 5): range(6),
+                (2, 9): range(100), (3, 9): range(30), (4, 9): range(3)}
+LELONG_INPUTS = (CORPORA + [random_ideal(n, s, b) for (n, b), ss in LELONG_SEEDS.items()
+                            for s in ss]
+                 + [MonomialIdeal.make({(k,)}, 1) for k in (1, 2, 9)] + [M4])
+
+
+def test_lelong_numbers_match_covolume_polynomial():
+    for a in LELONG_INPUTS:
+        assert lelong_numbers(a).e == lelong_covolume_polynomial(a), a.generators
+
+
 def test_lelong_numbers_match_polarizations():
-    seeds = {2: range(300), 3: range(60), 4: range(6)}
-    randoms = [random_ideal(n, s, 5) for n, ss in seeds.items() for s in ss]
-    for a in CORPORA + randoms:
-        n = a.dim
-        m = maximal_ideal(n)
-        args = [[a] * k + [m] * (n - k) for k in range(1, n + 1)]
-        e = tuple(mixed_multiplicity_products(x) for x in args)
-        assert lelong_numbers(a).e == e, a.generators
-        assert tuple(mixed_multiplicity(x).value for x in args) == e, a.generators
+    for a in LELONG_INPUTS:
+        e = lelong_numbers(a).e
+        for polarization in _polarizations(a):
+            assert polarization == e, a.generators
+
+
+def test_lelong_numbers_of_squared_compositions():
+    # the polarizations left out take 3.6 to 15 s each on these 56- and
+    # 120-vertex ideals
+    for d, products, vertex_sums in [(3, True, True), (5, False, True), (7, False, False)]:
+        a = squared_compositions(d)
+        e = lelong_numbers(a).e
+        assert lelong_covolume_polynomial(a) == e, d
+        if vertex_sums:
+            for polarization in _polarizations(a, products):
+                assert polarization == e, d
 
 
 def test_lelong_numbers_give_e0():

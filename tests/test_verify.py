@@ -364,6 +364,38 @@ class TestCli:
         assert out == ""
         assert err == "error: corpus dimensions are 2..4\n"
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--dim", "7", "--count", "0"], "corpus dimensions are 2..4"),
+        (["--dim", "1", "--count", "0"], "corpus dimensions are 2..4"),
+        (["--budget", "1", "--count", "0"], "budget must be >= 2"),
+    ])
+    def test_corpus_shape_checked_before_cases(self, argv, message, capsys):
+        # a zero-case corpus reported "dim": 7 and exited 0
+        assert cli.main(["corpus", *argv, "--json"]) == EXIT_INPUT_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["compute", "-x^2"], "lctlab compute: error: the following arguments are required: input"),
+        (["compute"], "lctlab compute: error: the following arguments are required: input"),
+        (["corpus", "--count", "x"], "lctlab corpus: error: argument --count: invalid int value: 'x'"),
+        (["verify-main", "x^2", "--bogus"], "lctlab: error: unrecognized arguments: --bogus"),
+        ([], "lctlab: error: the following arguments are required: command"),
+    ])
+    def test_usage_error_exit(self, argv, message, capsys):
+        # argparse exits 2, which is the code of a failed exact verdict
+        assert cli.main(argv) == EXIT_INPUT_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: lctlab")
+        assert err.endswith(f"\n{message}\n")
+
+    def test_help_exit(self, capsys):
+        assert cli.main(["--help"]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: lctlab") and err == ""
+
     @pytest.mark.parametrize("argv,timed", [
         (["corpus", "--count", "2", "--timings"], True),
         (["corpus", "--count", "2"], False),
