@@ -3,8 +3,11 @@
 Newton polyhedra of monomial ideals in dimension n <= 4: vertices and
 facets in one double description pass, membership, Minkowski sums,
 diagonal/axis intercepts, and the volume of conv(0, F) for each facet F,
-whose sum is the orthant-complement volume (covolume).  Everything is
-integer/Fraction arithmetic; floats never enter this module.
+whose sum is the orthant-complement volume (covolume).  Over the facets
+<w_F, x> >= c_F the diagonal intercept is max_F c_F/|w_F|, with |w_F| the
+entry sum, and the intercept on axis i is max_F c_F/w_F[i]; both maxima are
+found by integer cross-multiplication.  Everything is integer/Fraction
+arithmetic; floats never enter this module.
 """
 from __future__ import annotations
 
@@ -88,17 +91,20 @@ class MonomialIdeal:
         return self.generators == ((0,) * self.dim,)
 
     def pure_power(self, axis: int) -> int | None:
-        """Exponent of the generator supported on the given axis, if any."""
-        best = None
-        for g in self.generators:
-            if all(c == 0 for i, c in enumerate(g) if i != axis):
-                if best is None or g[axis] < best:
-                    best = g[axis]
-        return best
+        """Exponent of the generator supported on the given axis, if any.
+
+        Entries are >= 0, so g is supported on the axis alone, or is 0, iff
+        sum(g) == g[axis]."""
+        return min((g[axis] for g in self.generators if sum(g) == g[axis]), default=None)
 
     @property
     def zero_dimensional(self) -> bool:
-        return all(self.pure_power(i) is not None for i in range(self.dim))
+        """Every axis carries a pure power, in one pass over the generators:
+        a nonzero generator whose sum is one of its entries has no other
+        nonzero entry, and marks that entry's axis.  The unit ideal, whose one
+        generator is 0, counts as zero-dimensional."""
+        axes = {g.index(s) for g in self.generators if (s := sum(g)) and s in g}
+        return len(axes) == self.dim or self.is_unit
 
     @property
     def min_degree(self) -> int:
@@ -166,7 +172,7 @@ class NewtonPolyhedron:
     def _cone_volumes(self) -> tuple[Fraction, ...]:
         """vol conv(0, F) for each facet F, in `facets` order, computed once
         per polyhedron; requires finite axis intercepts."""
-        if any(t is None for t in axis_intercepts(self)):
+        if any(0 in w for w, _ in self.facets):  # an axis never meets P
             raise NotZeroDimensionalError("unbounded orthant complement")
         return _cone_volume(self)
 
@@ -305,15 +311,31 @@ def minkowski_sum(P: NewtonPolyhedron, Q: NewtonPolyhedron) -> NewtonPolyhedron:
     return _polyhedron(tuple(sorted(sums)), P.dim)
 
 
+def _max_ratio(pairs) -> Fraction:
+    """max p/q over the (p, q) pairs, q > 0, found by integer
+    cross-multiplication; only the result becomes a Fraction."""
+    pairs = iter(pairs)
+    p, q = next(pairs)
+    for a, b in pairs:
+        if a * q > p * b:
+            p, q = a, b
+    return Fraction(p, q)
+
+
 def diagonal_intercept(P: NewtonPolyhedron) -> Fraction:
-    """min{t > 0 : t*(1,..,1) in P}; 0 for the full orthant."""
+    """min{t > 0 : t*(1,..,1) in P}; 0 for the full orthant.
+
+    t*(1,..,1) meets the facet <w_F, x> >= c_F at t = c_F/|w_F|, with |w_F|
+    the entry sum, and lies in P once it satisfies every facet, so the
+    intercept is max_F c_F/|w_F|."""
     if P.is_orthant:
         return Fraction(0)
-    return max(Fraction(c, sum(w)) for w, c in P.facets)
+    return _max_ratio((c, sum(w)) for w, c in P.facets)
 
 
 def axis_intercepts(P: NewtonPolyhedron) -> tuple[Fraction | None, ...]:
-    """Per-axis min{t : t*e_i in P}; None where the axis never meets P."""
+    """Per-axis min{t : t*e_i in P}, max_F c_F/w_F[i]; None where the axis
+    never meets P, that is where some facet has w_F[i] = 0."""
     out = []
     for i in range(P.dim):
         if any(w[i] == 0 for w, _ in P.facets):
@@ -321,7 +343,7 @@ def axis_intercepts(P: NewtonPolyhedron) -> tuple[Fraction | None, ...]:
         elif P.is_orthant:
             out.append(Fraction(0))
         else:
-            out.append(max(Fraction(c, w[i]) for w, c in P.facets))
+            out.append(_max_ratio((c, w[i]) for w, c in P.facets))
     return tuple(out)
 
 

@@ -3,6 +3,13 @@
 Log canonical threshold, Lojasiewicz exponent, Samuel and mixed
 multiplicities and higher Lelong numbers, all read off Newton polyhedra.
 
+Over the facets <w_F, x> >= c_F of the Newton polyhedron P of a,
+
+    1/lct(a) = max_F c_F/|w_F|     (the diagonal intercept; Howald 2001),
+    L_0(a)   = max_F c_F/min(w_F)  (the largest axis intercept),
+
+with |w_F| the entry sum; both maxima are found in integers.
+
 The Lelong numbers e_k of a, the mixed multiplicities of a taken k times
 against the maximal ideal (Kaveh & Khovanskii 2014), come from the facets of
 the Newton polyhedron P of a: e_1 = ord(a), e_n = n! covol(P), and
@@ -25,7 +32,7 @@ from .exactgeom import (
     MonomialIdeal,
     NewtonPolyhedron,
     NotZeroDimensionalError,
-    axis_intercepts,
+    _max_ratio,
     covolume,
     diagonal_intercept,
     maximal_ideal,
@@ -55,10 +62,14 @@ class LelongVector:
         return self.e[k - 1]
 
     @property
+    def ratios(self) -> tuple[Fraction, ...]:
+        """Consecutive ratios e_{k-1}/e_k for k = 1..n."""
+        return tuple(self[k - 1] / self[k] for k in range(1, len(self.e) + 1))
+
+    @property
     def ratio_sum(self) -> Fraction:
         """Sum of consecutive ratios e_{k-1}/e_k: the lower bound on lct."""
-        return sum((self[k - 1] / self[k] for k in range(1, len(self.e) + 1)),
-                   Fraction(0))
+        return sum(self.ratios, Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -73,7 +84,8 @@ def _require_zero_dim(a: MonomialIdeal, what: str) -> None:
 
 
 def lct_monomial(a: MonomialIdeal) -> Fraction:
-    """1 / (diagonal intercept of the Newton polyhedron)."""
+    """1 / (diagonal intercept of the Newton polyhedron), that is
+    1 / max_F c_F/|w_F| (Howald 2001)."""
     if a.is_unit:
         raise UnitIdealError("lct of the unit ideal is +infinity")
     t0 = diagonal_intercept(polyhedron_of(a))
@@ -81,9 +93,16 @@ def lct_monomial(a: MonomialIdeal) -> Fraction:
 
 
 def loja_monomial(a: MonomialIdeal) -> Fraction:
-    """Max axis intercept of the Newton polyhedron."""
+    """Max axis intercept of the Newton polyhedron P, max_F c_F/min(w_F).
+
+    The axis e_i meets P at max_F c_F/w_F[i], and every w_F is positive
+    since a is zero-dimensional, so the largest intercept is that of each
+    facet's smallest normal entry; 0 for the unit ideal."""
     _require_zero_dim(a, "Lojasiewicz exponent")
-    return max(axis_intercepts(polyhedron_of(a)))
+    P = polyhedron_of(a)
+    if P.is_orthant:
+        return Fraction(0)
+    return _max_ratio((c, min(w)) for w, c in P.facets)
 
 
 def samuel_multiplicity(a: MonomialIdeal) -> Fraction:

@@ -81,19 +81,35 @@ def _mix_seed(n: int, j: int, seed: int, attempt: int) -> int:
     return ((seed & 0xFFFFFFFFFFFFFFFF) * 1000003 + n * 101 + j * 13 + attempt) & 0xFFFFFFFFFFFFFFFF
 
 
-def sample_plane(n: int, j: int, seed: int) -> PlaneRestriction:
-    """Deterministic pseudo-random rational plane, redrawn until full rank."""
+def _draws(n: int, j: int, seed: int):
+    """The integer draws behind sample_plane(n, j, seed), one per attempt:
+    n rows of n - j (numerator, denominator) pairs, numerators in -9..9 and
+    denominators in 1..9.  SamplingError once 1000 attempts are used up."""
     if not 1 <= j <= n - 1:
         raise InvalidInputError(f"codimension {j} invalid for dimension {n}")
-    cols = n - j
     for attempt in range(1000):
         rng = random.Random(_mix_seed(n, j, seed, attempt))
-        matrix = tuple(
-            tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(cols))
-            for _ in range(n))
-        if _rank(matrix) == cols:
-            return PlaneRestriction(n, j, matrix)
+        yield tuple(tuple((rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n - j))
+                    for _ in range(n))
     raise SamplingError("could not draw a full-rank plane")
+
+
+def sample_plane(n: int, j: int, seed: int) -> PlaneRestriction:
+    """Deterministic pseudo-random rational plane, redrawn until full rank."""
+    for rows in _draws(n, j, seed):
+        matrix = tuple(tuple(Fraction(p, q) for p, q in row) for row in rows)
+        if _rank(matrix) == n - j:
+            return PlaneRestriction(n, j, matrix)
+
+
+def _line_zeros(n: int, seed: int) -> list[int]:
+    """Indices of the zero entries of sample_plane(n, n - 1, seed).matrix,
+    from the numerators alone: an n x 1 draw has rank 1 iff some numerator
+    is nonzero, so this redraws exactly where sample_plane does."""
+    for rows in _draws(n, n - 1, seed):
+        zeros = [i for i, ((p, _),) in enumerate(rows) if not p]
+        if len(zeros) < n:
+            return zeros
 
 
 def _linear_power(row: tuple[Fraction, ...], e: int) -> list:

@@ -11,6 +11,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from . import __version__
 from .exactgeom import (
@@ -38,6 +39,7 @@ from .sections import (
     DegenerateRestrictionError,
     LojaEstimate,
     LojaParams,
+    _line_zeros,
     loja_numeric,
     polar_invariant,
     restrict,
@@ -63,13 +65,15 @@ class Verdict:
     strict: bool | None = None
     sources: tuple[str, ...] = ()
 
-    @property
+    # computed once per verdict: cached_property writes the instance dict,
+    # which a frozen dataclass leaves open
+    @cached_property
     def margin(self):
         if self.numeric:
             return float(self.rhs) - float(self.lhs)
         return self.rhs - self.lhs
 
-    @property
+    @cached_property
     def holds(self) -> bool:
         if self.numeric:
             tol = self.tolerance if self.tolerance is not None else DEFAULT_TOLERANCE
@@ -129,10 +133,9 @@ def _line_order(a: MonomialIdeal, seed: int) -> int | None:
 
     On the line z = c t a generator z^g restricts to c^g t^|g|, so the order
     is the least |g| over the generators with no exponent on a zero entry
-    of c."""
+    of c; only the zero pattern of c is drawn."""
     for attempt in range(_MAX_RESEEDS):
-        plane = sample_plane(a.dim, a.dim - 1, seed + attempt)
-        zeros = [i for i, (c,) in enumerate(plane.matrix) if not c]
+        zeros = _line_zeros(a.dim, seed + attempt)
         orders = [sum(g) for g in a.generators if not any(g[i] for i in zeros)]
         if orders:
             return min(orders)
@@ -144,11 +147,13 @@ def _chain_verdicts(a, lv, lct, line_order, seed, tolerance, params,
     """verify_chain's verdicts from a's Lelong vector, lct and line order
     (None when every line draw was degenerate)."""
     n = a.dim
+    ratios = lv.ratios
     verdicts = [
-        _verdict("chain-lct", lv.ratio_sum, lct, ["dh_lower_bound", "lct_monomial"]),
+        _verdict("chain-lct", sum(ratios, Fraction(0)), lct,
+                 ["dh_lower_bound", "lct_monomial"]),
     ]
     for j in range(n):
-        ratio = lv[n - j - 1] / lv[n - j]
+        ratio = ratios[n - j - 1]  # e_(n-j-1)/e_(n-j)
         if j == 0:
             L = loja_monomial(a)
             verdicts.append(_verdict(
@@ -202,16 +207,15 @@ def verify_lct_dominates(
 def _pham_verdict(a, lv, lct, line_order) -> Verdict:
     """probe_pham's verdict from a's Lelong vector, lct and line order."""
     # generic line: order = min total degree of a generator
-    candidates = [] if line_order is None else [Fraction(1, line_order)]
+    orders = [] if line_order is None else [line_order]
     # the two coordinate lines: not dominated when the sampled line is an axis
     for axis in range(2):
-        orders = [g[axis] for g in a.generators
-                  if all(c == 0 for i, c in enumerate(g) if i != axis)]
-        if orders:
-            candidates.append(Fraction(1, min(orders)))
-    if not candidates:
+        power = a.pure_power(axis)
+        if power is not None:
+            orders.append(power)
+    if not orders:
         raise DegenerateRestrictionError("no usable line restriction")
-    lct_1 = max(candidates)
+    lct_1 = Fraction(1, min(orders))  # the largest of the lines' 1/order
     lhs = lct_1 + lv[1] / lv[2]
     return _verdict("pham-probe", lhs, lct,
                     ["loja_line", "lelong_numbers", "lct_monomial"])
@@ -371,8 +375,10 @@ def corpus_run(config: CorpusConfig) -> CorpusReport:
             s = summaries.setdefault(v.name, {
                 "count": 0, "failures": 0, "min_margin": None, "worst_index": None})
             s["count"] += 1
+            # a verdict name is always exact or always numeric, so margins
+            # compare as they are: two Fractions closer than a float ulp differ
             margin = v.margin
-            if s["min_margin"] is None or float(margin) < float(s["_min_raw"]):
+            if s["min_margin"] is None or margin < s["_min_raw"]:
                 s["min_margin"] = frac_str(margin)
                 s["_min_raw"] = margin
                 s["worst_index"] = index

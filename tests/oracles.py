@@ -13,7 +13,10 @@ from covolumes of P + tD that the facet formulas replaced; minmax_loop is the pe
 numeric estimator replaced; restrict_products is the substitution by one
 polynomial product per degree that direct substitution replaced;
 line_order_restrict is the line order by substitution that the zero
-pattern of the line replaced.
+pattern of the line replaced; diagonal_intercept_fractions and
+axis_intercepts_fractions are the intercepts with one Fraction per facet
+that the integer maxima replaced, and zero_dimensional_pure_powers the check
+by one pure_power search per axis that the one-pass check replaced.
 """
 import itertools
 from fractions import Fraction
@@ -415,6 +418,31 @@ def restrict_products(I: IdealPresentation, plane) -> IdealPresentation:
             acc = poly_add(acc, term)
         out.append(acc)
     return IdealPresentation(m, tuple(out))
+
+
+def diagonal_intercept_fractions(P: NewtonPolyhedron) -> Fraction:
+    """max_F c_F/|w_F| over Fractions; 0 for the full orthant."""
+    if P.is_orthant:
+        return Fraction(0)
+    return max(Fraction(c, sum(w)) for w, c in P.facets)
+
+
+def axis_intercepts_fractions(P: NewtonPolyhedron) -> tuple:
+    """Per axis max_F c_F/w_F[i] over Fractions; None where some w_F[i] = 0."""
+    out = []
+    for i in range(P.dim):
+        if any(w[i] == 0 for w, _ in P.facets):
+            out.append(None)
+        elif P.is_orthant:
+            out.append(Fraction(0))
+        else:
+            out.append(max(Fraction(c, w[i]) for w, c in P.facets))
+    return tuple(out)
+
+
+def zero_dimensional_pure_powers(a: MonomialIdeal) -> bool:
+    """Every axis has a generator supported on it alone."""
+    return all(a.pure_power(i) is not None for i in range(a.dim))
 
 
 def line_order_restrict(a: MonomialIdeal, seed: int) -> int | None:

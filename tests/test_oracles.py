@@ -14,7 +14,10 @@ descent is compared with the per-sphere loop on plane ideals and plane
 restrictions.  Restriction by direct substitution is compared with the one
 polynomial product per degree on random multi-term polynomials, and the line
 order read off the line's zero pattern with the order of the restricted
-generators.
+generators.  The intercepts, found by integer cross-multiplication, and the
+one-pass zero-dimensionality check are compared with their Fraction and
+pure_power forms on random ideals in dims 1-4, and the line's zero pattern,
+drawn from the numerators alone, with sample_plane's matrix.
 """
 import itertools
 import random
@@ -23,11 +26,13 @@ from math import comb, factorial
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from lctlab import invariants
 from lctlab.exactgeom import (
     MonomialIdeal,
+    axis_intercepts,
     contains,
     covolume,
     diagonal_intercept,
@@ -46,11 +51,20 @@ from lctlab.germs import (
     product_with_maximal,
 )
 from lctlab.invariants import lelong_numbers, loja_monomial, mixed_multiplicity
-from lctlab.sections import PlaneRestriction, loja_numeric, restrict, sample_plane
+from lctlab.sections import (
+    PlaneRestriction,
+    _draws,
+    _line_zeros,
+    loja_numeric,
+    restrict,
+    sample_plane,
+)
 from lctlab.verify import _line_order, random_ideal
 
 from oracles import (
+    axis_intercepts_fractions,
     covolume_box,
+    diagonal_intercept_fractions,
     facets_all_generators,
     grid_points,
     lelong_covolume_polynomial,
@@ -62,6 +76,7 @@ from oracles import (
     minmax_loop,
     mixed_multiplicity_products,
     restrict_products,
+    zero_dimensional_pure_powers,
 )
 from test_acceptance import CORPUS_2D, CORPUS_3D
 from test_sections import FAST, monomial_presentation
@@ -100,6 +115,36 @@ def test_diagonal_intercept_matches_lp():
 def test_loja_monomial_matches_dual():
     for a in IDEALS + [M4]:
         assert loja_monomial(a) == loja_dual(polyhedron_of(a)), a.generators
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(*[st.integers(0, 6)] * n), min_size=1, max_size=8))))
+@example((3, [(0, 0, 0)]))  # the unit ideal: the full orthant
+@example((2, [(3, 0), (1, 1)]))  # the y-axis never meets P
+@example((1, [(5,)]))
+def test_intercepts_and_zero_dimensionality_match_fractions(case):
+    n, gens = case
+    a = MonomialIdeal.make(gens, n)
+    P = polyhedron_of(a)
+    assert diagonal_intercept(P) == diagonal_intercept_fractions(P)
+    axes = axis_intercepts_fractions(P)
+    assert axis_intercepts(P) == axes
+    assert a.zero_dimensional == zero_dimensional_pure_powers(a)
+    if a.zero_dimensional:
+        assert loja_monomial(a) == max(axes)
+
+
+def test_line_zeros_match_sample_plane():
+    """Seeds 0-4999 in dims 2-4 include dim-2 draws whose first line is 0,
+    which both sides redraw."""
+    redrawn = 0
+    for n in (2, 3, 4):
+        for s in range(5000):
+            plane = sample_plane(n, n - 1, s)
+            assert _line_zeros(n, s) == [i for i, (c,) in enumerate(plane.matrix) if not c]
+            redrawn += not any(p for ((p, _),) in next(_draws(n, n - 1, s)))
+    assert redrawn
 
 
 @pytest.fixture(scope="module")

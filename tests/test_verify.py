@@ -178,6 +178,25 @@ class TestCorpusRun:
             assert ({name: s["min_margin"] for name, s in report.summaries.items()}
                     == {v.name: frac_str(v.margin) for v in verdicts}), seed
 
+    def test_worst_margin_exact_below_float_ulp(self, monkeypatch):
+        # 1/3 - 10^-20 and 1/3 round to the same float: compared as floats,
+        # the later, smaller margin would tie and case 0 would stay the worst
+        margins = [Fraction(1, 3), Fraction(1, 3) - Fraction(1, 10 ** 20), Fraction(1, 3)]
+        assert float(margins[1]) == float(margins[0])
+
+        def chain(a, lv, lct, line_order, seed, *rest):
+            return [Verdict("close", Fraction(0), margins[seed], False, None)]
+
+        monkeypatch.setattr(verify, "_chain_verdicts", chain)
+        report = corpus_run(CorpusConfig(dim=3, count=3, seed=0))
+        assert report.summaries["close"]["worst_index"] == 1
+        assert report.summaries["close"]["min_margin"] == frac_str(margins[1])
+
+    def test_verdict_margin_and_holds_computed_once(self):
+        v = Verdict("v", Fraction(1, 2), Fraction(2, 3), False, None)
+        assert v.margin is v.margin == Fraction(1, 6)
+        assert v.holds and {"margin", "holds"} <= vars(v).keys()
+
     def test_determinism_across_runs_and_workers(self):
         cfg = CorpusConfig(dim=2, count=15, seed=9, budget=5)
         outs = {emit_report(corpus_run(cfg), "json") for _ in range(3)}
@@ -343,6 +362,22 @@ class TestCli:
                              env=CHILD_ENV)
         assert res.returncode == EXIT_INPUT_ERROR
         assert res.stderr == "error: budget must be >= 2\n"
+
+    @pytest.mark.parametrize("args,message", [
+        (["--dim", "5"], "error: corpus dimensions are 2..4\n"),
+        (["--count", "x"], "lctlab corpus: error: argument --count: invalid int value: 'x'\n"),
+        (["-o"], "error: argument -o/--output: expected one argument\n"),
+    ])
+    def test_run_corpus_script_input_error_exit(self, args, message, tmp_path):
+        # argparse's own exit for a usage error is 2, the code of a failed
+        # exact verdict
+        script = [sys.executable, str(Path(__file__).parents[1] / "scripts" / "run_corpus.py")]
+        res = subprocess.run(script + args, capture_output=True, text=True, env=CHILD_ENV,
+                             cwd=tmp_path)
+        assert res.returncode == EXIT_INPUT_ERROR
+        assert res.stdout == ""
+        assert res.stderr.endswith(message)
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv", [
         ["compute", ";"],
