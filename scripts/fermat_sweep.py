@@ -24,9 +24,7 @@ def main() -> int:
         for d in range(2, args.max_degree + 1):
             f = parse_polynomial(" + ".join(f"{v}^{d}" for v in VARS[:n]))
             verdict, thetas = verify_main(f)
-            theta_s = ",".join(
-                frac_str(t.rational if t.rational is not None else t.value)
-                for t in thetas)
+            theta_s = ",".join(frac_str(t.value) for t in thetas)
             print(f"{n:>2} {d:>3} {frac_str(verdict.rhs):>6} "
                   f"{theta_s:>16} {frac_str(verdict.lhs):>8} "
                   f"{frac_str(verdict.margin):>8}")

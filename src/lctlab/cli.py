@@ -33,7 +33,6 @@ from .verify import (
     EXIT_INPUT_ERROR,
     EXIT_OK,
     Report,
-    _estimate_value,
     corpus_run,
     emit_report,
     frac_str,
@@ -83,7 +82,7 @@ def _generator_strings(a: MonomialIdeal) -> list[str]:
 
 
 def _theta_fields(thetas) -> dict:
-    return {"theta": [frac_str(_estimate_value(t)) for t in thetas],
+    return {"theta": [frac_str(t.value) for t in thetas],
             "theta_methods": [t.method for t in thetas]}
 
 
@@ -95,7 +94,7 @@ def _germ_invariants(f, seed: int, allow_nondeg: bool) -> dict:
     except NotMonomializableError:
         mono = None
     exact = mono is not None and mono.exact
-    thetas = [polar_invariant(f, j, seed=seed) for j in range(f.dim)]
+    thetas = polar_invariant(f, seed=seed)
     inv.update(_theta_fields(thetas))
     if mono is not None:
         a = mono.ideal
@@ -104,7 +103,7 @@ def _germ_invariants(f, seed: int, allow_nondeg: bool) -> dict:
             inv["L"] = frac_str(loja_monomial(a))
             lv = lelong_numbers(a)
             inv["e"] = [frac_str(e) for e in lv.e]
-    inv["exact"] = exact and all(t.rational is not None for t in thetas)
+    inv["exact"] = exact and all(t.method != "numeric" for t in thetas)
     return inv
 
 

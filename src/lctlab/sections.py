@@ -13,11 +13,13 @@ from functools import reduce
 from itertools import product
 from math import comb
 from operator import add, mul
+from typing import ClassVar
 
 import numpy as np
 
 from .exactgeom import InvalidInputError, _rank, polyhedron_of
 from .germs import (
+    DegenerateGermError,
     IdealPresentation,
     Monomialization,
     NotMonomializableError,
@@ -55,11 +57,10 @@ class PlaneRestriction:
 
 @dataclass(frozen=True)
 class LojaEstimate:
-    value: float
+    value: Fraction | float  # a Fraction for the exact methods, a float for "numeric"
     method: str  # "exact-line" | "exact-monomial" | "numeric"
-    spread: float
-    radii: tuple[float, ...]
-    rational: Fraction | None = None
+    spread: float = 0.0
+    radii: tuple[float, ...] = ()
     # numeric estimates only: min-max value per (seed, radius), slope per
     # (seed, dropped radius) and RMS residual of the first seed's fit
     minmax: tuple[tuple[float, ...], ...] = ()
@@ -69,12 +70,12 @@ class LojaEstimate:
 
 @dataclass(frozen=True)
 class LojaParams:
-    r0: float = 0.1
-    ratio: float = 10 ** -0.5
-    n_radii: int = 6
     starts: int = 64
-    seeds: tuple[int, ...] = (0, 1)
     iters: int = 250
+    r0: ClassVar[float] = 0.1
+    ratio: ClassVar[float] = 10 ** -0.5
+    n_radii: ClassVar[int] = 6
+    seeds: ClassVar[tuple[int, ...]] = (0, 1)
 
 
 def _mix_seed(n: int, j: int, seed: int, attempt: int) -> int:
@@ -329,10 +330,6 @@ def loja_numeric(I: IdealPresentation, params: LojaParams | None = None) -> Loja
         loo_slopes=loo_slopes, residual=residual)
 
 
-def _exact_estimate(value: Fraction, method: str) -> LojaEstimate:
-    return LojaEstimate(float(value), method, 0.0, (), rational=value)
-
-
 def _is_power_of_maximal(mono: Monomialization) -> int | None:
     """k if the Newton polyhedron is exactly that of m^k, else None."""
     P = polyhedron_of(mono.ideal)
@@ -344,48 +341,54 @@ def _is_power_of_maximal(mono: Monomialization) -> int | None:
     return None
 
 
-def polar_invariant(
-    f: Polynomial,
-    j: int,
-    seed: int = 0,
-    params: LojaParams | None = None,
-) -> LojaEstimate:
-    """theta(f_j): Lojasiewicz exponent of J_f restricted to a generic
-    codimension-j plane (j = 0 means no restriction)."""
-    n = f.dim
-    if not 0 <= j <= n - 1:
-        raise InvalidInputError(f"restriction codimension {j} out of range")
-    if check_isolated(f) == NOT_ISOLATED:
-        raise InvalidInputError("germ has non-isolated singularity")
-    J = jacobian_ideal(f)
-
-    try:
-        mono = monomialize(J)
-    except NotMonomializableError:
-        mono = None
-
-    if mono is not None:
-        k = _is_power_of_maximal(mono)
-        if k is not None and 0 < j < n - 1:
-            # integral closure of J_f is m^k, so log|J_f| = k log|z| + O(1)
-            # and every plane restriction has exponent exactly k
-            return _exact_estimate(Fraction(k), "exact-monomial")
-
-    if j == 0:
-        if mono is not None and mono.ideal.zero_dimensional:
-            return _exact_estimate(loja_monomial(mono.ideal), "exact-monomial")
-        return loja_numeric(J, params)
-
+def _section_estimate(J: IdealPresentation, j: int, seed: int) -> LojaEstimate:
+    """Exponent of J on the first plane sample_plane(n, j, seed + attempt),
+    attempt < _MAX_RESEEDS, on which the restriction is not degenerate:
+    exact on a line, numeric on a plane of dimension >= 2."""
+    n = J.dim
     line = j == n - 1
     last_err = None
     for attempt in range(_MAX_RESEEDS):
         try:
             R = restrict(J, sample_plane(n, j, seed + attempt))
             if line:
-                return _exact_estimate(Fraction(loja_line(R)), "exact-line")
-            return loja_numeric(R, params)
+                return LojaEstimate(Fraction(loja_line(R)), "exact-line")
+            return loja_numeric(R)
         except DegenerateRestrictionError as err:
             last_err = err
     raise DegenerateRestrictionError(
         f"{'line' if line else 'plane'} restriction degenerate for {_MAX_RESEEDS} seeds"
     ) from last_err
+
+
+def polar_invariant(f: Polynomial, seed: int = 0) -> tuple[LojaEstimate, ...]:
+    """(theta(f_0), ..., theta(f_(n-1))): theta(f_j) is the Lojasiewicz
+    exponent of J_f restricted to a generic codimension-j plane (j = 0 means
+    no restriction).  One isolation check, Jacobian and monomialization of
+    J_f serve every j."""
+    if check_isolated(f) == NOT_ISOLATED:
+        raise InvalidInputError("germ has non-isolated singularity")
+    n = f.dim
+    if (0,) * n in f.terms:
+        # after the isolation check, as in verify_lct_dominates; nothing
+        # below would reject it, since the Jacobian drops the constant
+        raise DegenerateGermError("f is a unit (nonzero constant term)")
+    J = jacobian_ideal(f)
+    try:
+        mono = monomialize(J)
+    except NotMonomializableError:
+        mono = None
+    # when the integral closure of J_f is m^k, log|J_f| = k log|z| + O(1)
+    # and every plane restriction has exponent exactly k
+    k = None if mono is None else _is_power_of_maximal(mono)
+
+    if mono is not None and mono.ideal.zero_dimensional:
+        thetas = [LojaEstimate(loja_monomial(mono.ideal), "exact-monomial")]
+    else:
+        thetas = [loja_numeric(J)]
+    for j in range(1, n):
+        if k is not None and j < n - 1:
+            thetas.append(LojaEstimate(Fraction(k), "exact-monomial"))
+        else:
+            thetas.append(_section_estimate(J, j, seed))
+    return tuple(thetas)

@@ -36,9 +36,7 @@ from .invariants import (
 )
 from .sections import (
     _MAX_RESEEDS,
-    DegenerateRestrictionError,
     LojaEstimate,
-    LojaParams,
     _line_zeros,
     loja_numeric,
     polar_invariant,
@@ -94,24 +92,19 @@ def _check_tolerance(tolerance: float) -> None:
         raise InvalidInputError(f"tolerance must be finite and >= 0, got {tolerance}")
 
 
-def _estimate_value(est: LojaEstimate):
-    return est.rational if est.rational is not None else est.value
-
-
 def verify_main(
     f: Polynomial,
     seed: int = 0,
     tolerance: float = DEFAULT_TOLERANCE,
-    params: LojaParams | None = None,
     allow_nondegenerate: bool = False,
-) -> tuple[Verdict, list[LojaEstimate]]:
+) -> tuple[Verdict, tuple[LojaEstimate, ...]]:
     """Sum of 1/(1+theta(f_j)) against lct(m*J_f)."""
     _check_tolerance(tolerance)
-    # polar_invariant(f, 0) comes first and rejects a non-isolated germ
-    thetas = [polar_invariant(f, j, seed=seed, params=params) for j in range(f.dim)]
+    # polar_invariant comes first and rejects a non-isolated or unit germ
+    thetas = polar_invariant(f, seed=seed)
     lhs = Fraction(0)
     for est in thetas:
-        v = _estimate_value(est)
+        v = est.value
         if isinstance(v, Fraction):
             lhs = lhs + Fraction(1) / (1 + v)
         else:
@@ -142,10 +135,9 @@ def _line_order(a: MonomialIdeal, seed: int) -> int | None:
     return None
 
 
-def _chain_verdicts(a, lv, lct, line_order, seed, tolerance, params,
+def _chain_verdicts(a, lv, lct, line_order, seed, tolerance,
                     include_numeric) -> list[Verdict]:
-    """verify_chain's verdicts from a's Lelong vector, lct and line order
-    (None when every line draw was degenerate)."""
+    """verify_chain's verdicts from a's Lelong vector, lct and line order."""
     n = a.dim
     ratios = lv.ratios
     verdicts = [
@@ -160,14 +152,12 @@ def _chain_verdicts(a, lv, lct, line_order, seed, tolerance, params,
                 "chain-term-j0", Fraction(1) / L, ratio,
                 ["loja_monomial", "lelong_numbers"]))
         elif j == n - 1:
-            if line_order is None:
-                raise DegenerateRestrictionError("all line restrictions degenerate")
             verdicts.append(_verdict(
                 f"chain-term-j{j}", Fraction(1, line_order), ratio,
                 ["loja_line", "lelong_numbers"]))
         elif include_numeric:
             plane = sample_plane(n, j, seed)
-            est = loja_numeric(restrict(_presentation(a), plane), params)
+            est = loja_numeric(restrict(_presentation(a), plane))
             verdicts.append(_verdict(
                 f"chain-term-j{j}", 1.0 / est.value, ratio,
                 ["loja_numeric", "lelong_numbers"], tolerance))
@@ -178,15 +168,13 @@ def verify_chain(
     a: MonomialIdeal,
     seed: int = 0,
     tolerance: float = DEFAULT_TOLERANCE,
-    params: LojaParams | None = None,
     include_numeric: bool = False,
 ) -> list[Verdict]:
     """The Lelong-ratio chain and its termwise Lojasiewicz lower bounds."""
     _check_tolerance(tolerance)
     lv, lct = lelong_numbers(a), lct_monomial(a)
     line_order = _line_order(a, seed) if a.dim > 1 else None
-    return _chain_verdicts(a, lv, lct, line_order, seed, tolerance, params,
-                           include_numeric)
+    return _chain_verdicts(a, lv, lct, line_order, seed, tolerance, include_numeric)
 
 
 def verify_lct_dominates(
@@ -205,17 +193,11 @@ def verify_lct_dominates(
 
 
 def _pham_verdict(a, lv, lct, line_order) -> Verdict:
-    """probe_pham's verdict from a's Lelong vector, lct and line order."""
-    # generic line: order = min total degree of a generator
-    orders = [] if line_order is None else [line_order]
-    # the two coordinate lines: not dominated when the sampled line is an axis
-    for axis in range(2):
-        power = a.pure_power(axis)
-        if power is not None:
-            orders.append(power)
-    if not orders:
-        raise DegenerateRestrictionError("no usable line restriction")
-    lct_1 = Fraction(1, min(orders))  # the largest of the lines' 1/order
+    """probe_pham's verdict from a's Lelong vector, lct and line order; a
+    is zero-dimensional, since lelong_numbers(a) has run."""
+    # the largest 1/order over the sampled line and the two coordinate lines,
+    # which are not dominated when the sampled line is an axis
+    lct_1 = Fraction(1, min(line_order, a.pure_power(0), a.pure_power(1)))
     lhs = lct_1 + lv[1] / lv[2]
     return _verdict("pham-probe", lhs, lct,
                     ["loja_line", "lelong_numbers", "lct_monomial"])
@@ -368,7 +350,7 @@ def corpus_run(config: CorpusConfig) -> CorpusReport:
         lv, lct = lelong_numbers(a), lct_monomial(a)
         line_order = _line_order(a, seed)
         verdicts = _chain_verdicts(a, lv, lct, line_order, seed, config.tolerance,
-                                   None, config.include_numeric)
+                                   config.include_numeric)
         if config.dim == 2:
             verdicts.append(_pham_verdict(a, lv, lct, line_order))
         for v in verdicts:

@@ -6,7 +6,7 @@ import pytest
 
 from lctlab import sections
 from lctlab.exactgeom import InvalidInputError, MonomialIdeal
-from lctlab.germs import IdealPresentation, jacobian_ideal, parse_polynomial, poly
+from lctlab.germs import DegenerateGermError, IdealPresentation, parse_polynomial, poly
 from lctlab.invariants import loja_monomial
 from lctlab.sections import (
     DegenerateRestrictionError,
@@ -128,7 +128,7 @@ class TestLojaNumeric:
         assert est.spread == pytest.approx(max(slopes) - min(slopes), abs=1e-12)
 
     def test_exact_estimates_carry_no_diagnostics(self):
-        est = polar_invariant(parse_polynomial("x^3 + y^3"), 1)
+        est = polar_invariant(parse_polynomial("x^3 + y^3"))[1]
         assert (est.minmax, est.loo_slopes, est.residual) == ((), (), 0.0)
 
     def test_nan_min_max_raises(self, monkeypatch):
@@ -150,33 +150,67 @@ class TestLojaNumeric:
             assert est.spread < 0.02 * float(exact)
 
 
+def assert_exact(est, value, method):
+    assert isinstance(est.value, Fraction) and est.value == value
+    assert est.method == method
+
+
 class TestPolarInvariant:
     def test_fermat_theta0(self):
-        est = polar_invariant(parse_polynomial("x^3 + y^3"), 0)
-        assert est.rational == 2 and est.method == "exact-monomial"
+        est = polar_invariant(parse_polynomial("x^3 + y^3"))[0]
+        assert_exact(est, 2, "exact-monomial")
 
     def test_fermat_theta1_line(self):
-        est = polar_invariant(parse_polynomial("x^3 + y^3"), 1)
-        assert est.rational == 2 and est.method == "exact-line"
+        est = polar_invariant(parse_polynomial("x^3 + y^3"))[1]
+        assert_exact(est, 2, "exact-line")
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_fermat_3d_all_exact(self, d):
         f = parse_polynomial(f"x^{d} + y^{d} + z^{d}")
-        for j in range(3):
-            est = polar_invariant(f, j)
-            assert est.rational == d - 1
+        thetas = polar_invariant(f)
+        assert len(thetas) == 3
+        for est in thetas:
+            assert isinstance(est.value, Fraction) and est.value == d - 1
             assert est.method.startswith("exact")
 
     def test_cusp(self):
-        f = parse_polynomial("x^2 + y^3")
-        assert polar_invariant(f, 0).rational == 2
-        assert polar_invariant(f, 1).rational == 1
+        theta0, theta1 = polar_invariant(parse_polynomial("x^2 + y^3"))
+        assert_exact(theta0, 2, "exact-monomial")
+        assert_exact(theta1, 1, "exact-line")
+
+    def test_numeric_theta0(self):
+        # J_f = (3x^2 + y^2, 2xy + 5y^4) is not term-exact, so theta_0 is
+        # estimated; theta_1 is the exact order on a line
+        theta0, theta1 = polar_invariant(parse_polynomial("x^3 + x*y^2 + y^5"))
+        assert theta0.method == "numeric" and isinstance(theta0.value, float)
+        assert theta0.spread >= 0 and len(theta0.radii) == LojaParams.n_radii
+        assert_exact(theta1, 2, "exact-line")
 
     def test_not_isolated_rejected(self):
         for text in ("x^2", "1", "x^2*y^2"):
             with pytest.raises(InvalidInputError, match="non-isolated"):
-                polar_invariant(parse_polynomial(text, 2), 0)
+                polar_invariant(parse_polynomial(text, 2))
+
+    @pytest.mark.parametrize("text", ["1 + x^3 + y^3", "3/2 + 2*y^3 - x^4*y^2"])
+    def test_unit_rejected(self, text, monkeypatch):
+        def no_jacobian(f):
+            raise AssertionError("Jacobian taken of a unit")
+
+        monkeypatch.setattr(sections, "jacobian_ideal", no_jacobian)
+        with pytest.raises(DegenerateGermError, match=r"f is a unit \(nonzero constant term\)"):
+            polar_invariant(parse_polynomial(text))
 
     def test_seed_determinism(self):
         f = parse_polynomial("x^3 + y^3")
-        assert polar_invariant(f, 1, seed=5) == polar_invariant(f, 1, seed=5)
+        assert polar_invariant(f, seed=5) == polar_invariant(f, seed=5)
+
+
+class TestLojaParams:
+    def test_only_starts_and_iters_are_fields(self):
+        from dataclasses import fields
+
+        assert [fl.name for fl in fields(LojaParams)] == ["starts", "iters"]
+        p = LojaParams(starts=8, iters=20)
+        assert (p.r0, p.ratio, p.n_radii, p.seeds) == (0.1, 10 ** -0.5, 6, (0, 1))
+        with pytest.raises(TypeError):
+            LojaParams(r0=0.2)

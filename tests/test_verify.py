@@ -1,18 +1,20 @@
 """Verdict assembly, corpus runs, reports and the CLI surface."""
+import contextlib
 import json
 import os
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from lctlab import cli, verify
+from lctlab import cli, germs, verify
 from lctlab.cli import build_parser
 from lctlab.exactgeom import InvalidInputError, MonomialIdeal, ideal_power, maximal_ideal
 from lctlab.germs import parse_polynomial
-from lctlab.sections import NumericFailureError
+from lctlab.sections import NumericFailureError, _line_zeros
 from lctlab.verify import (
     CorpusConfig,
     CorpusReport,
@@ -58,6 +60,26 @@ class TestVerifyMain:
             with pytest.raises(InvalidInputError, match="non-isolated"):
                 verify_main(parse_polynomial(text, 2))
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_one_analysis_per_germ(self, n):
+        # polar_invariant analyses J_f once for every theta_j: one isolation
+        # check (which takes J_f itself), its own J_f, and verify_main's J_f
+        # for m*J_f.  Modules bind these names by import, so every binding
+        # is wrapped.
+        counters = {"check_isolated": [], "jacobian_ideal": []}
+        with contextlib.ExitStack() as stack:
+            for name, mocks in counters.items():
+                original = getattr(germs, name)
+                for module in [m for key, m in sys.modules.items() if key.startswith("lctlab")]:
+                    if vars(module).get(name) is original:
+                        mocks.append(stack.enter_context(
+                            mock.patch.object(module, name, wraps=original)))
+            v, thetas = verify_main(parse_polynomial(
+                " + ".join(f"x{i}^5" for i in range(1, n + 1))))
+        assert v.margin == 0 and len(thetas) == n
+        calls = {name: sum(m.call_count for m in mocks) for name, mocks in counters.items()}
+        assert calls == {"check_isolated": 1, "jacobian_ideal": 3}
+
 
 class TestVerifyChain:
     @pytest.mark.parametrize("d", [2, 3])
@@ -78,11 +100,8 @@ class TestVerifyChain:
             assert all(v.holds for v in verify_chain(a))
 
     def test_numeric_term_3d(self):
-        from lctlab.sections import LojaParams
-
         a = random_ideal(3, 5, 3)
-        verdicts = verify_chain(
-            a, include_numeric=True, params=LojaParams(starts=16, iters=120))
+        verdicts = verify_chain(a, include_numeric=True)
         names = {v.name for v in verdicts}
         assert "chain-term-j1" in names
         assert all(v.holds for v in verdicts)
@@ -132,6 +151,13 @@ class TestProbePham:
     def test_dimension_guard(self):
         with pytest.raises(ValueError):
             probe_pham(maximal_ideal(3))
+
+    def test_axis_line_takes_the_lower_axis_power(self):
+        # on a line drawn along the x-axis, (x^5, y^2) has order 5, but the
+        # y-axis has order 2: lct_1 = 1/2, and e_1/e_2 = 2/10
+        seed = next(s for s in range(1000) if _line_zeros(2, s) == [1])
+        v = probe_pham(MonomialIdeal.make({(5, 0), (0, 2)}, 2), seed=seed)
+        assert v.lhs == Fraction(1, 2) + Fraction(2, 10)
 
     def test_corpus_sweep(self):
         for i in range(15):
@@ -350,6 +376,37 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: tolerance must be finite and >= 0, got {float(value)}\n"
+
+    def test_fermat_sweep_script(self):
+        script = Path(__file__).parents[1] / "scripts" / "fermat_sweep.py"
+        res = subprocess.run([sys.executable, str(script), "--dims", "2", "3",
+                              "--max-degree", "4"], capture_output=True, text=True,
+                             env=CHILD_ENV)
+        assert res.returncode == 0, res.stderr
+        header, *rows = res.stdout.splitlines()
+        assert header.split() == ["n", "d", "lct", "theta", "bound", "margin"]
+        assert [row.split()[:2] for row in rows] == [
+            [str(n), str(d)] for n in (2, 3) for d in (2, 3, 4)]
+        assert all(row.split()[-1] == "0" for row in rows)
+
+    def test_estimator_accuracy_script(self):
+        script = Path(__file__).parents[1] / "scripts" / "estimator_accuracy.py"
+        res = subprocess.run([sys.executable, str(script), "--count", "2", "--starts", "16",
+                              "--iters", "100"], capture_output=True, text=True,
+                             env=CHILD_ENV)
+        assert res.returncode == 0, res.stderr
+        assert len(res.stdout.splitlines()) == 4
+        assert res.stdout.splitlines()[-1].startswith("max relative error: ")
+
+    @pytest.mark.parametrize("text", ["1 + x^3 + y^3", "3/2 + 2*y^3 - x^4*y^2"])
+    def test_unit_germ_exit(self, text, capsys):
+        # the Jacobian drops the constant: verify-main gave the verdict of
+        # x^3 + y^3 on the first, and a numeric failure (exit 5) on the second
+        for command in ("compute", "verify-lct", "verify-main"):
+            assert cli.main([command, text]) == EXIT_INPUT_ERROR, command
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == "error: f is a unit (nonzero constant term)\n"
 
     def test_run_corpus_script(self, tmp_path):
         script = [sys.executable, str(Path(__file__).parents[1] / "scripts" / "run_corpus.py")]
