@@ -12,13 +12,11 @@ import time
 from .exactgeom import InvalidInputError, MonomialIdeal
 from .germs import (
     NotMonomializableError,
+    check_isolated,
     format_polynomial,
-    jacobian_ideal,
     lct_nondegenerate,
-    monomialize,
     parse_polynomial,
     poly,
-    product_with_maximal,
 )
 from .invariants import (
     UnitIdealError,
@@ -89,21 +87,21 @@ def _theta_fields(thetas) -> dict:
 def _germ_invariants(f, seed: int, allow_nondeg: bool) -> dict:
     lct_f, flag = lct_nondegenerate(f)
     inv = {"lct_f": frac_str(lct_f), "lct_f_mode": flag}
+    germ = check_isolated(f)
     try:
-        mono = monomialize(product_with_maximal(jacobian_ideal(f)), allow_nondeg)
+        mono = germ.m_jacobian(allow_nondeg)
     except NotMonomializableError:
         mono = None
-    exact = mono is not None and mono.exact
-    thetas = polar_invariant(f, seed=seed)
+    thetas = polar_invariant(germ, seed=seed)
     inv.update(_theta_fields(thetas))
     if mono is not None:
+        # m*J_f of an accepted germ is zero-dimensional
         a = mono.ideal
         inv["lct"] = frac_str(lct_monomial(a))
-        if a.zero_dimensional:
-            inv["L"] = frac_str(loja_monomial(a))
-            lv = lelong_numbers(a)
-            inv["e"] = [frac_str(e) for e in lv.e]
-    inv["exact"] = exact and all(t.method != "numeric" for t in thetas)
+        inv["L"] = frac_str(loja_monomial(a))
+        inv["e"] = [frac_str(e) for e in lelong_numbers(a).e]
+    inv["exact"] = (mono is not None and mono.exact
+                    and all(t.method != "numeric" for t in thetas))
     return inv
 
 

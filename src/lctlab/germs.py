@@ -1,8 +1,8 @@
 """Polynomial germs with rational coefficients.
 
 Parsing, Jacobian ideals, the product ideal m*J_f, monomialization with an
-exactness flag, and the Newton-diagram lct of f.  Coefficients are exact
-rationals; no floating point in this module.
+exactness flag, the Newton-diagram lct of f, and the one check that accepts
+a germ.  Coefficients are exact rationals; no floating point in this module.
 """
 from __future__ import annotations
 
@@ -293,6 +293,9 @@ class IdealPresentation:
                 raise InvalidInputError("generator dimension mismatch")
 
 
+_UNIT = "f is a unit (nonzero constant term)"
+_NOT_ISOLATED = "germ has non-isolated singularity"
+
 TERM_EXACT = "term-exact"
 NONDEGENERATE = "nondegenerate-assumed"
 
@@ -345,35 +348,39 @@ def lct_nondegenerate(f: Polynomial) -> tuple[Fraction, str]:
     P = build_polyhedron(f.support(), f.dim)
     t0 = diagonal_intercept(P)
     if t0 == 0:
-        raise DegenerateGermError("f is a unit (nonzero constant term)")
+        raise DegenerateGermError(_UNIT)
     value = min(Fraction(1), 1 / t0)
     mode = TERM_EXACT if f.is_monomial else NONDEGENERATE
     return value, mode
 
 
-ISOLATED = "isolated"
-NOT_ISOLATED = "not-isolated"
-UNKNOWN = "unknown"
+@dataclass(frozen=True)
+class IsolatedGerm:
+    """A germ that check_isolated accepted: its Jacobian ideal J_f and the
+    monomial ideal of J_f's terms, term-exact or flagged nondegenerate-assumed."""
+    jacobian: IdealPresentation
+    mono: Monomialization
+
+    def m_jacobian(self, allow_nondegenerate: bool) -> Monomialization:
+        """The monomialization of m*J_f, strict unless allow_nondegenerate."""
+        return monomialize(product_with_maximal(self.jacobian), allow_nondegenerate)
 
 
-def check_isolated(f: Polynomial) -> str:
-    """Heuristic isolation test on the monomialized Jacobian ideal."""
-    used = [False] * f.dim
-    for v in f.terms:
-        for i, e in enumerate(v):
-            if e > 0:
-                used[i] = True
-    if not all(used):
-        return NOT_ISOLATED
-    try:
-        jac = jacobian_ideal(f)
-    except DegenerateGermError:
-        return NOT_ISOLATED
+def check_isolated(f: Polynomial) -> IsolatedGerm:
+    """Accept f as a germ with at most an isolated singularity at 0, or raise.
+
+    In order: f misses a variable (non-isolated); f has a constant term
+    (a unit, before any Jacobian); the monomial ideal of J_f's terms is not
+    zero-dimensional (non-isolated).  The last rule is exact: a term x_i^m
+    of a partial comes from a term x_i^(m+1) or x_i^m*x_k of f, so when no
+    partial has one, f - f(0) lies in (x_k : k != i)^2 and is singular
+    along the x_i-axis."""
+    if not all(any(v[i] for v in f.terms) for i in range(f.dim)):
+        raise InvalidInputError(_NOT_ISOLATED)
+    if (0,) * f.dim in f.terms:
+        raise DegenerateGermError(_UNIT)
+    jac = jacobian_ideal(f)
     mono = monomialize(jac, allow_nondegenerate=True)
-    if mono.ideal.zero_dimensional:
-        return ISOLATED
-    # a monomial Jacobian ideal that is not zero-dimensional vanishes on a
-    # coordinate line through 0; f is constant there, so the line is singular
-    if mono.exact:
-        return NOT_ISOLATED
-    return UNKNOWN
+    if not mono.ideal.zero_dimensional:
+        raise InvalidInputError(_NOT_ISOLATED)
+    return IsolatedGerm(jac, mono)

@@ -18,17 +18,7 @@ from typing import ClassVar
 import numpy as np
 
 from .exactgeom import InvalidInputError, _rank, polyhedron_of
-from .germs import (
-    DegenerateGermError,
-    IdealPresentation,
-    Monomialization,
-    NotMonomializableError,
-    Polynomial,
-    check_isolated,
-    jacobian_ideal,
-    monomialize,
-    NOT_ISOLATED,
-)
+from .germs import IdealPresentation, IsolatedGerm, Monomialization, Polynomial
 from .invariants import loja_monomial
 
 _MAX_RESEEDS = 5  # draws before a line or plane restriction counts as degenerate
@@ -361,31 +351,21 @@ def _section_estimate(J: IdealPresentation, j: int, seed: int) -> LojaEstimate:
     ) from last_err
 
 
-def polar_invariant(f: Polynomial, seed: int = 0) -> tuple[LojaEstimate, ...]:
-    """(theta(f_0), ..., theta(f_(n-1))): theta(f_j) is the Lojasiewicz
-    exponent of J_f restricted to a generic codimension-j plane (j = 0 means
-    no restriction).  One isolation check, Jacobian and monomialization of
-    J_f serve every j."""
-    if check_isolated(f) == NOT_ISOLATED:
-        raise InvalidInputError("germ has non-isolated singularity")
-    n = f.dim
-    if (0,) * n in f.terms:
-        # after the isolation check, as in verify_lct_dominates; nothing
-        # below would reject it, since the Jacobian drops the constant
-        raise DegenerateGermError("f is a unit (nonzero constant term)")
-    J = jacobian_ideal(f)
-    try:
-        mono = monomialize(J)
-    except NotMonomializableError:
-        mono = None
-    # when the integral closure of J_f is m^k, log|J_f| = k log|z| + O(1)
-    # and every plane restriction has exponent exactly k
-    k = None if mono is None else _is_power_of_maximal(mono)
-
-    if mono is not None and mono.ideal.zero_dimensional:
+def polar_invariant(germ: IsolatedGerm, seed: int = 0) -> tuple[LojaEstimate, ...]:
+    """(theta(f_0), ..., theta(f_(n-1))) of a germ that check_isolated
+    accepted: theta(f_j) is the Lojasiewicz exponent of J_f restricted to a
+    generic codimension-j plane (j = 0 means no restriction).  theta_0 is
+    exact when J_f is term-exact, and in one variable, where J_f = (f') and
+    theta_0 is the least exponent of f'."""
+    J, mono = germ.jacobian, germ.mono
+    n = J.dim
+    if mono.exact or n == 1:
         thetas = [LojaEstimate(loja_monomial(mono.ideal), "exact-monomial")]
     else:
         thetas = [loja_numeric(J)]
+    # when the integral closure of J_f is m^k, log|J_f| = k log|z| + O(1)
+    # and every plane restriction has exponent exactly k
+    k = _is_power_of_maximal(mono) if mono.exact else None
     for j in range(1, n):
         if k is not None and j < n - 1:
             thetas.append(LojaEstimate(Fraction(k), "exact-monomial"))

@@ -20,14 +20,10 @@ from .exactgeom import (
 )
 from .germs import (
     IdealPresentation,
-    NOT_ISOLATED,
     Polynomial,
     check_isolated,
-    jacobian_ideal,
-    monomialize,
     lct_nondegenerate,
     poly,
-    product_with_maximal,
 )
 from .invariants import (
     lelong_numbers,
@@ -100,8 +96,10 @@ def verify_main(
 ) -> tuple[Verdict, tuple[LojaEstimate, ...]]:
     """Sum of 1/(1+theta(f_j)) against lct(m*J_f)."""
     _check_tolerance(tolerance)
-    # polar_invariant comes first and rejects a non-isolated or unit germ
-    thetas = polar_invariant(f, seed=seed)
+    germ = check_isolated(f)
+    # m*J_f before the thetas: a germ that does not monomialize costs no estimate
+    mono = germ.m_jacobian(allow_nondegenerate)
+    thetas = polar_invariant(germ, seed=seed)
     lhs = Fraction(0)
     for est in thetas:
         v = est.value
@@ -109,7 +107,6 @@ def verify_main(
             lhs = lhs + Fraction(1) / (1 + v)
         else:
             lhs = float(lhs) + 1.0 / (1.0 + v)
-    mono = monomialize(product_with_maximal(jacobian_ideal(f)), allow_nondegenerate)
     rhs = lct_monomial(mono.ideal)
     sources = ["polar_invariant:" + est.method for est in thetas]
     sources.append("lct_monomial:" + mono.mode)
@@ -182,10 +179,9 @@ def verify_lct_dominates(
     allow_nondegenerate: bool = True,
 ) -> Verdict:
     """lct(m*J_f) >= lct(f), with a strictness indicator."""
-    if check_isolated(f) == NOT_ISOLATED:
-        raise InvalidInputError("germ has non-isolated singularity")
+    germ = check_isolated(f)
     lct_f, flag = lct_nondegenerate(f)
-    mono = monomialize(product_with_maximal(jacobian_ideal(f)), allow_nondegenerate)
+    mono = germ.m_jacobian(allow_nondegenerate)
     rhs = lct_monomial(mono.ideal)
     return _verdict("lct-dominates", lct_f, rhs,
                     ["lct_nondegenerate:" + flag, "lct_monomial:" + mono.mode],

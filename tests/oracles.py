@@ -17,6 +17,8 @@ pattern of the line replaced; diagonal_intercept_fractions and
 axis_intercepts_fractions are the intercepts with one Fraction per facet
 that the integer maxima replaced, and zero_dimensional_pure_powers the check
 by one pure_power search per axis that the one-pass check replaced.
+singular_axis is the isolation rule of check_isolated by restriction: the
+partials of f restricted to each coordinate axis.
 """
 import itertools
 from fractions import Fraction
@@ -39,11 +41,12 @@ from lctlab.exactgeom import (
     minkowski_sum,
     polyhedron_of,
 )
-from lctlab.germs import IdealPresentation, derivative, poly, poly_add, poly_mul
+from lctlab.germs import IdealPresentation, Polynomial, derivative, poly, poly_add, poly_mul
 from lctlab.invariants import _require_zero_dim
 from lctlab.sections import (
     _MAX_RESEEDS,
     DegenerateRestrictionError,
+    PlaneRestriction,
     loja_line,
     restrict,
     sample_plane,
@@ -443,6 +446,18 @@ def axis_intercepts_fractions(P: NewtonPolyhedron) -> tuple:
 def zero_dimensional_pure_powers(a: MonomialIdeal) -> bool:
     """Every axis has a generator supported on it alone."""
     return all(a.pure_power(i) is not None for i in range(a.dim))
+
+
+def singular_axis(f: Polynomial) -> int | None:
+    """The first coordinate axis on which every partial of f restricts to 0,
+    by exact substitution of the axis z = t*e_i into each partial."""
+    n = f.dim
+    partials = IdealPresentation(n, tuple(derivative(f, k) for k in range(n)))
+    for i in range(n):
+        axis = PlaneRestriction(n, n - 1, tuple((Fraction(k == i),) for k in range(n)))
+        if all(g.is_zero for g in restrict(partials, axis).generators):
+            return i
+    return None
 
 
 def line_order_restrict(a: MonomialIdeal, seed: int) -> int | None:

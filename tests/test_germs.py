@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lctlab.exactgeom import build_polyhedron, polyhedron_of
+from lctlab.exactgeom import InvalidInputError, build_polyhedron, polyhedron_of
 from lctlab.germs import (
     DegenerateGermError,
     IdealPresentation,
@@ -198,17 +198,32 @@ class TestLctNondegenerate:
 
 class TestCheckIsolated:
     def test_isolated(self):
-        assert check_isolated(parse_polynomial("x^3 + y^3")) == "isolated"
+        germ = check_isolated(parse_polynomial("x^3 + y^3"))
+        assert germ.jacobian == jacobian_ideal(parse_polynomial("x^3 + y^3"))
+        assert germ.mono.exact
+        assert germ.mono.ideal.generators == ((0, 2), (2, 0))
 
     def test_unknown(self):
-        # non-monomial partials whose supports miss the y axis
-        assert check_isolated(parse_polynomial("x^2*y^2 + x^3*y^2")) == "unknown"
+        # non-monomial partials whose supports miss the y axis: f is
+        # x^2*y^2*(1 + x), singular along both axes
+        with pytest.raises(InvalidInputError, match="non-isolated"):
+            check_isolated(parse_polynomial("x^2*y^2 + x^3*y^2"))
 
     def test_monomial_jacobian_not_zero_dimensional(self):
-        assert check_isolated(parse_polynomial("x^2*y^2")) == "not-isolated"
+        with pytest.raises(InvalidInputError, match="non-isolated"):
+            check_isolated(parse_polynomial("x^2*y^2"))
 
     def test_missing_variable(self):
-        assert check_isolated(parse_polynomial("x^2", 2)) == "not-isolated"
+        with pytest.raises(InvalidInputError, match="non-isolated"):
+            check_isolated(parse_polynomial("x^2", 2))
+
+    def test_nondegenerate_mono_and_m_jacobian(self):
+        germ = check_isolated(parse_polynomial("x^3 + x*y^2 + y^5"))
+        assert not germ.mono.exact and germ.mono.ideal.zero_dimensional
+        with pytest.raises(NotMonomializableError, match="is not a single term"):
+            germ.m_jacobian(False)
+        assert germ.m_jacobian(True) == monomialize(product_with_maximal(germ.jacobian),
+                                                    allow_nondegenerate=True)
 
 
 class TestProductRouteConsistency:

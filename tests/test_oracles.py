@@ -31,6 +31,7 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from lctlab import invariants
 from lctlab.exactgeom import (
+    InvalidInputError,
     MonomialIdeal,
     axis_intercepts,
     contains,
@@ -44,6 +45,7 @@ from lctlab.exactgeom import (
 )
 from lctlab.germs import (
     IdealPresentation,
+    check_isolated,
     jacobian_ideal,
     monomialize,
     parse_polynomial,
@@ -76,9 +78,11 @@ from oracles import (
     minmax_loop,
     mixed_multiplicity_products,
     restrict_products,
+    singular_axis,
     zero_dimensional_pure_powers,
 )
 from test_acceptance import CORPUS_2D, CORPUS_3D
+from test_cli_fuzz import germ_texts
 from test_sections import FAST, monomial_presentation
 
 CORPORA = CORPUS_2D + CORPUS_3D
@@ -404,3 +408,28 @@ def test_descent_raises_no_float_error():
     np.testing.assert_allclose(est.minmax, values, rtol=1e-9, atol=0)
     slope = np.polyfit(np.log(radii), np.log(values[0]), 1)[0]
     assert est.value == pytest.approx(slope, rel=1e-9)
+
+
+def _uses_every_variable_and_no_constant(f) -> bool:
+    return ((0,) * f.dim not in f.terms
+            and all(any(v[i] for v in f.terms) for i in range(f.dim)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=germ_texts().map(parse_polynomial).filter(_uses_every_variable_and_no_constant))
+@example(f=parse_polynomial("x^3 + y^3"))
+@example(f=parse_polynomial("x^3 + x*y^2 + y^5"))
+@example(f=parse_polynomial("x^2*y^2 + x^3*y^2"))
+@example(f=parse_polynomial("2*x^2*y^3 + 3/2*x^5*y^4"))
+@example(f=parse_polynomial("2*x^3*y + 2*x^5*y^5*z"))
+@example(f=parse_polynomial("x + y^2*z^2"))
+def test_check_isolated_rejects_iff_an_axis_is_singular(f):
+    # with every variable used and no constant term, check_isolated rejects
+    # exactly the germs singular along a whole coordinate axis
+    try:
+        check_isolated(f)
+        accepted = True
+    except InvalidInputError as err:
+        assert str(err) == "germ has non-isolated singularity"
+        accepted = False
+    assert accepted == (singular_axis(f) is None), f

@@ -4,9 +4,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lctlab import sections
+from lctlab import germs, sections
 from lctlab.exactgeom import InvalidInputError, MonomialIdeal
-from lctlab.germs import DegenerateGermError, IdealPresentation, parse_polynomial, poly
+from lctlab.germs import (
+    DegenerateGermError,
+    IdealPresentation,
+    check_isolated,
+    parse_polynomial,
+    poly,
+)
 from lctlab.invariants import loja_monomial
 from lctlab.sections import (
     DegenerateRestrictionError,
@@ -128,7 +134,7 @@ class TestLojaNumeric:
         assert est.spread == pytest.approx(max(slopes) - min(slopes), abs=1e-12)
 
     def test_exact_estimates_carry_no_diagnostics(self):
-        est = polar_invariant(parse_polynomial("x^3 + y^3"))[1]
+        est = thetas_of("x^3 + y^3")[1]
         assert (est.minmax, est.loo_slopes, est.residual) == ((), (), 0.0)
 
     def test_nan_min_max_raises(self, monkeypatch):
@@ -155,54 +161,65 @@ def assert_exact(est, value, method):
     assert est.method == method
 
 
+def thetas_of(text, seed=0):
+    return polar_invariant(check_isolated(parse_polynomial(text)), seed=seed)
+
+
 class TestPolarInvariant:
     def test_fermat_theta0(self):
-        est = polar_invariant(parse_polynomial("x^3 + y^3"))[0]
+        est = thetas_of("x^3 + y^3")[0]
         assert_exact(est, 2, "exact-monomial")
 
     def test_fermat_theta1_line(self):
-        est = polar_invariant(parse_polynomial("x^3 + y^3"))[1]
+        est = thetas_of("x^3 + y^3")[1]
         assert_exact(est, 2, "exact-line")
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_fermat_3d_all_exact(self, d):
-        f = parse_polynomial(f"x^{d} + y^{d} + z^{d}")
-        thetas = polar_invariant(f)
+        thetas = thetas_of(f"x^{d} + y^{d} + z^{d}")
         assert len(thetas) == 3
         for est in thetas:
             assert isinstance(est.value, Fraction) and est.value == d - 1
             assert est.method.startswith("exact")
 
     def test_cusp(self):
-        theta0, theta1 = polar_invariant(parse_polynomial("x^2 + y^3"))
+        theta0, theta1 = thetas_of("x^2 + y^3")
         assert_exact(theta0, 2, "exact-monomial")
         assert_exact(theta1, 1, "exact-line")
 
     def test_numeric_theta0(self):
         # J_f = (3x^2 + y^2, 2xy + 5y^4) is not term-exact, so theta_0 is
         # estimated; theta_1 is the exact order on a line
-        theta0, theta1 = polar_invariant(parse_polynomial("x^3 + x*y^2 + y^5"))
+        theta0, theta1 = thetas_of("x^3 + x*y^2 + y^5")
         assert theta0.method == "numeric" and isinstance(theta0.value, float)
         assert theta0.spread >= 0 and len(theta0.radii) == LojaParams.n_radii
         assert_exact(theta1, 2, "exact-line")
 
+    @pytest.mark.parametrize("text,order", [("x^2 + x^3", 1), ("x^4 - 2*x^7", 3),
+                                            ("x + x^2", 0)])
+    def test_one_variable_theta0_exact(self, text, order):
+        # J_f = (f') is not term-exact, but in one variable its exponent is
+        # the least exponent of f'
+        (theta0,) = thetas_of(text)
+        assert_exact(theta0, order, "exact-monomial")
+
     def test_not_isolated_rejected(self):
         for text in ("x^2", "1", "x^2*y^2"):
             with pytest.raises(InvalidInputError, match="non-isolated"):
-                polar_invariant(parse_polynomial(text, 2))
+                polar_invariant(check_isolated(parse_polynomial(text, 2)))
 
-    @pytest.mark.parametrize("text", ["1 + x^3 + y^3", "3/2 + 2*y^3 - x^4*y^2"])
+    # x^2*y^2 alone is not isolated: the constant term is found first
+    @pytest.mark.parametrize("text", ["1 + x^3 + y^3", "3/2 + 2*y^3 - x^4*y^2", "1 + x^2*y^2"])
     def test_unit_rejected(self, text, monkeypatch):
         def no_jacobian(f):
             raise AssertionError("Jacobian taken of a unit")
 
-        monkeypatch.setattr(sections, "jacobian_ideal", no_jacobian)
+        monkeypatch.setattr(germs, "jacobian_ideal", no_jacobian)
         with pytest.raises(DegenerateGermError, match=r"f is a unit \(nonzero constant term\)"):
-            polar_invariant(parse_polynomial(text))
+            polar_invariant(check_isolated(parse_polynomial(text)))
 
     def test_seed_determinism(self):
-        f = parse_polynomial("x^3 + y^3")
-        assert polar_invariant(f, seed=5) == polar_invariant(f, seed=5)
+        assert thetas_of("x^3 + y^3", seed=5) == thetas_of("x^3 + y^3", seed=5)
 
 
 class TestLojaParams:

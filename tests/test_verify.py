@@ -13,7 +13,7 @@ import pytest
 from lctlab import cli, germs, verify
 from lctlab.cli import build_parser
 from lctlab.exactgeom import InvalidInputError, MonomialIdeal, ideal_power, maximal_ideal
-from lctlab.germs import parse_polynomial
+from lctlab.germs import NotMonomializableError, parse_polynomial
 from lctlab.sections import NumericFailureError, _line_zeros
 from lctlab.verify import (
     CorpusConfig,
@@ -61,24 +61,40 @@ class TestVerifyMain:
                 verify_main(parse_polynomial(text, 2))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_one_analysis_per_germ(self, n):
-        # polar_invariant analyses J_f once for every theta_j: one isolation
-        # check (which takes J_f itself), its own J_f, and verify_main's J_f
-        # for m*J_f.  Modules bind these names by import, so every binding
+    def test_one_analysis_per_germ(self, n, capsys):
+        # check_isolated takes J_f, and the thetas and m*J_f reuse it: one
+        # isolation check and one Jacobian per verify_main, verify_lct_dominates
+        # and compute.  Modules bind these names by import, so every binding
         # is wrapped.
-        counters = {"check_isolated": [], "jacobian_ideal": []}
-        with contextlib.ExitStack() as stack:
-            for name, mocks in counters.items():
-                original = getattr(germs, name)
-                for module in [m for key, m in sys.modules.items() if key.startswith("lctlab")]:
-                    if vars(module).get(name) is original:
-                        mocks.append(stack.enter_context(
-                            mock.patch.object(module, name, wraps=original)))
-            v, thetas = verify_main(parse_polynomial(
-                " + ".join(f"x{i}^5" for i in range(1, n + 1))))
-        assert v.margin == 0 and len(thetas) == n
-        calls = {name: sum(m.call_count for m in mocks) for name, mocks in counters.items()}
-        assert calls == {"check_isolated": 1, "jacobian_ideal": 3}
+        text = " + ".join(f"x{i}^5" for i in range(1, n + 1))
+        runs = {
+            "verify_main": lambda: verify_main(parse_polynomial(text))[0].margin == 0,
+            "verify_lct_dominates": lambda: verify_lct_dominates(
+                parse_polynomial(text)).margin == 0,
+            "compute": lambda: cli.main(["compute", text]) == EXIT_OK,
+        }
+        for entry, run in runs.items():
+            counters = {"check_isolated": [], "jacobian_ideal": []}
+            with contextlib.ExitStack() as stack:
+                for name, mocks in counters.items():
+                    original = getattr(germs, name)
+                    for module in [m for key, m in sys.modules.items()
+                                   if key.startswith("lctlab")]:
+                        if vars(module).get(name) is original:
+                            mocks.append(stack.enter_context(
+                                mock.patch.object(module, name, wraps=original)))
+                assert run(), entry
+            calls = {name: sum(m.call_count for m in mocks)
+                     for name, mocks in counters.items()}
+            assert calls == {"check_isolated": 1, "jacobian_ideal": 1}, entry
+
+    def test_m_jacobian_decided_before_the_thetas(self, monkeypatch):
+        def no_estimate(germ, seed=0):
+            raise AssertionError("thetas estimated before m*J_f")
+
+        monkeypatch.setattr(verify, "polar_invariant", no_estimate)
+        with pytest.raises(NotMonomializableError, match="is not a single term"):
+            verify_main(parse_polynomial("x^2*y + y^4"))
 
 
 class TestVerifyChain:
@@ -398,15 +414,42 @@ class TestCli:
         assert len(res.stdout.splitlines()) == 4
         assert res.stdout.splitlines()[-1].startswith("max relative error: ")
 
-    @pytest.mark.parametrize("text", ["1 + x^3 + y^3", "3/2 + 2*y^3 - x^4*y^2"])
+    @pytest.mark.parametrize("text", ["1 + x^3 + y^3", "3/2 + 2*y^3 - x^4*y^2", "1 + x^2*y^2"])
     def test_unit_germ_exit(self, text, capsys):
         # the Jacobian drops the constant: verify-main gave the verdict of
-        # x^3 + y^3 on the first, and a numeric failure (exit 5) on the second
+        # x^3 + y^3 on the first, and a numeric failure (exit 5) on the
+        # second; x^2*y^2 alone is not isolated, but the unit is found first
         for command in ("compute", "verify-lct", "verify-main"):
             assert cli.main([command, text]) == EXIT_INPUT_ERROR, command
             out, err = capsys.readouterr()
             assert out == ""
             assert err == "error: f is a unit (nonzero constant term)\n"
+
+    @pytest.mark.parametrize("text", ["2*x^2*y^3 + 3/2*x^5*y^4", "2*x^3*y + 2*x^5*y^5*z",
+                                      "x^2*y^2 + x^3*y^2"])
+    def test_mixed_partials_non_isolated_exit(self, text, capsys):
+        # the partials are not single terms, and no term of any is a pure
+        # power of y: f is singular along the y-axis; verify-main exited 5
+        # with "min-max collapsed below float range" on the first two
+        for command in ("compute", "verify-lct", "verify-main"):
+            assert cli.main([command, text]) == EXIT_INPUT_ERROR, command
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == "error: germ has non-isolated singularity\n"
+
+    def test_one_variable_germ(self, capsys):
+        # J_f = (2x + 3x^2) is not term-exact; theta_0 is the least exponent of f'
+        assert cli.main(["compute", "x^2 + x^3", "--json"]) == EXIT_OK
+        inv = json.loads(capsys.readouterr().out)["invariants"]
+        assert (inv["theta"], inv["theta_methods"]) == (["1"], ["exact-monomial"])
+        assert "lct" not in inv and not inv["exact"]
+        assert cli.main(["verify-main", "--nondegenerate", "x^2 + x^3", "--json"]) == EXIT_OK
+        (verdict,) = json.loads(capsys.readouterr().out)["verdicts"]
+        assert (verdict["lhs"], verdict["rhs"], verdict["margin"]) == ("1/2", "1/2", "0")
+        assert cli.main(["verify-main", "x^2 + x^3"]) == EXIT_INPUT_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: generator 2*x^2 + 3*x^3 is not a single term\n"
 
     def test_run_corpus_script(self, tmp_path):
         script = [sys.executable, str(Path(__file__).parents[1] / "scripts" / "run_corpus.py")]
