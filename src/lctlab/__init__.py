@@ -7,7 +7,6 @@ from .exactgeom import (  # noqa: F401
     NewtonPolyhedron,
     axis_intercepts,
     build_polyhedron,
-    contains,
     covolume,
     diagonal_intercept,
     maximal_ideal,

@@ -1,7 +1,7 @@
 """Exact rational convex geometry over the nonnegative orthant.
 
 Newton polyhedra of monomial ideals in dimension n <= 4: vertices and
-facets in one double description pass, membership, Minkowski sums,
+facets in one double description pass, Minkowski sums,
 diagonal/axis intercepts, and the volume of conv(0, F) for each facet F,
 whose sum is the orthant-complement volume (covolume).  Over the facets
 <w_F, x> >= c_F the diagonal intercept is max_F c_F/|w_F|, with |w_F| the
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, gcd
-from operator import index
+from operator import index, le
 
 MAX_DIM = 4
 
@@ -61,7 +61,10 @@ def minimalize(gens) -> tuple[Exponent, ...]:
     """
     keep = []
     for v in sorted({_exponent(g) for g in gens}):
-        if not any(all(a <= b for a, b in zip(u, v)) for u in keep):
+        for u in keep:
+            if all(map(le, u, v)):
+                break
+        else:
             keep.append(v)
     return tuple(keep)
 
@@ -124,19 +127,6 @@ def ideal_product(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     sums = {tuple(x + y for x, y in zip(u, v))
             for u in a.generators for v in b.generators}
     return MonomialIdeal.make(sums, a.dim)
-
-
-def ideal_power(a: MonomialIdeal, k: int) -> MonomialIdeal:
-    if k < 1:
-        raise InvalidInputError("power must be >= 1")
-    out = a
-    for _ in range(k - 1):
-        out = ideal_product(out, a)
-    return out
-
-
-def scale_ideal(a: MonomialIdeal, k: int) -> MonomialIdeal:
-    return MonomialIdeal.make([tuple(k * c for c in g) for g in a.generators], a.dim)
 
 
 @dataclass(frozen=True)
@@ -280,21 +270,6 @@ def polyhedron_of(a: MonomialIdeal) -> NewtonPolyhedron:
     if cached is not None:
         return cached
     return build_polyhedron(a.generators, a.dim)
-
-
-def _facet_eval(P: NewtonPolyhedron, q) -> bool:
-    return all(sum(Fraction(wi) * qi for wi, qi in zip(w, q)) >= c
-               for w, c in P.facets)
-
-
-def contains(P: NewtonPolyhedron, q) -> bool:
-    """Exact membership, decided by the facet inequalities."""
-    q = tuple(Fraction(c) for c in q)
-    if len(q) != P.dim:
-        raise InvalidInputError("point dimension mismatch")
-    if any(c < 0 for c in q):
-        raise InvalidInputError("negative coordinate")
-    return _facet_eval(P, q)
 
 
 def minkowski_sum(P: NewtonPolyhedron, Q: NewtonPolyhedron) -> NewtonPolyhedron:

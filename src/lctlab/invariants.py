@@ -41,6 +41,9 @@ from .exactgeom import (
 )
 
 
+_ONE = Fraction(1)
+
+
 class UnitIdealError(ValueError):
     """The unit ideal: lct is +infinity, reported as a status, not a number,
     and every Lelong number is 0."""
@@ -54,17 +57,18 @@ class LelongVector:
 
     @property
     def e0(self) -> Fraction:
-        return Fraction(1)
+        return _ONE
 
     def __getitem__(self, k: int) -> Fraction:
         if k == 0:
-            return self.e0
+            return _ONE
         return self.e[k - 1]
 
     @property
     def ratios(self) -> tuple[Fraction, ...]:
         """Consecutive ratios e_{k-1}/e_k for k = 1..n."""
-        return tuple(self[k - 1] / self[k] for k in range(1, len(self.e) + 1))
+        e = self.e
+        return (_ONE / e[0],) + tuple(a / b for a, b in zip(e, e[1:]))
 
     @property
     def ratio_sum(self) -> Fraction:

@@ -6,17 +6,17 @@ integral-closure domination of lct(f), and the hyperplane-restriction probe.
 """
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .exactgeom import (
     InvalidInputError,
     MonomialIdeal,
+    minimalize,
 )
 from .germs import (
     IdealPresentation,
@@ -47,10 +47,16 @@ EXIT_INPUT_ERROR = 4  # ValueError: unparsable, invalid or unsupported input
 EXIT_COMPUTE_ERROR = 5  # RuntimeError: numeric failure, sampling
 
 DEFAULT_TOLERANCE = 0.05
+MAX_BUDGET = 1000  # random_ideal's work grows linearly with the budget
 
 
 @dataclass(frozen=True)
 class Verdict:
+    """lhs <= rhs, exact or within a relative tolerance.
+
+    margin (rhs - lhs) and holds are settled at construction and kept as
+    plain attributes, outside the dataclass fields."""
+
     name: str
     lhs: Fraction | float
     rhs: Fraction | float
@@ -59,20 +65,18 @@ class Verdict:
     strict: bool | None = None
     sources: tuple[str, ...] = ()
 
-    # computed once per verdict: cached_property writes the instance dict,
-    # which a frozen dataclass leaves open
-    @cached_property
-    def margin(self):
+    def __post_init__(self):
         if self.numeric:
-            return float(self.rhs) - float(self.lhs)
-        return self.rhs - self.lhs
-
-    @cached_property
-    def holds(self) -> bool:
-        if self.numeric:
+            rhs = float(self.rhs)
+            margin = rhs - float(self.lhs)
             tol = self.tolerance if self.tolerance is not None else DEFAULT_TOLERANCE
-            return float(self.margin) >= -tol * max(1.0, abs(float(self.rhs)))
-        return self.margin >= 0
+            holds = margin >= -tol * max(1.0, abs(rhs))
+        else:
+            margin = self.rhs - self.lhs
+            holds = margin >= 0
+        # a frozen dataclass admits attributes only through object.__setattr__
+        object.__setattr__(self, "margin", margin)
+        object.__setattr__(self, "holds", holds)
 
 
 def _verdict(name, lhs, rhs, sources, tolerance=None, strict=None) -> Verdict:
@@ -215,6 +219,8 @@ def _check_corpus_shape(n: int, budget: int) -> None:
         raise InvalidInputError("corpus dimensions are 2..4")
     if budget < 2:
         raise InvalidInputError("budget must be >= 2")
+    if budget > MAX_BUDGET:
+        raise InvalidInputError(f"budget must be <= {MAX_BUDGET}, got {budget}")
 
 
 def random_ideal(n: int, seed: int, budget: int) -> MonomialIdeal:
@@ -230,7 +236,9 @@ def random_ideal(n: int, seed: int, budget: int) -> MonomialIdeal:
             if sum(v) > 0:
                 gens.append(v)
                 break
-    return MonomialIdeal.make(gens, n)
+    # the draws are nonnegative int tuples of length n, so make's checks
+    # have nothing to find
+    return MonomialIdeal(n, minimalize(gens))
 
 
 @dataclass(frozen=True)
@@ -338,6 +346,7 @@ def corpus_run(config: CorpusConfig) -> CorpusReport:
     _check_tolerance(config.tolerance)
     _check_corpus_shape(config.dim, config.budget)
     summaries: dict[str, dict] = {}
+    min_margins = {}  # verdict name -> least margin so far, as computed
     failures = []
     for index in range(config.count):
         seed = config.seed + index
@@ -356,9 +365,10 @@ def corpus_run(config: CorpusConfig) -> CorpusReport:
             # a verdict name is always exact or always numeric, so margins
             # compare as they are: two Fractions closer than a float ulp differ
             margin = v.margin
-            if s["min_margin"] is None or margin < s["_min_raw"]:
+            least = min_margins.get(v.name)
+            if least is None or margin < least:
+                min_margins[v.name] = margin
                 s["min_margin"] = frac_str(margin)
-                s["_min_raw"] = margin
                 s["worst_index"] = index
             if not v.holds:
                 s["failures"] += 1
@@ -369,8 +379,6 @@ def corpus_run(config: CorpusConfig) -> CorpusReport:
                     "verdict": _verdict_dict(v),
                     "numeric": v.numeric,
                 })
-    for s in summaries.values():
-        s.pop("_min_raw", None)
     return CorpusReport(config, config.count, summaries, failures)
 
 
@@ -398,11 +406,74 @@ def _render_text(d: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_float(x: float) -> str:
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+def _json_scalar(x) -> str:
+    """x as json writes a leaf, in json's order of tests: bool before int."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        return _json_float(x)
+    raise TypeError(f"Object of type {x.__class__.__name__} is not JSON serializable")
+
+
+def _json_key(k) -> str:
+    """A dict key that is not a str, as json converts it."""
+    if k is None or isinstance(k, (int, float)):
+        return _json_scalar(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+# exact leaf types and their writers; subclasses go through _json_scalar
+_JSON_LEAF = {str: encode_basestring_ascii, int: int.__repr__, float: _json_float,
+              bool: _json_scalar, type(None): _json_scalar}
+
+
+def _json_text(obj, pad: str = "\n") -> str:
+    """obj as json.dumps(obj, indent=2) writes it, for trees of dicts, lists
+    and tuples.  With indent, CPython's json leaves its C encoder for a
+    pure-Python one; this writer makes the same text in fewer calls."""
+    inner = pad + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        parts = []
+        for v in obj:
+            leaf = _JSON_LEAF.get(v.__class__)
+            parts.append(leaf(v) if leaf else _json_text(v, inner))
+        return "[" + inner + ("," + inner).join(parts) + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        parts = []
+        for k, v in obj.items():
+            if not isinstance(k, str):
+                k = _json_key(k)
+            leaf = _JSON_LEAF.get(v.__class__)
+            parts.append(encode_basestring_ascii(k) + ": "
+                         + (leaf(v) if leaf else _json_text(v, inner)))
+        return "{" + inner + ("," + inner).join(parts) + pad + "}"
+    return _json_scalar(obj)
+
+
 def emit_report(report, fmt: str = "text") -> str:
-    """Byte-stable serialization of a Report or CorpusReport."""
+    """Byte-stable serialization of a Report or CorpusReport; the JSON text
+    is json.dumps(report.to_dict(), indent=2) and a newline."""
     d = report.to_dict()
     if fmt == "json":
-        return json.dumps(d, indent=2) + "\n"
+        return _json_text(d) + "\n"
     if fmt == "text":
         return _render_text(d)
     raise InvalidInputError(f"unknown format {fmt!r}")

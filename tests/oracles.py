@@ -18,7 +18,9 @@ axis_intercepts_fractions are the intercepts with one Fraction per facet
 that the integer maxima replaced, and zero_dimensional_pure_powers the check
 by one pure_power search per axis that the one-pass check replaced.
 singular_axis is the isolation rule of check_isolated by restriction: the
-partials of f restricted to each coordinate axis.
+partials of f restricted to each coordinate axis.  contains and facet_eval
+decide membership by the facet inequalities, against the LP of lp_member;
+ideal_power and scale_ideal build test ideals.
 """
 import itertools
 from fractions import Fraction
@@ -28,6 +30,7 @@ import numpy as np
 
 from lctlab.exactgeom import (
     GeometryError,
+    InvalidInputError,
     MonomialIdeal,
     NewtonPolyhedron,
     NotZeroDimensionalError,
@@ -52,6 +55,35 @@ from lctlab.sections import (
     sample_plane,
 )
 from lctlab.simplex import solve_lp
+
+
+def ideal_power(a: MonomialIdeal, k: int) -> MonomialIdeal:
+    if k < 1:
+        raise InvalidInputError("power must be >= 1")
+    out = a
+    for _ in range(k - 1):
+        out = ideal_product(out, a)
+    return out
+
+
+def scale_ideal(a: MonomialIdeal, k: int) -> MonomialIdeal:
+    return MonomialIdeal.make([tuple(k * c for c in g) for g in a.generators], a.dim)
+
+
+def facet_eval(P: NewtonPolyhedron, q) -> bool:
+    """q satisfies every facet inequality of P."""
+    return all(sum(Fraction(wi) * qi for wi, qi in zip(w, q)) >= c
+               for w, c in P.facets)
+
+
+def contains(P: NewtonPolyhedron, q) -> bool:
+    """Exact membership, decided by the facet inequalities."""
+    q = tuple(Fraction(c) for c in q)
+    if len(q) != P.dim:
+        raise InvalidInputError("point dimension mismatch")
+    if any(c < 0 for c in q):
+        raise InvalidInputError("negative coordinate")
+    return facet_eval(P, q)
 
 
 def lp_hull_member(gens, n: int, q) -> bool:

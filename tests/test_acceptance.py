@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from lctlab.exactgeom import ideal_power, maximal_ideal
+from lctlab.exactgeom import maximal_ideal
 from lctlab.germs import IdealPresentation, parse_polynomial, poly
 from lctlab.invariants import (
     dh_lower_bound,
@@ -32,7 +32,7 @@ from lctlab.verify import (
     verify_main,
 )
 
-from oracles import multiplicity_oracle
+from oracles import ideal_power, multiplicity_oracle
 
 CORPUS_2D = [random_ideal(2, 42_000 + i, 6) for i in range(200)]
 CORPUS_3D = [random_ideal(3, 7_000 + i, 4) for i in range(100)]

@@ -15,21 +15,26 @@ from lctlab.exactgeom import (
     UnsupportedDimensionError,
     axis_intercepts,
     build_polyhedron,
-    contains,
     covolume,
     diagonal_intercept,
-    ideal_power,
     maximal_ideal,
     minimalize,
     minkowski_sum,
     polyhedron_of,
-    scale_ideal,
-    _facet_eval,
 )
 
 from lctlab.verify import random_ideal
 
-from oracles import facets_all_generators, grid_points, lp_hull_member, lp_member
+from oracles import (
+    contains,
+    facet_eval,
+    facets_all_generators,
+    grid_points,
+    ideal_power,
+    lp_hull_member,
+    lp_member,
+    scale_ideal,
+)
 
 
 def shoelace_covolume(gens):
@@ -281,14 +286,14 @@ class TestProperties:
     def test_facets_agree_with_lp_on_grid(self, gens):
         P = build_polyhedron(gens, 2)
         for q in grid_points(P):
-            assert _facet_eval(P, q) == lp_member(P, q)
+            assert facet_eval(P, q) == lp_member(P, q)
 
     @settings(max_examples=20, deadline=None)
     @given(gens3)
     def test_facets_agree_with_lp_on_grid_3d(self, gens):
         P = build_polyhedron(gens, 3)
         for q in grid_points(P)[:25]:
-            assert _facet_eval(P, q) == lp_member(P, q)
+            assert facet_eval(P, q) == lp_member(P, q)
 
     @settings(max_examples=25, deadline=None)
     @given(gens2, st.sampled_from([1, 2, 3]))
@@ -309,7 +314,7 @@ class TestProperties:
     def test_monotonicity(self, ga, gb):
         Pa = build_polyhedron(ga, 2)
         Pb = build_polyhedron(gb, 2)
-        if all(_facet_eval(Pb, g) for g in ga):
+        if all(facet_eval(Pb, g) for g in ga):
             # P(a) subset of P(b)
             assert diagonal_intercept(Pa) >= diagonal_intercept(Pb)
             ta, tb = axis_intercepts(Pa), axis_intercepts(Pb)

@@ -9,7 +9,6 @@ from lctlab import invariants
 from lctlab.exactgeom import (
     MonomialIdeal,
     NotZeroDimensionalError,
-    ideal_power,
     ideal_product,
     maximal_ideal,
     minkowski_sum,
@@ -26,7 +25,7 @@ from lctlab.invariants import (
 )
 from lctlab.verify import random_ideal
 
-from oracles import colength, multiplicity_oracle
+from oracles import colength, ideal_power, multiplicity_oracle
 
 A = MonomialIdeal.make({(2, 0), (1, 1), (0, 3)}, 2)
 

@@ -34,10 +34,8 @@ from lctlab.exactgeom import (
     InvalidInputError,
     MonomialIdeal,
     axis_intercepts,
-    contains,
     covolume,
     diagonal_intercept,
-    ideal_power,
     ideal_product,
     maximal_ideal,
     minkowski_sum,
@@ -65,10 +63,12 @@ from lctlab.verify import _line_order, random_ideal
 
 from oracles import (
     axis_intercepts_fractions,
+    contains,
     covolume_box,
     diagonal_intercept_fractions,
     facets_all_generators,
     grid_points,
+    ideal_power,
     lelong_covolume_polynomial,
     line_order_restrict,
     loja_dual,

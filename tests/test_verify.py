@@ -9,10 +9,11 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lctlab import cli, germs, verify
 from lctlab.cli import build_parser
-from lctlab.exactgeom import InvalidInputError, MonomialIdeal, ideal_power, maximal_ideal
+from lctlab.exactgeom import InvalidInputError, MonomialIdeal, maximal_ideal
 from lctlab.germs import NotMonomializableError, parse_polynomial
 from lctlab.sections import NumericFailureError, _line_zeros
 from lctlab.verify import (
@@ -23,6 +24,7 @@ from lctlab.verify import (
     EXIT_INPUT_ERROR,
     EXIT_NUMERIC_FAILURE,
     EXIT_OK,
+    MAX_BUDGET,
     Report,
     Verdict,
     corpus_run,
@@ -34,6 +36,8 @@ from lctlab.verify import (
     verify_lct_dominates,
     verify_main,
 )
+
+from oracles import ideal_power
 
 A = MonomialIdeal.make({(2, 0), (1, 1), (0, 3)}, 2)
 
@@ -239,6 +243,25 @@ class TestCorpusRun:
         assert v.margin is v.margin == Fraction(1, 6)
         assert v.holds and {"margin", "holds"} <= vars(v).keys()
 
+    @pytest.mark.parametrize("lhs,rhs,numeric,tolerance,margin,holds", [
+        (Fraction(1, 2), Fraction(2, 3), False, None, Fraction(1, 6), True),
+        (Fraction(2, 3), Fraction(2, 3), False, None, Fraction(0), True),
+        (Fraction(2, 3), Fraction(1, 2), False, None, Fraction(-1, 6), False),
+        (1.0, 2.0, True, 0.0, 1.0, True),
+        (2.0, 1.0, True, 0.0, -1.0, False),
+        (1.04, 1.0, True, None, -0.04, True),  # within DEFAULT_TOLERANCE
+        (1.06, 1.0, True, None, -0.06, False),
+        (Fraction(21, 20), 1.0, True, 0.1, -0.05, True),
+    ])
+    def test_verdict_settled_at_construction(self, lhs, rhs, numeric, tolerance,
+                                             margin, holds):
+        # both are in the instance dict before any attribute is read
+        v = Verdict("v", lhs, rhs, numeric, tolerance)
+        settled = vars(v)
+        assert settled["holds"] is holds
+        assert settled["margin"] == pytest.approx(margin, abs=1e-12)
+        assert isinstance(settled["margin"], float if numeric else Fraction)
+
     def test_determinism_across_runs_and_workers(self):
         cfg = CorpusConfig(dim=2, count=15, seed=9, budget=5)
         outs = {emit_report(corpus_run(cfg), "json") for _ in range(3)}
@@ -270,6 +293,30 @@ def test_exit_code_table(failed_numeric, code):
     assert corpus.exit_code == code
 
 
+# leaves that json writes in its own way: escapes and non-ASCII text, big
+# ints, signed zero, tiny and non-finite floats, bools (ints to isinstance)
+# and None; containers may be empty at any depth
+JSON_LEAVES = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(['"', "\\", "\n\t\r\b\f", "\x00\x1f\x7f", "é", "\u2028", "😀",
+                     "\ud800", "</script>"]),
+    st.integers(-10 ** 30, 10 ** 30),
+    st.floats(),
+    st.sampled_from([-0.0, 1e-300, 5e-324, 1e300, float("inf"), -float("inf"),
+                     float("nan")]),
+    st.booleans(),
+    st.none(),
+)
+JSON_KEYS = st.one_of(st.text(max_size=4), st.integers(-5, 5), st.floats(), st.booleans(),
+                      st.none())
+JSON_TREES = st.recursive(
+    JSON_LEAVES,
+    lambda kids: st.one_of(st.lists(kids, max_size=4),
+                           st.lists(kids, max_size=3).map(tuple),
+                           st.dictionaries(JSON_KEYS, kids, max_size=4)),
+    max_leaves=25)
+
+
 class TestEmitReport:
     def test_fermat_json_fields(self):
         v, thetas = verify_main(parse_polynomial("x^3 + y^3"))
@@ -289,6 +336,36 @@ class TestEmitReport:
         r = Report("x^3 + y^3", 2, ["x^3 + y^3"], {}, [v])
         assert emit_report(r, "json") == emit_report(r, "json")
         assert emit_report(r, "text") == emit_report(r, "text")
+
+    @pytest.mark.parametrize("args", [
+        ["corpus", "--dim", "3", "--count", "4", "--seed", "5"],
+        ["corpus", "--dim", "3", "--count", "2", "--numeric", "--tolerance", "0"],
+        ["verify-main", "x^3 + y^4 + z^5"],
+        ["compute", "x^3 + y^4 + z^5"],
+    ])
+    def test_cli_json_reports_equal_json_dumps(self, args, capsys):
+        cli.main([*args, "--json"])
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_TREES)
+    def test_json_writer_matches_json_dumps(self, obj):
+        assert verify._json_text(obj) == json.dumps(obj, indent=2)
+
+    @pytest.mark.parametrize("obj", [
+        Fraction(1, 2),
+        {"a": [1, {"b": Fraction(1, 2)}]},
+        [{1, 2}],
+        {"bytes": b"x"},
+        {(1, 2): "tuple key"},
+        {"a": {frozenset(): 0}},
+    ])
+    def test_json_writer_type_error(self, obj):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(obj, indent=2)
+        with pytest.raises(TypeError, match=f"^{expected.value}$"):
+            verify._json_text(obj)
 
     def test_rational_serialization(self):
         from lctlab.verify import frac_str
@@ -510,6 +587,23 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: {message}\n"
+
+
+    @pytest.mark.parametrize("budget", [MAX_BUDGET + 1, 99999999999])
+    def test_corpus_budget_above_maximum_exit(self, budget, capsys):
+        # random_ideal draws up to `budget` terms; a huge budget used to hang
+        argv = ["corpus", "--dim", "4", "--count", "2", "--budget", str(budget)]
+        assert cli.main(argv) == EXIT_INPUT_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: budget must be <= {MAX_BUDGET}, got {budget}\n"
+        with pytest.raises(InvalidInputError, match="budget must be <="):
+            random_ideal(4, 0, budget)
+
+    def test_corpus_budget_at_maximum_runs(self, capsys):
+        argv = ["corpus", "--dim", "2", "--count", "1", "--budget", str(MAX_BUDGET), "--json"]
+        assert cli.main(argv) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["corpus"]["budget"] == MAX_BUDGET
 
     @pytest.mark.parametrize("argv,message", [
         (["compute", "-x^2"], "lctlab compute: error: the following arguments are required: input"),
