@@ -4,34 +4,46 @@
 Draws random zero-dimensional monomial ideals in the plane, computes the
 exact exponent from the Newton polyhedron, and reports for each case the
 estimator's relative error, multi-seed spread, log-log fit residual and
-time.  Exits 1 when the largest relative error exceeds 0.05.
+time.  Exit status: 0 when every relative error is at most 0.05, 1 when
+the largest exceeds it, 4 on invalid input (a budget outside 2..1000, or a
+usage error).
 """
 import argparse
+import sys
 import time
 
+from lctlab.exactgeom import InvalidInputError
 from lctlab.germs import IdealPresentation, poly
 from lctlab.invariants import loja_monomial
 from lctlab.sections import LojaParams, loja_numeric
-from lctlab.verify import random_ideal
+from lctlab.verify import EXIT_INPUT_ERROR, random_ideal
 
 MAX_REL_ERR = 0.05
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--count", type=int, default=30)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--budget", type=int, default=5)
     ap.add_argument("--starts", type=int, default=64)
     ap.add_argument("--iters", type=int, default=250)
-    args = ap.parse_args()
+    try:
+        args = ap.parse_args(argv)
+    except SystemExit as stop:  # help (0) or a usage error (2)
+        return EXIT_INPUT_ERROR if stop.code else 0
+    try:
+        ideals = [random_ideal(2, args.seed * 100_000 + i, args.budget)
+                  for i in range(args.count)]
+    except InvalidInputError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
 
     params = LojaParams(starts=args.starts, iters=args.iters)
     print(f"{'case':>4} {'exact':>7} {'estimate':>10} {'rel err':>9} {'spread':>9} "
           f"{'residual':>9} {'ms':>8}")
     worst = 0.0
-    for i in range(args.count):
-        a = random_ideal(2, args.seed * 100_000 + i, args.budget)
+    for i, a in enumerate(ideals):
         exact = float(loja_monomial(a))
         pres = IdealPresentation(2, tuple(poly(2, {g: 1}) for g in a.generators))
         t0 = time.perf_counter()

@@ -2,7 +2,9 @@
 
 Exact paths: monomial ideals (axis intercepts) and one-variable restrictions
 (vanishing orders).  Intermediate codimensions fall back to a numeric min-max
-slope estimator on shrinking spheres; floats appear only there.
+slope estimator on shrinking spheres; floats appear only there.  The
+estimator's functions import numpy themselves, so a process loads it on its
+first numeric estimate and not when it imports lctlab.
 """
 from __future__ import annotations
 
@@ -14,8 +16,6 @@ from itertools import product
 from math import comb
 from operator import add, mul
 from typing import ClassVar
-
-import numpy as np
 
 from .exactgeom import InvalidInputError, _rank, polyhedron_of
 from .germs import IdealPresentation, IsolatedGerm, Monomialization, Polynomial
@@ -183,6 +183,8 @@ def loja_line(I: IdealPresentation) -> int:
 def _term_tables(I: IdealPresentation) -> tuple[np.ndarray, np.ndarray]:
     """Exponent table E (terms x m, integers) over every term of the nonzero
     generators, and coefficient matrix C (terms x generators)."""
+    import numpy as np
+
     gens = [g for g in I.generators if not g.is_zero]
     if not gens:
         raise DegenerateRestrictionError("all generators are zero")
@@ -204,6 +206,8 @@ def _divide(w: np.ndarray, d: np.ndarray) -> np.ndarray:
     """w / d for complex w and real d > 0, by two real divisions: numpy
     divides a complex by a real through the reciprocal of d, which overflows
     when d is denormal."""
+    import numpy as np
+
     out = np.empty_like(w)
     np.divide(w.real, d, out=out.real)
     np.divide(w.imag, d, out=out.imag)
@@ -220,6 +224,8 @@ def _minmax(E: np.ndarray, C: np.ndarray, radii, params: LojaParams) -> np.ndarr
     monomials once from a table of integer powers of Z, and the gradient of
     each row's largest generator from the same table.
     """
+    import numpy as np
+
     terms, m = E.shape
     blocks = []
     for seed in params.seeds:
@@ -291,6 +297,8 @@ def loja_numeric(I: IdealPresentation, params: LojaParams | None = None) -> Loja
     If a min-max value falls below 1e-250, every radius is retried once at
     ten times its size; NumericFailureError if one still does or is NaN.
     """
+    import numpy as np
+
     if I.dim < 2:
         raise InvalidInputError("loja_numeric requires >= 2 variables")
     params = params or LojaParams()

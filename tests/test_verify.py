@@ -413,6 +413,163 @@ def run_cli(*args):
         capture_output=True, text=True, env=CHILD_ENV)
 
 
+def run_child(code, *args):
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, env=CHILD_ENV)
+
+
+# stdout of three commands that reach the numeric estimator, pinned to 12
+# significant digits by the report
+COMPUTE_NUMERIC = """\
+input: x^3 + x*y^2 + y^4
+n: 2
+ideal:
+  generators:
+    - x^3 + x*y^2 + y^4
+invariants:
+  lct_f: 2/3
+  lct_f_mode: nondegenerate-assumed
+  theta:
+    - 1.94153703413
+    - 2
+  theta_methods:
+    - numeric
+    - exact-line
+  exact: False
+verdicts:
+meta:
+  seed: 0
+  version: 0.1.0
+  timings_ms: None
+"""
+
+CHAIN_NUMERIC_DIM3 = """\
+input: x^2; y^3; z^4
+n: 3
+ideal:
+  generators:
+    - z^4
+    - y^3
+    - x^2
+invariants:
+  lct: 13/12
+  L: 4
+  e:
+    - 2
+    - 6
+    - 24
+  theta:
+  exact: True
+  dh_lower_bound: 13/12
+verdicts:
+  -
+    name: chain-lct
+    lhs: 13/12
+    rhs: 13/12
+    margin: 0
+    holds: True
+    numeric: False
+    tolerance: None
+  -
+    name: chain-term-j0
+    lhs: 1/4
+    rhs: 1/4
+    margin: 0
+    holds: True
+    numeric: False
+    tolerance: None
+  -
+    name: chain-term-j1
+    lhs: 0.342276783202
+    rhs: 1/3
+    margin: -0.00894344986891
+    holds: True
+    numeric: True
+    tolerance: 0.05
+  -
+    name: chain-term-j2
+    lhs: 1/2
+    rhs: 1/2
+    margin: 0
+    holds: True
+    numeric: False
+    tolerance: None
+meta:
+  seed: 0
+  version: 0.1.0
+  timings_ms: None
+"""
+
+CORPUS_NUMERIC_DIM3 = """\
+corpus:
+  dim: 3
+  count: 2
+  seed: 0
+  budget: 5
+cases: 2
+summaries:
+  chain-lct:
+    count: 2
+    failures: 0
+    min_margin: 1/30
+    worst_index: 1
+  chain-term-j0:
+    count: 2
+    failures: 0
+    min_margin: 2/65
+    worst_index: 0
+  chain-term-j1:
+    count: 2
+    failures: 0
+    min_margin: -0.000209050851963
+    worst_index: 1
+  chain-term-j2:
+    count: 2
+    failures: 0
+    min_margin: 0
+    worst_index: 0
+failures:
+meta:
+  seed: 0
+  version: 0.1.0
+  timings_ms: None
+"""
+
+
+class TestNumpyOnFirstUse:
+    """Only the numeric estimator uses numpy, so a process loads it there."""
+
+    def test_import_and_parser_leave_numpy_out(self):
+        res = run_child("import sys, lctlab, lctlab.cli; lctlab.cli.build_parser(); "
+                        "print('numpy' in sys.modules)")
+        assert (res.returncode, res.stdout, res.stderr) == (0, "False\n", "")
+
+    def test_first_estimate_loads_numpy(self):
+        res = run_child(
+            "import sys\n"
+            "from lctlab.germs import IdealPresentation, poly\n"
+            "from lctlab.sections import LojaParams, loja_numeric\n"
+            "I = IdealPresentation(2, (poly(2, {(2, 0): 1}), poly(2, {(0, 3): 1})))\n"
+            "est = loja_numeric(I, LojaParams(starts=8, iters=20))\n"
+            "print('numpy' in sys.modules, est.method)")
+        assert (res.returncode, res.stdout, res.stderr) == (0, "True numeric\n", "")
+
+    @pytest.mark.parametrize("argv,stdout", [
+        (["compute", "x^3 + x*y^2 + y^4"], COMPUTE_NUMERIC),
+        (["verify-chain", "x^2; y^3; z^4", "--numeric"], CHAIN_NUMERIC_DIM3),
+        (["corpus", "--dim", "3", "--numeric", "--count", "2"], CORPUS_NUMERIC_DIM3),
+    ], ids=["compute", "verify-chain", "corpus"])
+    def test_cli_paths_reach_the_estimator(self, argv, stdout):
+        # J_f of the germ is not term-exact, so theta_0 is numeric; in dim 3
+        # the codimension-1 chain term is numeric
+        res = run_child("import sys\n"
+                        "from lctlab import cli\n"
+                        "code = cli.main(sys.argv[1:])\n"
+                        "print('numpy' in sys.modules, file=sys.stderr)\n"
+                        "sys.exit(code)", *argv)
+        assert (res.returncode, res.stdout, res.stderr) == (0, stdout, "True\n")
+
+
 class TestCli:
     def test_verify_main_fermat(self):
         res = run_cli("verify-main", "x^3 + y^3", "--json")
@@ -481,6 +638,16 @@ class TestCli:
         assert [row.split()[:2] for row in rows] == [
             [str(n), str(d)] for n in (2, 3) for d in (2, 3, 4)]
         assert all(row.split()[-1] == "0" for row in rows)
+        # VARS has four names: --dims 5 printed the dim-4 germ as n = 5, and
+        # --dims 0 ended in a ParseError traceback
+        for dim in ("5", "0"):
+            res = subprocess.run([sys.executable, str(script), "--dims", "2", dim],
+                                 capture_output=True, text=True, env=CHILD_ENV)
+            assert (res.returncode, res.stdout) == (EXIT_INPUT_ERROR, "")
+            assert res.stderr == f"error: dimensions are 1..4, got {dim}\n"
+        res = subprocess.run([sys.executable, str(script), "--dims"],
+                             capture_output=True, text=True, env=CHILD_ENV)
+        assert (res.returncode, res.stdout) == (EXIT_INPUT_ERROR, "")
 
     def test_estimator_accuracy_script(self):
         script = Path(__file__).parents[1] / "scripts" / "estimator_accuracy.py"
@@ -490,6 +657,16 @@ class TestCli:
         assert res.returncode == 0, res.stderr
         assert len(res.stdout.splitlines()) == 4
         assert res.stdout.splitlines()[-1].startswith("max relative error: ")
+        # random_ideal's InvalidInputError ended in a traceback and exit 1,
+        # the code of an exceeded error bound
+        res = subprocess.run([sys.executable, str(script), "--budget", "1"],
+                             capture_output=True, text=True, env=CHILD_ENV)
+        assert (res.returncode, res.stdout) == (EXIT_INPUT_ERROR, "")
+        assert res.stderr == "error: budget must be >= 2\n"
+        # a usage error is an input error, not argparse's 2
+        res = subprocess.run([sys.executable, str(script), "--count", "x"],
+                             capture_output=True, text=True, env=CHILD_ENV)
+        assert (res.returncode, res.stdout) == (EXIT_INPUT_ERROR, "")
 
     @pytest.mark.parametrize("text", ["1 + x^3 + y^3", "3/2 + 2*y^3 - x^4*y^2", "1 + x^2*y^2"])
     def test_unit_germ_exit(self, text, capsys):
