@@ -16,7 +16,7 @@ from lctlab.exactgeom import InvalidInputError
 from lctlab.germs import IdealPresentation, poly
 from lctlab.invariants import loja_monomial
 from lctlab.sections import LojaParams, loja_numeric
-from lctlab.verify import EXIT_INPUT_ERROR, random_ideal
+from lctlab.verify import DEFAULT_BUDGET, EXIT_INPUT_ERROR, check_corpus_shape, random_ideal
 
 MAX_REL_ERR = 0.05
 
@@ -25,7 +25,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--count", type=int, default=30)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--budget", type=int, default=5)
+    ap.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     ap.add_argument("--starts", type=int, default=64)
     ap.add_argument("--iters", type=int, default=250)
     try:
@@ -33,6 +33,8 @@ def main(argv=None) -> int:
     except SystemExit as stop:  # help (0) or a usage error (2)
         return EXIT_INPUT_ERROR if stop.code else 0
     try:
+        # checked before drawing, so that --count 0 rejects a bad budget too
+        check_corpus_shape(2, args.budget)
         ideals = [random_ideal(2, args.seed * 100_000 + i, args.budget)
                   for i in range(args.count)]
     except InvalidInputError as err:

@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .exactgeom import (  # noqa: F401
     MonomialIdeal,
     NewtonPolyhedron,
-    axis_intercepts,
     build_polyhedron,
     covolume,
     diagonal_intercept,
@@ -15,13 +14,10 @@ from .exactgeom import (  # noqa: F401
 )
 from .invariants import (  # noqa: F401
     LelongVector,
-    MixedMass,
-    dh_lower_bound,
     lct_monomial,
     lelong_numbers,
     loja_monomial,
     mixed_multiplicity,
-    samuel_multiplicity,
 )
 from .germs import (  # noqa: F401
     IdealPresentation,

@@ -27,6 +27,8 @@ from .invariants import (
 from .sections import polar_invariant
 from .verify import (
     CorpusConfig,
+    DEFAULT_BUDGET,
+    DEFAULT_TOLERANCE,
     EXIT_COMPUTE_ERROR,
     EXIT_INPUT_ERROR,
     EXIT_OK,
@@ -186,9 +188,9 @@ _FLAGS = {
     "--seed": dict(type=int, default=0),
     "--dim": dict(type=int, default=None,
                   help="ambient dimension (default: inferred)"),
-    "--tolerance": dict(type=float, default=0.05,
+    "--tolerance": dict(type=float, default=DEFAULT_TOLERANCE,
                         help="relative tolerance for numeric verdicts"),
-    "--budget": dict(type=int, default=5, help="generator degree budget"),
+    "--budget": dict(type=int, default=DEFAULT_BUDGET, help="generator degree budget"),
     "--nondegenerate": dict(
         action="store_true",
         help="permit flagged nondegenerate-assumed monomialization"),

@@ -1,13 +1,12 @@
 """Exact rational convex geometry over the nonnegative orthant.
 
 Newton polyhedra of monomial ideals in dimension n <= 4: vertices and
-facets in one double description pass, Minkowski sums,
-diagonal/axis intercepts, and the volume of conv(0, F) for each facet F,
-whose sum is the orthant-complement volume (covolume).  Over the facets
-<w_F, x> >= c_F the diagonal intercept is max_F c_F/|w_F|, with |w_F| the
-entry sum, and the intercept on axis i is max_F c_F/w_F[i]; both maxima are
-found by integer cross-multiplication.  Everything is integer/Fraction
-arithmetic; floats never enter this module.
+facets in one double description pass, Minkowski sums, the diagonal
+intercept, and the volume of conv(0, F) for each facet F, whose sum is the
+orthant-complement volume (covolume).  Over the facets <w_F, x> >= c_F the
+diagonal intercept is max_F c_F/|w_F|, with |w_F| the entry sum, found by
+integer cross-multiplication.  Everything is integer/Fraction arithmetic;
+floats never enter this module.
 """
 from __future__ import annotations
 
@@ -146,10 +145,6 @@ class NewtonPolyhedron:
     facets: tuple[tuple[Exponent, int], ...]
     vertices: tuple[Exponent, ...]
 
-    @property
-    def is_orthant(self) -> bool:
-        return not self.facets
-
     def keep(self, name: str, compute):
         """compute(), run once per polyhedron and kept under name, as a
         cached_property keeps its value, so that a repeated input reuses it."""
@@ -159,7 +154,7 @@ class NewtonPolyhedron:
         return value
 
     @cached_property
-    def _cone_volumes(self) -> tuple[Fraction, ...]:
+    def cone_volumes(self) -> tuple[Fraction, ...]:
         """vol conv(0, F) for each facet F, in `facets` order, computed once
         per polyhedron; requires finite axis intercepts."""
         if any(0 in w for w, _ in self.facets):  # an axis never meets P
@@ -169,30 +164,7 @@ class NewtonPolyhedron:
     @cached_property
     def _covolume(self) -> Fraction:
         """covolume(self), computed once per polyhedron."""
-        return sum(self._cone_volumes, Fraction(0))
-
-
-def _rank(rows) -> int:
-    """Exact rank of a small rational matrix."""
-    mat = [[Fraction(c) for c in r] for r in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    col = 0
-    while rank < len(mat) and col < ncols:
-        pivot = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        prow = mat[rank]
-        if col + 1 < ncols:  # nothing reads the last column once it has a pivot
-            for i in range(rank + 1, len(mat)):
-                if mat[i][col] != 0:
-                    factor = mat[i][col] / prow[col]
-                    mat[i] = [a - factor * b for a, b in zip(mat[i], prow)]
-        rank += 1
-        col += 1
-    return rank
+        return sum(self.cone_volumes, Fraction(0))
 
 
 def _vertices_and_facets(gens, n: int):
@@ -286,40 +258,19 @@ def minkowski_sum(P: NewtonPolyhedron, Q: NewtonPolyhedron) -> NewtonPolyhedron:
     return _polyhedron(tuple(sorted(sums)), P.dim)
 
 
-def _max_ratio(pairs) -> Fraction:
-    """max p/q over the (p, q) pairs, q > 0, found by integer
-    cross-multiplication; only the result becomes a Fraction."""
-    pairs = iter(pairs)
-    p, q = next(pairs)
-    for a, b in pairs:
-        if a * q > p * b:
-            p, q = a, b
-    return Fraction(p, q)
-
-
 def diagonal_intercept(P: NewtonPolyhedron) -> Fraction:
     """min{t > 0 : t*(1,..,1) in P}; 0 for the full orthant.
 
     t*(1,..,1) meets the facet <w_F, x> >= c_F at t = c_F/|w_F|, with |w_F|
     the entry sum, and lies in P once it satisfies every facet, so the
-    intercept is max_F c_F/|w_F|."""
-    if P.is_orthant:
-        return Fraction(0)
-    return _max_ratio((c, sum(w)) for w, c in P.facets)
-
-
-def axis_intercepts(P: NewtonPolyhedron) -> tuple[Fraction | None, ...]:
-    """Per-axis min{t : t*e_i in P}, max_F c_F/w_F[i]; None where the axis
-    never meets P, that is where some facet has w_F[i] = 0."""
-    out = []
-    for i in range(P.dim):
-        if any(w[i] == 0 for w, _ in P.facets):
-            out.append(None)
-        elif P.is_orthant:
-            out.append(Fraction(0))
-        else:
-            out.append(_max_ratio((c, w[i]) for w, c in P.facets))
-    return tuple(out)
+    intercept is max_F c_F/|w_F|, found by integer cross-multiplication;
+    only the result becomes a Fraction."""
+    p, q = 0, 1
+    for w, c in P.facets:
+        s = sum(w)
+        if c * q > p * s:
+            p, q = c, s
+    return Fraction(p, q)
 
 
 def _det(rows) -> int:

@@ -10,13 +10,8 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactgeom import (
-    InvalidInputError,
-    MAX_DIM,
-    MonomialIdeal,
-    diagonal_intercept,
-    build_polyhedron,
-)
+from .exactgeom import InvalidInputError, MAX_DIM, MonomialIdeal
+from .invariants import lct_monomial
 
 Exponent = tuple[int, ...]
 
@@ -66,11 +61,6 @@ class Polynomial:
             return None
         return min(sum(v) for v in self.terms)
 
-    def degree(self) -> int | None:
-        if self.is_zero:
-            return None
-        return max(sum(v) for v in self.terms)
-
     def __str__(self) -> str:
         return format_polynomial(self)
 
@@ -85,13 +75,6 @@ def poly(dim: int, terms) -> Polynomial:
     return Polynomial(dim, clean)
 
 
-def poly_add(p: Polynomial, q: Polynomial) -> Polynomial:
-    terms = dict(p.terms)
-    for v, c in q.terms.items():
-        terms[v] = terms.get(v, Fraction(0)) + c
-    return poly(p.dim, terms)
-
-
 def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
     terms: dict[Exponent, Fraction] = {}
     for u, a in p.terms.items():
@@ -99,11 +82,6 @@ def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
             key = tuple(x + y for x, y in zip(u, v))
             terms[key] = terms.get(key, Fraction(0)) + a * b
     return poly(p.dim, terms)
-
-
-def poly_scale(p: Polynomial, c) -> Polynomial:
-    c = Fraction(c)
-    return poly(p.dim, {v: c * a for v, a in p.terms.items()})
 
 
 def derivative(p: Polynomial, axis: int) -> Polynomial:
@@ -342,14 +320,13 @@ def monomialize(I: IdealPresentation, allow_nondegenerate: bool = False) -> Mono
 
 
 def lct_nondegenerate(f: Polynomial) -> tuple[Fraction, str]:
-    """min(1, 1/t0) on the Newton diagram of supp(f); flagged unless monomial."""
+    """min(1, lct) of the Newton ideal of supp(f); flagged unless monomial."""
     if f.is_zero:
         raise InvalidInputError("empty support")
-    P = build_polyhedron(f.support(), f.dim)
-    t0 = diagonal_intercept(P)
-    if t0 == 0:
+    a = MonomialIdeal.make(f.support(), f.dim)
+    if a.is_unit:
         raise DegenerateGermError(_UNIT)
-    value = min(Fraction(1), 1 / t0)
+    value = min(Fraction(1), lct_monomial(a))
     mode = TERM_EXACT if f.is_monomial else NONDEGENERATE
     return value, mode
 

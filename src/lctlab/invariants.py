@@ -1,14 +1,10 @@
 """Exact invariants of zero-dimensional monomial ideals.
 
-Log canonical threshold, Lojasiewicz exponent, Samuel and mixed
-multiplicities and higher Lelong numbers, all read off Newton polyhedra.
-
-Over the facets <w_F, x> >= c_F of the Newton polyhedron P of a,
-
-    1/lct(a) = max_F c_F/|w_F|     (the diagonal intercept; Howald 2001),
-    L_0(a)   = max_F c_F/min(w_F)  (the largest axis intercept),
-
-with |w_F| the entry sum; both maxima are found in integers.
+Log canonical threshold, Lojasiewicz exponent, mixed multiplicities and
+higher Lelong numbers.  Over the facets <w_F, x> >= c_F of the Newton
+polyhedron P of a, 1/lct(a) = max_F c_F/|w_F|, the diagonal intercept, with
+|w_F| the entry sum (Howald 2001).  L_0(a) is the largest axis intercept of
+P, which for a monomial ideal is its largest pure power.
 
 The Lelong numbers e_k of a, the mixed multiplicities of a taken k times
 against the maximal ideal (Kaveh & Khovanskii 2014), come from the facets of
@@ -32,7 +28,6 @@ from .exactgeom import (
     MonomialIdeal,
     NewtonPolyhedron,
     NotZeroDimensionalError,
-    _max_ratio,
     covolume,
     diagonal_intercept,
     maximal_ideal,
@@ -55,10 +50,6 @@ class LelongVector:
 
     e: tuple[Fraction, ...]
 
-    @property
-    def e0(self) -> Fraction:
-        return _ONE
-
     def __getitem__(self, k: int) -> Fraction:
         if k == 0:
             return _ONE
@@ -76,12 +67,6 @@ class LelongVector:
         return sum(self.ratios, Fraction(0))
 
 
-@dataclass(frozen=True)
-class MixedMass:
-    value: Fraction
-    arguments: tuple[MonomialIdeal, ...]
-
-
 def _require_zero_dim(a: MonomialIdeal, what: str) -> None:
     if not a.zero_dimensional:
         raise NotZeroDimensionalError(f"{what} requires a zero-dimensional ideal")
@@ -97,25 +82,18 @@ def lct_monomial(a: MonomialIdeal) -> Fraction:
 
 
 def loja_monomial(a: MonomialIdeal) -> Fraction:
-    """Max axis intercept of the Newton polyhedron P, max_F c_F/min(w_F).
+    """Largest axis intercept of the Newton polyhedron P, in one pass over
+    the generators; 0 for the unit ideal.
 
-    The axis e_i meets P at max_F c_F/w_F[i], and every w_F is positive
-    since a is zero-dimensional, so the largest intercept is that of each
-    facet's smallest normal entry; 0 for the unit ideal."""
+    A point of P on axis i is a convex combination of generators on that
+    axis plus a point of the orthant, so the intercept is the pure power of
+    x_i.  A nonzero generator whose sum is one of its entries is such a
+    power."""
     _require_zero_dim(a, "Lojasiewicz exponent")
-    P = polyhedron_of(a)
-    if P.is_orthant:
-        return Fraction(0)
-    return _max_ratio((c, min(w)) for w, c in P.facets)
+    return Fraction(max((s for g in a.generators if (s := sum(g)) and s in g), default=0))
 
 
-def samuel_multiplicity(a: MonomialIdeal) -> Fraction:
-    """n! * covolume of the Newton polyhedron."""
-    _require_zero_dim(a, "Samuel multiplicity")
-    return factorial(a.dim) * covolume(polyhedron_of(a))
-
-
-def mixed_multiplicity(ideals) -> MixedMass:
+def mixed_multiplicity(ideals) -> Fraction:
     """Polarization of covolumes over Minkowski sums of the Newton polyhedra.
 
     Subsets that take the same multiset of arguments share one Minkowski
@@ -145,7 +123,7 @@ def mixed_multiplicity(ideals) -> MixedMass:
         sums[key] = (polys[key[0]] if len(key) == 1
                      else minkowski_sum(sums[key[:-1]], polys[key[-1]]))
         total += weight * covolume(sums[key])
-    return MixedMass(total, ideals)
+    return total
 
 
 def lelong_numbers(a: MonomialIdeal) -> LelongVector:
@@ -181,14 +159,10 @@ def _lelong_vector(a: MonomialIdeal, P: NewtonPolyhedron) -> LelongVector:
     e1 = Fraction(a.min_degree)
     if n == 2:
         return LelongVector((e1, en))
-    e_prev = nf * sum(cone * min(w) / c for cone, (w, c) in zip(P._cone_volumes, P.facets))
+    e_prev = nf * sum(cone * min(w) / c for cone, (w, c) in zip(P.cone_volumes, P.facets))
     if n == 3:
         return LelongVector((e1, e_prev, en))
     D = polyhedron_of(maximal_ideal(4))
     e2 = (24 * covolume(minkowski_sum(P, D)) - 1 - 4 * e1 - 4 * e_prev - en) / 6
     return LelongVector((e1, e2, e_prev, en))
 
-
-def dh_lower_bound(a: MonomialIdeal) -> Fraction:
-    """Sum of consecutive Lelong-number ratios e_{k-1}/e_k, with e_0 = 1."""
-    return lelong_numbers(a).ratio_sum

@@ -17,7 +17,7 @@ from math import comb
 from operator import add, mul
 from typing import ClassVar
 
-from .exactgeom import InvalidInputError, _rank, polyhedron_of
+from .exactgeom import InvalidInputError, MonomialIdeal, polyhedron_of
 from .germs import IdealPresentation, IsolatedGerm, Monomialization, Polynomial
 from .invariants import loja_monomial
 
@@ -85,6 +85,29 @@ def _draws(n: int, j: int, seed: int):
     raise SamplingError("could not draw a full-rank plane")
 
 
+def _rank(rows) -> int:
+    """Exact rank of a small rational matrix."""
+    mat = [[Fraction(c) for c in r] for r in rows]
+    rank = 0
+    ncols = len(mat[0]) if mat else 0
+    col = 0
+    while rank < len(mat) and col < ncols:
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
+        if pivot is None:
+            col += 1
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        prow = mat[rank]
+        if col + 1 < ncols:  # nothing reads the last column once it has a pivot
+            for i in range(rank + 1, len(mat)):
+                if mat[i][col] != 0:
+                    factor = mat[i][col] / prow[col]
+                    mat[i] = [a - factor * b for a, b in zip(mat[i], prow)]
+        rank += 1
+        col += 1
+    return rank
+
+
 def sample_plane(n: int, j: int, seed: int) -> PlaneRestriction:
     """Deterministic pseudo-random rational plane, redrawn until full rank."""
     for rows in _draws(n, j, seed):
@@ -101,6 +124,21 @@ def _line_zeros(n: int, seed: int) -> list[int]:
         zeros = [i for i, ((p, _),) in enumerate(rows) if not p]
         if len(zeros) < n:
             return zeros
+
+
+def line_order(a: MonomialIdeal, seed: int) -> int | None:
+    """Order of a on the first line sample_plane(n, n-1, seed + attempt),
+    attempt < _MAX_RESEEDS, on which it is not identically zero.
+
+    On the line z = c t a generator z^g restricts to c^g t^|g|, so the order
+    is the least |g| over the generators with no exponent on a zero entry
+    of c; only the zero pattern of c is drawn."""
+    for attempt in range(_MAX_RESEEDS):
+        zeros = _line_zeros(a.dim, seed + attempt)
+        orders = [sum(g) for g in a.generators if not any(g[i] for i in zeros)]
+        if orders:
+            return min(orders)
+    return None
 
 
 def _linear_power(row: tuple[Fraction, ...], e: int) -> list:

@@ -31,9 +31,8 @@ from .invariants import (
     loja_monomial,
 )
 from .sections import (
-    _MAX_RESEEDS,
     LojaEstimate,
-    _line_zeros,
+    line_order,
     loja_numeric,
     polar_invariant,
     restrict,
@@ -47,6 +46,7 @@ EXIT_INPUT_ERROR = 4  # ValueError: unparsable, invalid or unsupported input
 EXIT_COMPUTE_ERROR = 5  # RuntimeError: numeric failure, sampling
 
 DEFAULT_TOLERANCE = 0.05
+DEFAULT_BUDGET = 5
 MAX_BUDGET = 1000  # random_ideal's work grows linearly with the budget
 
 
@@ -121,22 +121,7 @@ def _presentation(a: MonomialIdeal) -> IdealPresentation:
     return IdealPresentation(a.dim, tuple(poly(a.dim, {v: 1}) for v in a.generators))
 
 
-def _line_order(a: MonomialIdeal, seed: int) -> int | None:
-    """Order of a on the first line sample_plane(n, n-1, seed + attempt),
-    attempt < _MAX_RESEEDS, on which it is not identically zero.
-
-    On the line z = c t a generator z^g restricts to c^g t^|g|, so the order
-    is the least |g| over the generators with no exponent on a zero entry
-    of c; only the zero pattern of c is drawn."""
-    for attempt in range(_MAX_RESEEDS):
-        zeros = _line_zeros(a.dim, seed + attempt)
-        orders = [sum(g) for g in a.generators if not any(g[i] for i in zeros)]
-        if orders:
-            return min(orders)
-    return None
-
-
-def _chain_verdicts(a, lv, lct, line_order, seed, tolerance,
+def _chain_verdicts(a, lv, lct, order, seed, tolerance,
                     include_numeric) -> list[Verdict]:
     """verify_chain's verdicts from a's Lelong vector, lct and line order."""
     n = a.dim
@@ -154,7 +139,7 @@ def _chain_verdicts(a, lv, lct, line_order, seed, tolerance,
                 ["loja_monomial", "lelong_numbers"]))
         elif j == n - 1:
             verdicts.append(_verdict(
-                f"chain-term-j{j}", Fraction(1, line_order), ratio,
+                f"chain-term-j{j}", Fraction(1, order), ratio,
                 ["loja_line", "lelong_numbers"]))
         elif include_numeric:
             plane = sample_plane(n, j, seed)
@@ -174,8 +159,8 @@ def verify_chain(
     """The Lelong-ratio chain and its termwise Lojasiewicz lower bounds."""
     _check_tolerance(tolerance)
     lv, lct = lelong_numbers(a), lct_monomial(a)
-    line_order = _line_order(a, seed) if a.dim > 1 else None
-    return _chain_verdicts(a, lv, lct, line_order, seed, tolerance, include_numeric)
+    order = line_order(a, seed) if a.dim > 1 else None
+    return _chain_verdicts(a, lv, lct, order, seed, tolerance, include_numeric)
 
 
 def verify_lct_dominates(
@@ -192,12 +177,12 @@ def verify_lct_dominates(
                     strict=rhs > lct_f)
 
 
-def _pham_verdict(a, lv, lct, line_order) -> Verdict:
+def _pham_verdict(a, lv, lct, order) -> Verdict:
     """probe_pham's verdict from a's Lelong vector, lct and line order; a
     is zero-dimensional, since lelong_numbers(a) has run."""
     # the largest 1/order over the sampled line and the two coordinate lines,
     # which are not dominated when the sampled line is an axis
-    lct_1 = Fraction(1, min(line_order, a.pure_power(0), a.pure_power(1)))
+    lct_1 = Fraction(1, min(order, a.pure_power(0), a.pure_power(1)))
     lhs = lct_1 + lv[1] / lv[2]
     return _verdict("pham-probe", lhs, lct,
                     ["loja_line", "lelong_numbers", "lct_monomial"])
@@ -211,10 +196,11 @@ def probe_pham(
     if a.dim != 2:
         raise InvalidInputError("probe is exact only in dimension 2")
     return _pham_verdict(a, lelong_numbers(a), lct_monomial(a),
-                         _line_order(a, seed))
+                         line_order(a, seed))
 
 
-def _check_corpus_shape(n: int, budget: int) -> None:
+def check_corpus_shape(n: int, budget: int) -> None:
+    """InvalidInputError unless n is 2..4 and budget is 2..MAX_BUDGET."""
     if n not in (2, 3, 4):
         raise InvalidInputError("corpus dimensions are 2..4")
     if budget < 2:
@@ -225,7 +211,7 @@ def _check_corpus_shape(n: int, budget: int) -> None:
 
 def random_ideal(n: int, seed: int, budget: int) -> MonomialIdeal:
     """Seeded zero-dimensional monomial ideal: pure powers plus mixed terms."""
-    _check_corpus_shape(n, budget)
+    check_corpus_shape(n, budget)
     rng = random.Random((seed * 0x9E3779B1 + n * 7 + budget) & 0xFFFFFFFFFFFFFFFF)
     axis_powers = [rng.randint(2, budget) for _ in range(n)]
     gens = [tuple(axis_powers[i] if j == i else 0 for j in range(n))
@@ -246,7 +232,7 @@ class CorpusConfig:
     dim: int
     count: int
     seed: int = 0
-    budget: int = 5
+    budget: int = DEFAULT_BUDGET
     include_numeric: bool = False
     tolerance: float = DEFAULT_TOLERANCE
 
@@ -344,7 +330,7 @@ def corpus_run(config: CorpusConfig) -> CorpusReport:
     if config.count < 0:
         raise InvalidInputError(f"case count must be >= 0, got {config.count}")
     _check_tolerance(config.tolerance)
-    _check_corpus_shape(config.dim, config.budget)
+    check_corpus_shape(config.dim, config.budget)
     summaries: dict[str, dict] = {}
     min_margins = {}  # verdict name -> least margin so far, as computed
     failures = []
@@ -353,11 +339,11 @@ def corpus_run(config: CorpusConfig) -> CorpusReport:
         a = random_ideal(config.dim, seed, config.budget)
         # the chain and the probe share the Lelong numbers, lct and line order
         lv, lct = lelong_numbers(a), lct_monomial(a)
-        line_order = _line_order(a, seed)
-        verdicts = _chain_verdicts(a, lv, lct, line_order, seed, config.tolerance,
+        order = line_order(a, seed)
+        verdicts = _chain_verdicts(a, lv, lct, order, seed, config.tolerance,
                                    config.include_numeric)
         if config.dim == 2:
-            verdicts.append(_pham_verdict(a, lv, lct, line_order))
+            verdicts.append(_pham_verdict(a, lv, lct, order))
         for v in verdicts:
             s = summaries.setdefault(v.name, {
                 "count": 0, "failures": 0, "min_margin": None, "worst_index": None})

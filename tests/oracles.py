@@ -13,14 +13,17 @@ from covolumes of P + tD that the facet formulas replaced; minmax_loop is the pe
 numeric estimator replaced; restrict_products is the substitution by one
 polynomial product per degree that direct substitution replaced;
 line_order_restrict is the line order by substitution that the zero
-pattern of the line replaced; diagonal_intercept_fractions and
-axis_intercepts_fractions are the intercepts with one Fraction per facet
-that the integer maxima replaced, and zero_dimensional_pure_powers the check
-by one pure_power search per axis that the one-pass check replaced.
+pattern of the line replaced; diagonal_intercept_fractions is the
+intercept with one Fraction per facet that the integer maximum replaced;
+axis_intercepts_fractions and loja_dual are the axis intercepts and L_0 over
+the facets, which production reads off the pure powers; and
+zero_dimensional_pure_powers is the check by one pure_power search per axis
+that the one-pass check replaced.
 singular_axis is the isolation rule of check_isolated by restriction: the
 partials of f restricted to each coordinate axis.  contains and facet_eval
 decide membership by the facet inequalities, against the LP of lp_member;
-ideal_power and scale_ideal build test ideals.
+ideal_power and scale_ideal build test ideals, and poly_add and poly_scale
+test polynomials.
 """
 import itertools
 from fractions import Fraction
@@ -34,8 +37,6 @@ from lctlab.exactgeom import (
     MonomialIdeal,
     NewtonPolyhedron,
     NotZeroDimensionalError,
-    _rank,
-    axis_intercepts,
     covolume,
     diagonal_intercept,
     ideal_product,
@@ -44,12 +45,13 @@ from lctlab.exactgeom import (
     minkowski_sum,
     polyhedron_of,
 )
-from lctlab.germs import IdealPresentation, Polynomial, derivative, poly, poly_add, poly_mul
+from lctlab.germs import IdealPresentation, Polynomial, derivative, poly, poly_mul
 from lctlab.invariants import _require_zero_dim
 from lctlab.sections import (
     _MAX_RESEEDS,
     DegenerateRestrictionError,
     PlaneRestriction,
+    _rank,
     loja_line,
     restrict,
     sample_plane,
@@ -68,6 +70,18 @@ def ideal_power(a: MonomialIdeal, k: int) -> MonomialIdeal:
 
 def scale_ideal(a: MonomialIdeal, k: int) -> MonomialIdeal:
     return MonomialIdeal.make([tuple(k * c for c in g) for g in a.generators], a.dim)
+
+
+def poly_add(p: Polynomial, q: Polynomial) -> Polynomial:
+    terms = dict(p.terms)
+    for v, c in q.terms.items():
+        terms[v] = terms.get(v, Fraction(0)) + c
+    return poly(p.dim, terms)
+
+
+def poly_scale(p: Polynomial, c) -> Polynomial:
+    c = Fraction(c)
+    return poly(p.dim, {v: c * a for v, a in p.terms.items()})
 
 
 def facet_eval(P: NewtonPolyhedron, q) -> bool:
@@ -112,7 +126,7 @@ def grid_points(P: NewtonPolyhedron) -> list:
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
             pts.append(tuple((a + b) / 2 for a, b in zip(gens[i], gens[j])))
-    for i, t in enumerate(axis_intercepts(P)):
+    for i, t in enumerate(axis_intercepts_fractions(P)):
         if t is not None:
             pts.append(tuple(t if k == i else Fraction(0) for k in range(P.dim)))
     t0 = diagonal_intercept(P)
@@ -313,7 +327,7 @@ def covolume_box(P: NewtonPolyhedron, extra: int = 0) -> Fraction:
     Both sides equal the covolume only if the facets bound the complement
     inside the box of side M0, so a broken facet list shows as a difference.
     """
-    return _complement_volume(P, max(axis_intercepts(P)) + extra)
+    return _complement_volume(P, max(axis_intercepts_fractions(P)) + extra)
 
 
 def loja_dual(P: NewtonPolyhedron) -> Fraction:
@@ -457,7 +471,7 @@ def restrict_products(I: IdealPresentation, plane) -> IdealPresentation:
 
 def diagonal_intercept_fractions(P: NewtonPolyhedron) -> Fraction:
     """max_F c_F/|w_F| over Fractions; 0 for the full orthant."""
-    if P.is_orthant:
+    if not P.facets:
         return Fraction(0)
     return max(Fraction(c, sum(w)) for w, c in P.facets)
 
@@ -468,7 +482,7 @@ def axis_intercepts_fractions(P: NewtonPolyhedron) -> tuple:
     for i in range(P.dim):
         if any(w[i] == 0 for w, _ in P.facets):
             out.append(None)
-        elif P.is_orthant:
+        elif not P.facets:
             out.append(Fraction(0))
         else:
             out.append(max(Fraction(c, w[i]) for w, c in P.facets))

@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lctlab import exactgeom
+from lctlab import exactgeom, sections
 from lctlab.exactgeom import (
     InvalidInputError,
     MonomialIdeal,
     NotZeroDimensionalError,
     UnsupportedDimensionError,
-    axis_intercepts,
     build_polyhedron,
     covolume,
     diagonal_intercept,
@@ -26,6 +25,7 @@ from lctlab.exactgeom import (
 from lctlab.verify import random_ideal
 
 from oracles import (
+    axis_intercepts_fractions,
     contains,
     facet_eval,
     facets_all_generators,
@@ -88,7 +88,7 @@ class TestBuildPolyhedron:
 
     def test_origin_gives_orthant(self):
         P = build_polyhedron({(0, 0)}, 2)
-        assert P.is_orthant
+        assert P.facets == ()  # the full orthant
         assert covolume(P) == 0
 
     def test_unbounded_facet(self):
@@ -210,9 +210,9 @@ def test_cone_volumes_per_facet():
     P = build_polyhedron({(2, 0), (1, 1), (0, 3)}, 2)
     assert P.facets == (((1, 1), 2), ((2, 1), 3))
     # the triangles 0, (2, 0), (1, 1) and 0, (1, 1), (0, 3)
-    assert P._cone_volumes == (1, Fraction(3, 2))
+    assert P.cone_volumes == (1, Fraction(3, 2))
     assert covolume(P) == Fraction(5, 2)
-    assert build_polyhedron({(0, 0)}, 2)._cone_volumes == ()
+    assert build_polyhedron({(0, 0)}, 2).cone_volumes == ()
 
 
 def test_covolume_is_kept_on_the_polyhedron(monkeypatch):
@@ -235,17 +235,22 @@ class TestIntercepts:
         P = build_polyhedron({(2, 0), (1, 1), (0, 3)}, 2)
         assert diagonal_intercept(P) == 1
 
+    # the axis intercepts are the pure powers; the oracle reads them off
+    # the facets
     def test_axis_power(self):
-        P = polyhedron_of(ideal_power(maximal_ideal(3), 4))
-        assert axis_intercepts(P) == (4, 4, 4)
+        a = ideal_power(maximal_ideal(3), 4)
+        assert tuple(a.pure_power(i) for i in range(3)) == (4, 4, 4)
+        assert axis_intercepts_fractions(polyhedron_of(a)) == (4, 4, 4)
 
     def test_axis_staircase(self):
-        P = build_polyhedron({(2, 0), (1, 1), (0, 3)}, 2)
-        assert axis_intercepts(P) == (2, 3)
+        a = MonomialIdeal.make({(2, 0), (1, 1), (0, 3)}, 2)
+        assert (a.pure_power(0), a.pure_power(1)) == (2, 3)
+        assert axis_intercepts_fractions(polyhedron_of(a)) == (2, 3)
 
     def test_axis_absent(self):
-        P = build_polyhedron({(1, 1)}, 2)
-        assert axis_intercepts(P) == (None, None)
+        a = MonomialIdeal.make({(1, 1)}, 2)
+        assert (a.pure_power(0), a.pure_power(1)) == (None, None)
+        assert axis_intercepts_fractions(polyhedron_of(a)) == (None, None)
 
 
 class TestCovolume:
@@ -299,14 +304,15 @@ class TestProperties:
     @given(gens2, st.sampled_from([1, 2, 3]))
     def test_scaling(self, gens, k):
         a = MonomialIdeal.make(gens, 2)
-        P = polyhedron_of(a)
-        Pk = polyhedron_of(scale_ideal(a, k))
+        ak = scale_ideal(a, k)
+        P, Pk = polyhedron_of(a), polyhedron_of(ak)
         assert diagonal_intercept(Pk) == k * diagonal_intercept(P)
-        for t, tk in zip(axis_intercepts(P), axis_intercepts(Pk)):
+        for i in range(2):
+            t, tk = a.pure_power(i), ak.pure_power(i)
             assert (t is None) == (tk is None)
             if t is not None:
                 assert tk == k * t
-        if all(t is not None for t in axis_intercepts(P)):
+        if a.zero_dimensional:
             assert covolume(Pk) == k ** 2 * covolume(P)
 
     @settings(max_examples=25, deadline=None)
@@ -317,7 +323,7 @@ class TestProperties:
         if all(facet_eval(Pb, g) for g in ga):
             # P(a) subset of P(b)
             assert diagonal_intercept(Pa) >= diagonal_intercept(Pb)
-            ta, tb = axis_intercepts(Pa), axis_intercepts(Pb)
+            ta, tb = axis_intercepts_fractions(Pa), axis_intercepts_fractions(Pb)
             if all(t is not None for t in ta) and all(t is not None for t in tb):
                 assert covolume(Pa) >= covolume(Pb)
 
@@ -390,4 +396,4 @@ def test_rank_matches_largest_nonzero_minor():
                   for r in itertools.combinations(mat, k)
                   for c in itertools.combinations(range(cols), k)
                   if exactgeom._det([[row[j] for j in c] for row in r])]
-        assert exactgeom._rank(mat) == max(minors, default=0), mat
+        assert sections._rank(mat) == max(minors, default=0), mat

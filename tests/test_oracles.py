@@ -14,26 +14,28 @@ descent is compared with the per-sphere loop on plane ideals and plane
 restrictions.  Restriction by direct substitution is compared with the one
 polynomial product per degree on random multi-term polynomials, and the line
 order read off the line's zero pattern with the order of the restricted
-generators.  The intercepts, found by integer cross-multiplication, and the
-one-pass zero-dimensionality check are compared with their Fraction and
-pure_power forms on random ideals in dims 1-4, and the line's zero pattern,
-drawn from the numerators alone, with sample_plane's matrix.
+generators.  The diagonal intercept, found by integer cross-multiplication,
+the pure powers and L_0, read off the generators, and the one-pass
+zero-dimensionality check are compared with the intercepts over the facets
+in Fractions and with one pure_power search per axis on random ideals in
+dims 1-4, and the line's zero pattern, drawn from the numerators alone, with
+sample_plane's matrix.
 """
 import itertools
 import random
 from fractions import Fraction
 from math import comb, factorial
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 import oracles
-from lctlab import invariants
+from lctlab import invariants, sections
 from lctlab.exactgeom import (
     InvalidInputError,
     MonomialIdeal,
-    axis_intercepts,
     covolume,
     diagonal_intercept,
     ideal_product,
@@ -42,6 +44,7 @@ from lctlab.exactgeom import (
     polyhedron_of,
 )
 from lctlab.germs import (
+    DegenerateGermError,
     IdealPresentation,
     check_isolated,
     jacobian_ideal,
@@ -55,11 +58,13 @@ from lctlab.sections import (
     PlaneRestriction,
     _draws,
     _line_zeros,
+    line_order,
     loja_numeric,
+    polar_invariant,
     restrict,
     sample_plane,
 )
-from lctlab.verify import _line_order, random_ideal
+from lctlab.verify import random_ideal
 
 from oracles import (
     axis_intercepts_fractions,
@@ -133,7 +138,7 @@ def test_intercepts_and_zero_dimensionality_match_fractions(case):
     P = polyhedron_of(a)
     assert diagonal_intercept(P) == diagonal_intercept_fractions(P)
     axes = axis_intercepts_fractions(P)
-    assert axis_intercepts(P) == axes
+    assert tuple(a.pure_power(i) for i in range(n)) == axes
     assert a.zero_dimensional == zero_dimensional_pure_powers(a)
     if a.zero_dimensional:
         assert loja_monomial(a) == max(axes)
@@ -224,7 +229,7 @@ def _polarizations(a: MonomialIdeal, products: bool = True) -> list:
     asked, over product ideals."""
     n, m = a.dim, maximal_ideal(a.dim)
     args = [[a] * k + [m] * (n - k) for k in range(1, n + 1)]
-    out = [tuple(mixed_multiplicity(x).value for x in args)]
+    out = [tuple(mixed_multiplicity(x) for x in args)]
     if products:
         out.append(tuple(mixed_multiplicity_products(x) for x in args))
     return out
@@ -286,14 +291,14 @@ def test_lelong_numbers_of_many_vertices():
 def test_mixed_multiplicity_matches_products():
     dim4 = [random_ideal(4, s, 5) for s in (1, 2, 3)]
     for a in CORPORA + dim4:
-        assert (mixed_multiplicity([a] * a.dim).value
+        assert (mixed_multiplicity([a] * a.dim)
                 == mixed_multiplicity_products([a] * a.dim)), a.generators
     # distinct arguments, repeated out of order
     mixed = [[a, b, a] for a, b in zip(CORPUS_3D[:20], CORPUS_3D[1:])]
     mixed += [[maximal_ideal(3), a, b] for a, b in zip(CORPUS_3D[:20], CORPUS_3D[2:])]
     mixed += [[dim4[0], M4, dim4[0], dim4[1]], [M4, dim4[2], dim4[1], M4]]
     for args in mixed:
-        assert mixed_multiplicity(args).value == mixed_multiplicity_products(args), args
+        assert mixed_multiplicity(args) == mixed_multiplicity_products(args), args
 
 
 def _random_restriction(n: int, j: int, seed: int):
@@ -348,7 +353,7 @@ def test_line_order_matches_restriction():
     for n, ss in seeds.items():
         for s in ss:
             a = random_ideal(n, s, 5)
-            got = _line_order(a, s)
+            got = line_order(a, s)
             assert got == line_order_restrict(a, s), (a.generators, s)
             off_degree[n] += got != a.min_degree
     assert all(off_degree.values()), off_degree
@@ -357,8 +362,47 @@ def test_line_order_matches_restriction():
     y = MonomialIdeal.make([(0, 1)], 2)
     x_axis = [s for s in range(100) if not sample_plane(2, 1, s).matrix[1][0]]
     for s in x_axis:
-        assert _line_order(y, s) == line_order_restrict(y, s)
+        assert line_order(y, s) == line_order_restrict(y, s)
     assert x_axis
+
+
+def _line_theta_and_order(germ, seed):
+    """theta_(n-1) of polar_invariant and line_order of the monomial ideal of
+    J_f's terms, for a germ that check_isolated accepted.  The numeric
+    estimates on planes of dimension >= 2 are stubbed out: only the line's
+    value is compared."""
+    with mock.patch.object(sections, "loja_numeric", lambda I: None):
+        theta = polar_invariant(germ, seed)[-1]
+    assert theta.method == "exact-line"
+    return theta.value, line_order(germ.mono.ideal, seed)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_line_order_matches_polar_invariant_on_fermat_germs(n):
+    for d in (2, 3, 5):
+        f = parse_polynomial(" + ".join(f"x{i}^{d}" for i in range(1, n + 1)))
+        germ = check_isolated(f)
+        for seed in range(25):
+            theta, order = _line_theta_and_order(germ, seed)
+            assert theta == order == d - 1, (f, seed)
+
+
+# about 1 in 25 drawn germs is isolated, term-exact and in 2 or more
+# variables; 50 of them take about 6 s
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(f=germ_texts().map(parse_polynomial), seed=st.integers(0, 10 ** 6))
+@example(f=parse_polynomial("x^5 + y^3"), seed=77)  # the x-axis: order 4
+@example(f=parse_polynomial("x*y + z^4"), seed=194)  # the z-axis: order 3
+def test_line_order_matches_polar_invariant_on_term_exact_germs(f, seed):
+    """The restriction of J_f to the line and the zero pattern of the line
+    give one order when every partial is a single term."""
+    try:
+        germ = check_isolated(f)
+    except (InvalidInputError, DegenerateGermError):
+        assume(False)
+    assume(f.dim > 1 and germ.mono.exact)
+    theta, order = _line_theta_and_order(germ, seed)
+    assert theta == order, (f, seed)
 
 
 def loop_minmax(I, params):

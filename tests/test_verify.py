@@ -659,10 +659,13 @@ class TestCli:
         assert res.stdout.splitlines()[-1].startswith("max relative error: ")
         # random_ideal's InvalidInputError ended in a traceback and exit 1,
         # the code of an exceeded error bound
-        res = subprocess.run([sys.executable, str(script), "--budget", "1"],
-                             capture_output=True, text=True, env=CHILD_ENV)
-        assert (res.returncode, res.stdout) == (EXIT_INPUT_ERROR, "")
-        assert res.stderr == "error: budget must be >= 2\n"
+        # with no case drawn, the budget is still checked, as corpus does
+        for count in ("30", "0"):
+            res = subprocess.run([sys.executable, str(script), "--budget", "1",
+                                  "--count", count],
+                                 capture_output=True, text=True, env=CHILD_ENV)
+            assert (res.returncode, res.stdout) == (EXIT_INPUT_ERROR, ""), count
+            assert res.stderr == "error: budget must be >= 2\n"
         # a usage error is an input error, not argparse's 2
         res = subprocess.run([sys.executable, str(script), "--count", "x"],
                              capture_output=True, text=True, env=CHILD_ENV)
