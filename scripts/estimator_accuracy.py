@@ -5,8 +5,8 @@ Draws random zero-dimensional monomial ideals in the plane, computes the
 exact exponent from the Newton polyhedron, and reports for each case the
 estimator's relative error, multi-seed spread, log-log fit residual and
 time.  Exit status: 0 when every relative error is at most 0.05, 1 when
-the largest exceeds it, 4 on invalid input (a budget outside 2..1000, or a
-usage error).
+the largest exceeds it, 4 on invalid input (a negative count, a budget
+outside 2..1000, or a usage error).
 """
 import argparse
 import sys
@@ -33,8 +33,9 @@ def main(argv=None) -> int:
     except SystemExit as stop:  # help (0) or a usage error (2)
         return EXIT_INPUT_ERROR if stop.code else 0
     try:
-        # checked before drawing, so that --count 0 rejects a bad budget too
-        check_corpus_shape(2, args.budget)
+        # checked before drawing, as corpus checks them: --count -1 is an
+        # error, and --count 0 still rejects a bad budget
+        check_corpus_shape(2, args.budget, args.count)
         ideals = [random_ideal(2, args.seed * 100_000 + i, args.budget)
                   for i in range(args.count)]
     except InvalidInputError as err:

@@ -7,6 +7,7 @@ reports are stable text or JSON with rationals as "p/q" strings.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from .exactgeom import InvalidInputError, MonomialIdeal
@@ -202,7 +203,10 @@ def _add_flags(p: argparse.ArgumentParser, *extra: str) -> None:
         p.add_argument(name, **_FLAGS[name])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser; main looks up the subcommand's function
+    when it runs, so that a patched _cmd_* is the one called."""
     parser = argparse.ArgumentParser(
         prog="lctlab",
         description="Exact singularity invariants and inequality verification.")
@@ -213,29 +217,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ideal", action="store_true",
                    help="treat the input as a one-generator monomial ideal")
     _add_flags(p, "--nondegenerate")
-    p.set_defaults(func=_cmd_compute)
 
     p = sub.add_parser("verify-main", help="polar-invariant sum vs lct(m*J_f)")
     p.add_argument("input")
     _add_flags(p, "--tolerance", "--nondegenerate")
-    p.set_defaults(func=_cmd_verify_main)
 
     p = sub.add_parser("verify-chain", help="Lelong-ratio chain for an ideal")
     p.add_argument("input")
     p.add_argument("--numeric", action="store_true",
                    help="include numeric intermediate-codimension terms")
     _add_flags(p, "--tolerance")
-    p.set_defaults(func=_cmd_verify_chain)
 
     p = sub.add_parser("verify-lct", help="lct(m*J_f) >= lct(f)")
     p.add_argument("input")
     _add_flags(p, "--nondegenerate")
-    p.set_defaults(func=_cmd_verify_lct)
 
     p = sub.add_parser("probe-pham", help="hyperplane-restriction probe (n=2)")
     p.add_argument("input")
     _add_flags(p)
-    p.set_defaults(func=_cmd_probe_pham)
 
     p = sub.add_parser("corpus", help="randomized corpus run")
     p.add_argument("--count", type=int, default=50)
@@ -243,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timings", action="store_true",
                    help="record wall time (breaks byte-stability)")
     _add_flags(p, "--tolerance", "--budget")
-    p.set_defaults(func=_cmd_corpus)
 
     return parser
 
@@ -257,7 +255,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT_ERROR if stop.code else EXIT_OK
     args.start = time.monotonic()
     try:
-        return args.func(args)
+        return globals()["_cmd_" + args.command.replace("-", "_")](args)
     except (ValueError, RuntimeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT_ERROR if isinstance(err, ValueError) else EXIT_COMPUTE_ERROR

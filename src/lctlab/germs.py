@@ -75,15 +75,6 @@ def poly(dim: int, terms) -> Polynomial:
     return Polynomial(dim, clean)
 
 
-def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    terms: dict[Exponent, Fraction] = {}
-    for u, a in p.terms.items():
-        for v, b in q.terms.items():
-            key = tuple(x + y for x, y in zip(u, v))
-            terms[key] = terms.get(key, Fraction(0)) + a * b
-    return poly(p.dim, terms)
-
-
 def derivative(p: Polynomial, axis: int) -> Polynomial:
     terms = {}
     for v, c in p.terms.items():
@@ -297,13 +288,12 @@ def jacobian_ideal(f: Polynomial) -> IdealPresentation:
 
 
 def product_with_maximal(I: IdealPresentation) -> IdealPresentation:
+    """The generators z_i*g of m*I, for each i and then each g: z_i*g has
+    g's coefficients on g's exponents shifted by e_i, in g's term order."""
     n = I.dim
-    gens = []
-    for i in range(n):
-        zi = poly(n, {tuple(1 if j == i else 0 for j in range(n)): 1})
-        for g in I.generators:
-            gens.append(poly_mul(zi, g))
-    return IdealPresentation(n, tuple(gens))
+    return IdealPresentation(n, tuple(
+        Polynomial(n, {v[:i] + (v[i] + 1,) + v[i + 1:]: c for v, c in g.terms.items()})
+        for i in range(n) for g in I.generators))
 
 
 def monomialize(I: IdealPresentation, allow_nondegenerate: bool = False) -> Monomialization:

@@ -17,7 +17,7 @@ from math import comb
 from operator import add, mul
 from typing import ClassVar
 
-from .exactgeom import InvalidInputError, MonomialIdeal, polyhedron_of
+from .exactgeom import InvalidInputError, MonomialIdeal, NotZeroDimensionalError, polyhedron_of
 from .germs import IdealPresentation, IsolatedGerm, Monomialization, Polynomial
 from .invariants import loja_monomial
 
@@ -126,19 +126,19 @@ def _line_zeros(n: int, seed: int) -> list[int]:
             return zeros
 
 
-def line_order(a: MonomialIdeal, seed: int) -> int | None:
-    """Order of a on the first line sample_plane(n, n-1, seed + attempt),
-    attempt < _MAX_RESEEDS, on which it is not identically zero.
+def line_order(a: MonomialIdeal, seed: int) -> int:
+    """Order of a zero-dimensional a on the line sample_plane(n, n-1, seed).
 
     On the line z = c t a generator z^g restricts to c^g t^|g|, so the order
     is the least |g| over the generators with no exponent on a zero entry
-    of c; only the zero pattern of c is drawn."""
-    for attempt in range(_MAX_RESEEDS):
-        zeros = _line_zeros(a.dim, seed + attempt)
-        orders = [sum(g) for g in a.generators if not any(g[i] for i in zeros)]
-        if orders:
-            return min(orders)
-    return None
+    of c; only the zero pattern of c is drawn.  Some entry of c is nonzero,
+    and a zero-dimensional a has a pure power on its axis, so only an a
+    that is not zero-dimensional can vanish on the line."""
+    zeros = _line_zeros(a.dim, seed)
+    orders = [sum(g) for g in a.generators if not any(g[i] for i in zeros)]
+    if not orders:
+        raise NotZeroDimensionalError("the ideal vanishes on the sampled line")
+    return min(orders)
 
 
 def _linear_power(row: tuple[Fraction, ...], e: int) -> list:

@@ -199,8 +199,13 @@ def probe_pham(
                          line_order(a, seed))
 
 
-def check_corpus_shape(n: int, budget: int) -> None:
-    """InvalidInputError unless n is 2..4 and budget is 2..MAX_BUDGET."""
+def check_corpus_shape(n: int, budget: int, count: int = 0,
+                       tolerance: float = DEFAULT_TOLERANCE) -> None:
+    """InvalidInputError unless, in this order, count >= 0, the tolerance is
+    finite and >= 0, n is 2..4 and budget is 2..MAX_BUDGET."""
+    if count < 0:
+        raise InvalidInputError(f"case count must be >= 0, got {count}")
+    _check_tolerance(tolerance)
     if n not in (2, 3, 4):
         raise InvalidInputError("corpus dimensions are 2..4")
     if budget < 2:
@@ -327,10 +332,7 @@ class CorpusReport:
 
 def corpus_run(config: CorpusConfig) -> CorpusReport:
     """Run chain (and probe) verdicts over a seeded corpus; deterministic."""
-    if config.count < 0:
-        raise InvalidInputError(f"case count must be >= 0, got {config.count}")
-    _check_tolerance(config.tolerance)
-    check_corpus_shape(config.dim, config.budget)
+    check_corpus_shape(config.dim, config.budget, config.count, config.tolerance)
     summaries: dict[str, dict] = {}
     min_margins = {}  # verdict name -> least margin so far, as computed
     failures = []

@@ -22,8 +22,9 @@ that the one-pass check replaced.
 singular_axis is the isolation rule of check_isolated by restriction: the
 partials of f restricted to each coordinate axis.  contains and facet_eval
 decide membership by the facet inequalities, against the LP of lp_member;
-ideal_power and scale_ideal build test ideals, and poly_add and poly_scale
-test polynomials.
+ideal_power and scale_ideal build test ideals, and poly_add, poly_scale
+and poly_mul test polynomials; poly_mul is also the product that the
+exponent shift of product_with_maximal replaced.
 """
 import itertools
 from fractions import Fraction
@@ -45,7 +46,7 @@ from lctlab.exactgeom import (
     minkowski_sum,
     polyhedron_of,
 )
-from lctlab.germs import IdealPresentation, Polynomial, derivative, poly, poly_mul
+from lctlab.germs import Exponent, IdealPresentation, Polynomial, derivative, poly
 from lctlab.invariants import _require_zero_dim
 from lctlab.sections import (
     _MAX_RESEEDS,
@@ -82,6 +83,15 @@ def poly_add(p: Polynomial, q: Polynomial) -> Polynomial:
 def poly_scale(p: Polynomial, c) -> Polynomial:
     c = Fraction(c)
     return poly(p.dim, {v: c * a for v, a in p.terms.items()})
+
+
+def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
+    terms: dict[Exponent, Fraction] = {}
+    for u, a in p.terms.items():
+        for v, b in q.terms.items():
+            key = tuple(x + y for x, y in zip(u, v))
+            terms[key] = terms.get(key, Fraction(0)) + a * b
+    return poly(p.dim, terms)
 
 
 def facet_eval(P: NewtonPolyhedron, q) -> bool:

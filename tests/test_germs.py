@@ -20,12 +20,11 @@ from lctlab.germs import (
     monomialize,
     parse_polynomial,
     poly,
-    poly_mul,
     product_with_maximal,
 )
 from lctlab.invariants import lct_monomial, lelong_numbers, loja_monomial
 
-from oracles import poly_add, poly_scale
+from oracles import poly_add, poly_mul, poly_scale
 
 
 class TestParser:

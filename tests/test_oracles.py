@@ -14,12 +14,13 @@ descent is compared with the per-sphere loop on plane ideals and plane
 restrictions.  Restriction by direct substitution is compared with the one
 polynomial product per degree on random multi-term polynomials, and the line
 order read off the line's zero pattern with the order of the restricted
-generators.  The diagonal intercept, found by integer cross-multiplication,
-the pure powers and L_0, read off the generators, and the one-pass
-zero-dimensionality check are compared with the intercepts over the facets
-in Fractions and with one pure_power search per axis on random ideals in
-dims 1-4, and the line's zero pattern, drawn from the numerators alone, with
-sample_plane's matrix.
+generators.  m*J_f by exponent shifts is compared with the products z_i*g
+on drawn germs.  The diagonal intercept, found by integer
+cross-multiplication, the pure powers and L_0, read off the generators, and
+the one-pass zero-dimensionality check are compared with the intercepts
+over the facets in Fractions and with one pure_power search per axis on
+random ideals in dims 1-4, and the line's zero pattern, drawn from the
+numerators alone, with sample_plane's matrix.
 """
 import itertools
 import random
@@ -36,6 +37,7 @@ from lctlab import invariants, sections
 from lctlab.exactgeom import (
     InvalidInputError,
     MonomialIdeal,
+    NotZeroDimensionalError,
     covolume,
     diagonal_intercept,
     ideal_product,
@@ -46,6 +48,7 @@ from lctlab.exactgeom import (
 from lctlab.germs import (
     DegenerateGermError,
     IdealPresentation,
+    NotMonomializableError,
     check_isolated,
     jacobian_ideal,
     monomialize,
@@ -82,6 +85,7 @@ from oracles import (
     lp_member,
     minmax_loop,
     mixed_multiplicity_products,
+    poly_mul,
     restrict_products,
     singular_axis,
     zero_dimensional_pure_powers,
@@ -357,12 +361,16 @@ def test_line_order_matches_restriction():
             assert got == line_order_restrict(a, s), (a.generators, s)
             off_degree[n] += got != a.min_degree
     assert all(off_degree.values()), off_degree
-    # a line with a zero coordinate can miss every generator; then the next
-    # draw is taken
+    # a line with a zero coordinate can miss every generator of an ideal
+    # that is not zero-dimensional; no other line is drawn
     y = MonomialIdeal.make([(0, 1)], 2)
     x_axis = [s for s in range(100) if not sample_plane(2, 1, s).matrix[1][0]]
-    for s in x_axis:
-        assert line_order(y, s) == line_order_restrict(y, s)
+    for s in range(100):
+        if s in x_axis:
+            with pytest.raises(NotZeroDimensionalError):
+                line_order(y, s)
+        else:
+            assert line_order(y, s) == line_order_restrict(y, s) == 1
     assert x_axis
 
 
@@ -403,6 +411,47 @@ def test_line_order_matches_polar_invariant_on_term_exact_germs(f, seed):
     assume(f.dim > 1 and germ.mono.exact)
     theta, order = _line_theta_and_order(germ, seed)
     assert theta == order, (f, seed)
+
+
+def _monomialize_error(I):
+    """The message of monomialize(I)'s NotMonomializableError, or None."""
+    try:
+        monomialize(I)
+    except NotMonomializableError as err:
+        return str(err)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(f=germ_texts().map(parse_polynomial))
+@example(f=parse_polynomial("x^4 + x*y^2 + y^5"))
+@example(f=parse_polynomial("x^3 + y^3 + z^3 + x*y*z"))
+def test_product_with_maximal_matches_poly_mul(f):
+    """m*J_f by exponent shifts against the products z_i*g, term order
+    included, on germs term-exact or not; an accepted germ's strict m*J_f
+    names the same generator when it does not monomialize."""
+    try:
+        J = jacobian_ideal(f)
+    except DegenerateGermError:
+        assume(False)
+    n = f.dim
+    axes = [poly(n, {tuple(int(k == i) for k in range(n)): 1}) for i in range(n)]
+    want = IdealPresentation(n, tuple(poly_mul(z, g) for z in axes for g in J.generators))
+    got = product_with_maximal(J)
+    assert got == want
+    assert [list(g.terms.items()) for g in got.generators] == \
+        [list(g.terms.items()) for g in want.generators]
+    try:
+        germ = check_isolated(f)
+    except (InvalidInputError, DegenerateGermError):
+        return
+    message = _monomialize_error(want)
+    if message is None:
+        assert germ.m_jacobian(False) == monomialize(want)
+    else:
+        with pytest.raises(NotMonomializableError) as err:
+            germ.m_jacobian(False)
+        assert str(err.value) == message
 
 
 def loop_minmax(I, params):

@@ -613,6 +613,11 @@ class TestCli:
         assert res.stdout == ""
         assert res.stderr == "error: case count must be >= 0, got -1\n"
 
+    def test_negative_count_reported_before_tolerance(self, capsys):
+        argv = ["corpus", "--count", "-1", "--tolerance", "nan", "--budget", "1"]
+        assert cli.main(argv) == EXIT_INPUT_ERROR
+        assert capsys.readouterr() == ("", "error: case count must be >= 0, got -1\n")
+
     @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
     @pytest.mark.parametrize("argv", [
         ["corpus", "--numeric", "--count", "1"],
@@ -666,6 +671,11 @@ class TestCli:
                                  capture_output=True, text=True, env=CHILD_ENV)
             assert (res.returncode, res.stdout) == (EXIT_INPUT_ERROR, ""), count
             assert res.stderr == "error: budget must be >= 2\n"
+        # a negative count printed an empty table and exited 0
+        res = subprocess.run([sys.executable, str(script), "--count", "-1"],
+                             capture_output=True, text=True, env=CHILD_ENV)
+        assert (res.returncode, res.stdout) == (EXIT_INPUT_ERROR, "")
+        assert res.stderr == "error: case count must be >= 0, got -1\n"
         # a usage error is an input error, not argparse's 2
         res = subprocess.run([sys.executable, str(script), "--count", "x"],
                              capture_output=True, text=True, env=CHILD_ENV)
@@ -851,3 +861,45 @@ class TestCli:
         code = cli.main(["verify-chain", "x^2; y^3; z^4", "--numeric"])
         assert code == EXIT_COMPUTE_ERROR
         assert capsys.readouterr().err == "error: min-max collapsed below float range\n"
+
+
+class TestSharedParser:
+    """cli.main builds its parser once per process and looks up the
+    subcommand's function on every call."""
+
+    def test_built_once(self, capsys):
+        cli.build_parser.cache_clear()
+        for _ in range(2):
+            assert cli.main(["verify-main", "x^3 + y^3"]) == EXIT_OK
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_flags_do_not_carry_over(self, capsys):
+        assert cli.main(["verify-main", "x^3 + y^3", "--json", "--seed", "7"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["meta"]["seed"] == 7
+        assert cli.main(["verify-main", "x^3 + y^3"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out == run_cli("verify-main", "x^3 + y^3").stdout
+        assert out.startswith("input: x^3 + y^3\n") and "  seed: 0\n" in out
+
+    def test_help_and_usage_error_on_a_used_parser(self, capsys):
+        assert cli.main(["verify-main", "x^3 + y^3"]) == EXIT_OK
+        capsys.readouterr()
+        assert cli.main(["verify-main", "--help"]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: lctlab verify-main") and err == ""
+        assert cli.main(["verify-main", "x^3 + y^3", "--bogus"]) == EXIT_INPUT_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith("\nlctlab: error: unrecognized arguments: --bogus\n")
+        assert cli.main(["verify-main", "x^3 + y^3"]) == EXIT_OK
+
+    def test_patched_command_runs(self, capsys):
+        # test_cli_fuzz records errors by patching cli._cmd_*; a function
+        # bound when the parser was built would bypass the patch
+        assert cli.main(["verify-main", "x^3 + y^3"]) == EXIT_OK
+        calls = []
+        with mock.patch.object(cli, "_cmd_verify_main", lambda args: calls.append(args) or 3):
+            assert cli.main(["verify-main", "x^2 + y^2"]) == 3
+        assert [args.input for args in calls] == ["x^2 + y^2"]
+        assert cli.main(["verify-main", "x^3 + y^3"]) == EXIT_OK
