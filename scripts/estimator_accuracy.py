@@ -5,10 +5,11 @@ Draws random zero-dimensional monomial ideals in the plane, computes the
 exact exponent from the Newton polyhedron, and reports for each case the
 estimator's relative error, multi-seed spread, log-log fit residual and
 time.  Exit status: 0 when every relative error is at most 0.05, 1 when
-the largest exceeds it, 4 on invalid input (a negative count, a budget
-outside 2..1000, or a usage error).
+the largest exceeds it or is NaN, 4 on invalid input (a negative count,
+starts or iters, a budget outside 2..1000, or a usage error).
 """
 import argparse
+import math
 import sys
 import time
 
@@ -36,13 +37,13 @@ def main(argv=None) -> int:
         # checked before drawing, as corpus checks them: --count -1 is an
         # error, and --count 0 still rejects a bad budget
         check_corpus_shape(2, args.budget, args.count)
+        params = LojaParams(starts=args.starts, iters=args.iters)
         ideals = [random_ideal(2, args.seed * 100_000 + i, args.budget)
                   for i in range(args.count)]
     except InvalidInputError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
-    params = LojaParams(starts=args.starts, iters=args.iters)
     print(f"{'case':>4} {'exact':>7} {'estimate':>10} {'rel err':>9} {'spread':>9} "
           f"{'residual':>9} {'ms':>8}")
     worst = 0.0
@@ -53,11 +54,12 @@ def main(argv=None) -> int:
         est = loja_numeric(pres, params)
         ms = (time.perf_counter() - t0) * 1000.0
         err = abs(est.value - exact) / exact
-        worst = max(worst, err)
+        if math.isnan(err) or err > worst:  # a NaN error stays the worst
+            worst = err
         print(f"{i:>4} {exact:>7.3f} {est.value:>10.4f} {err:>9.4f} "
               f"{est.spread / exact:>9.4f} {est.residual:>9.2e} {ms:>8.1f}")
     print(f"max relative error: {worst:.4f}")
-    return 1 if worst > MAX_REL_ERR else 0
+    return 0 if worst <= MAX_REL_ERR else 1
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import product
-from math import comb
+from math import comb, isfinite
 from operator import add, mul
 from typing import ClassVar
 
@@ -66,6 +66,11 @@ class LojaParams:
     ratio: ClassVar[float] = 10 ** -0.5
     n_radii: ClassVar[int] = 6
     seeds: ClassVar[tuple[int, ...]] = (0, 1)
+
+    def __post_init__(self):
+        if self.starts < 0 or self.iters < 0:
+            raise InvalidInputError(
+                f"starts and iters must be >= 0, got {self.starts} and {self.iters}")
 
 
 def _mix_seed(n: int, j: int, seed: int, attempt: int) -> int:
@@ -220,7 +225,7 @@ def loja_line(I: IdealPresentation) -> int:
 
 def _term_tables(I: IdealPresentation) -> tuple[np.ndarray, np.ndarray]:
     """Exponent table E (terms x m, integers) over every term of the nonzero
-    generators, and coefficient matrix C (terms x generators)."""
+    generators, and real coefficient matrix C (terms x generators)."""
     import numpy as np
 
     gens = [g for g in I.generators if not g.is_zero]
@@ -233,10 +238,16 @@ def _term_tables(I: IdealPresentation) -> tuple[np.ndarray, np.ndarray]:
     if max(max(v) for v in index) > np.iinfo(np.intp).max:
         raise NumericFailureError("exponent beyond the estimator's integer range")
     E = np.array(list(index), dtype=np.intp).reshape(len(index), I.dim)
-    C = np.zeros((len(index), len(gens)), dtype=complex)
+    C = np.zeros((len(index), len(gens)))
     for j, g in enumerate(gens):
         for v, c in g.terms.items():
-            C[index[v], j] = float(c)
+            try:
+                x = float(c)
+            except OverflowError:
+                x = 0.0
+            if not x or not isfinite(x):  # c is nonzero
+                raise NumericFailureError("coefficient beyond the estimator's float range")
+            C[index[v], j] = x
     return E, C
 
 
@@ -252,15 +263,25 @@ def _divide(w: np.ndarray, d: np.ndarray) -> np.ndarray:
     return out
 
 
+def _norms(w: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the columns of complex w: the sum that
+    np.linalg.norm(w, axis=0) computes, without its dispatch."""
+    import numpy as np
+
+    return np.sqrt(np.add.reduce((w.conj() * w).real, axis=0))
+
+
 def _minmax(E: np.ndarray, C: np.ndarray, radii, params: LojaParams) -> np.ndarray:
     """min over |z| = r (complex) of max_j |g_j(z)| for every (seed, radius),
     as a seeds x radii array, by one multi-start descent over all of them.
 
     Every (seed, radius) pair has its own rows: the starts drawn by
     default_rng(seed), the unit vectors and the all-ones vector, scaled to r.
-    Points are the columns of Z (m x rows).  Each step evaluates the
-    monomials once from a table of integer powers of Z, and the gradient of
-    each row's largest generator from the same table.
+    Points are the columns of Z (m x rows).  Each step gathers every
+    monomial and its m partial monomials from a table of integer powers of
+    Z, and one batched real product with K = [C^T; E_i C^T] gives every
+    generator's value and partials at once; the coefficients are real, so
+    it multiplies the interleaved (re, im) columns.
     """
     import numpy as np
 
@@ -277,7 +298,7 @@ def _minmax(E: np.ndarray, C: np.ndarray, radii, params: LojaParams) -> np.ndarr
     Z = Z.reshape(-1, m).T.copy()
     R = np.broadcast_to(R[..., 0], shape).reshape(-1)
     rows = Z.shape[1]
-    cols = np.arange(rows)
+    gens = C.shape[1]
 
     # power table: row j * m + i of P is Z[i] ** powers[j], for the powers
     # the terms take and, in the partial by z_i, their own factor one power
@@ -286,43 +307,47 @@ def _minmax(E: np.ndarray, C: np.ndarray, radii, params: LojaParams) -> np.ndarr
     lower = np.maximum(E - 1, 0)
     powers = np.array(sorted({0, *E.ravel().tolist(), *lower.ravel().tolist()}))
     gaps = np.diff(powers).tolist()
-    idx = np.searchsorted(powers, E) * m + np.arange(m)
-    didx = np.broadcast_to(idx, (m, terms, m)).copy()
+    # idx[i, k * terms + t]: the row of P holding term t's factor in z_i,
+    # in block k = 0 for the monomials and k = 1 + l for the partial by z_l
+    idx = np.empty((m, m + 1, terms), dtype=np.intp)
+    idx[:] = (np.searchsorted(powers, E) * m + np.arange(m)).T[:, None]
     for i in range(m):
-        didx[i, :, i] = np.searchsorted(powers, lower[:, i]) * m + i
-    CT = C.T.copy()
-    dCT = E.T[:, None, :] * CT  # m x gens x terms
+        idx[i, 1 + i] = np.searchsorted(powers, lower[:, i]) * m + i
+    idx = idx.reshape(m, -1)
+    K = np.concatenate([C.T[None], E.T[:, None, :] * C.T])  # (m + 1) x gens x terms
     P = np.empty((len(powers), m, rows), dtype=complex)
     P[0] = 1.0
     Pf = P.reshape(-1, rows)
+    cols = np.arange(rows)
+    offsets = np.arange(m + 1)[:, None] * (gens * rows)  # of block k in the product
 
     best = np.full(rows, np.inf)
     lr = 0.3
     for it in range(params.iters + 1):
         for j, gap in enumerate(gaps, 1):
             np.multiply(P[j - 1], Z if gap == 1 else Z ** gap, out=P[j])
-        mono = Pf[idx[:, 0]]
+        last = it == params.iters  # the last step needs only the values
+        n = terms if last else idx.shape[1]
+        mono = Pf[idx[0, :n]]  # the monomials, then the partial monomials
         for i in range(1, m):
-            mono *= Pf[idx[:, i]]
-        G = CT @ mono  # gens x rows
-        absG = np.abs(G)
-        active = absG.argmax(axis=0)
-        g = G[active, cols]
-        gmod = absG[active, cols]
-        np.minimum(best, gmod, out=best)
-        if it == params.iters:
+            mono *= Pf[idx[i, :n]]
+        if last:
+            G = (K[0] @ mono.view(float)).view(complex)
+            np.minimum(best, np.abs(G).max(axis=0), out=best)
             break
-        dmono = Pf[didx[:, :, 0]]
-        for i in range(1, m):
-            dmono *= Pf[didx[:, :, i]]
-        dg = (dCT @ dmono)[:, active, cols]  # m x rows
+        GD = (K @ mono.view(float).reshape(m + 1, terms, 2 * rows)).view(complex)
+        absG = np.abs(GD[0])  # gens x rows
+        flat = absG.argmax(axis=0) * rows + cols  # active generator's entries
+        gmod = absG.take(flat)
+        np.minimum(best, gmod, out=best)
+        sel = GD.take(offsets + flat)  # its value, then its partials
         # descent direction in C^m for |g|: (g / |g|) * conj(dg)
         gmod[gmod == 0] = 1.0
-        grad = _divide(g, gmod) * np.conj(dg)
-        gn = np.linalg.norm(grad, axis=0)
+        grad = _divide(sel[0], gmod) * np.conj(sel[1:])
+        gn = _norms(grad)
         gn[gn == 0] = 1.0
         Z = Z - _divide(lr * R * grad, gn)
-        zn = np.linalg.norm(Z, axis=0)
+        zn = _norms(Z)
         zn[zn == 0] = 1.0
         Z = _divide(R * Z, zn)
         lr *= 0.97
@@ -333,7 +358,8 @@ def loja_numeric(I: IdealPresentation, params: LojaParams | None = None) -> Loja
     """Slope of log(min-max of |generators|) against log(radius).
 
     If a min-max value falls below 1e-250, every radius is retried once at
-    ten times its size; NumericFailureError if one still does or is NaN.
+    ten times its size; NumericFailureError if one still does or is not
+    finite.
     """
     import numpy as np
 
@@ -346,8 +372,8 @@ def loja_numeric(I: IdealPresentation, params: LojaParams | None = None) -> Loja
     if not (minmax >= 1e-250).all():
         radii = [r * 10 for r in radii]  # shrink the range upward and retry once
         minmax = _minmax(E, C, radii, params)
-    if np.isnan(minmax).any():
-        raise NumericFailureError("min-max is NaN")
+    if not np.isfinite(minmax).all():
+        raise NumericFailureError("min-max is not finite")
     if not (minmax >= 1e-250).all():
         raise NumericFailureError("min-max collapsed below float range")
 

@@ -480,6 +480,15 @@ def test_batched_minmax_matches_loop():
     # powers 0, 1, 2, 119, 120: the table skips from x^2 to x^119
     cases.append((IdealPresentation(2, (poly(2, {(2, 0): 1}), poly(2, {(0, 2): 1, (120, 0): 1}))),
                   1e-9))
+    # signed, non-unit Fraction coefficients
+    cases.append((IdealPresentation(2, (
+        poly(2, {(3, 0): Fraction(-5, 3), (1, 1): Fraction(7, 2)}),
+        poly(2, {(0, 2): Fraction(2, 9), (2, 1): -3}))), 1e-9))
+    # J_f of x^3 + x*y^2 + y^4, not term-exact
+    cases.append((jacobian_ideal(parse_polynomial("x^3 + x*y^2 + y^4")), 1e-9))
+    # a zero generator between two nonzero ones
+    cases.append((IdealPresentation(2, (poly(2, {(2, 0): 1, (0, 3): 1}), poly(2, {}),
+                                        poly(2, {(1, 1): 1, (0, 2): -1}))), 1e-9))
     cases.append((monomial_presentation([(80, 0), (0, 80)], 2), 1e-9))  # radius retry
     for I, rtol in cases:
         est = loja_numeric(I, FAST)

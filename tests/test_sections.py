@@ -143,6 +143,18 @@ class TestLojaNumeric:
         with pytest.raises(NumericFailureError):
             loja_numeric(monomial_presentation([(2, 0), (0, 2)], 2), FAST)
 
+    def test_infinite_min_max_raises(self, monkeypatch):
+        # an infinite min-max was fitted to a NaN slope labelled "numeric"
+        monkeypatch.setattr(sections, "_minmax", lambda E, C, radii, params: np.full(
+            (len(params.seeds), len(radii)), np.inf))
+        with pytest.raises(NumericFailureError, match="not finite"):
+            loja_numeric(monomial_presentation([(2, 0), (0, 2)], 2), FAST)
+
+    def test_zero_iterations_and_starts(self):
+        # the fixed starts alone: the all-ones one sits at the exact min-max r^2 / 2
+        est = loja_numeric(monomial_presentation([(2, 0), (0, 2)], 2), LojaParams(0, 0))
+        assert est.method == "numeric" and est.value == pytest.approx(2.0, rel=1e-9)
+
     def test_exponent_beyond_int64_raises(self):
         with pytest.raises(NumericFailureError):
             loja_numeric(monomial_presentation([(2 ** 70, 0), (0, 2)], 2), FAST)
@@ -231,3 +243,10 @@ class TestLojaParams:
         assert (p.r0, p.ratio, p.n_radii, p.seeds) == (0.1, 10 ** -0.5, 6, (0, 1))
         with pytest.raises(TypeError):
             LojaParams(r0=0.2)
+
+    @pytest.mark.parametrize("kwargs", [{"starts": -1}, {"iters": -1}])
+    def test_negative_rejected(self, kwargs):
+        # iters = -1 gave a NaN estimate labelled "numeric"; starts = -1 a
+        # numpy traceback
+        with pytest.raises(InvalidInputError, match="must be >= 0"):
+            LojaParams(**kwargs)

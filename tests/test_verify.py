@@ -676,10 +676,44 @@ class TestCli:
                              capture_output=True, text=True, env=CHILD_ENV)
         assert (res.returncode, res.stdout) == (EXIT_INPUT_ERROR, "")
         assert res.stderr == "error: case count must be >= 0, got -1\n"
+        # --iters -1 printed a nan row and exit 0; --starts -1 ended in a
+        # numpy traceback
+        for option in ("--starts", "--iters"):
+            res = subprocess.run([sys.executable, str(script), option, "-1", "--count", "1"],
+                                 capture_output=True, text=True, env=CHILD_ENV)
+            assert (res.returncode, res.stdout) == (EXIT_INPUT_ERROR, ""), option
+            assert res.stderr.startswith("error: starts and iters must be >= 0"), option
         # a usage error is an input error, not argparse's 2
         res = subprocess.run([sys.executable, str(script), "--count", "x"],
                              capture_output=True, text=True, env=CHILD_ENV)
         assert (res.returncode, res.stdout) == (EXIT_INPUT_ERROR, "")
+
+    @pytest.mark.parametrize("text", ["1" + "0" * 330 + "*x^3 + x*y^2 + y^4",
+                                      "1/1" + "0" * 400 + "*x^3 + x*y^2 + y^4"])
+    def test_coefficient_beyond_float_range_exit(self, text, capsys):
+        # J_f is not term-exact, so theta_0 is numeric: the first ended in an
+        # OverflowError traceback, the second in "min-max collapsed below
+        # float range" after its x^2 term underflowed to 0
+        assert cli.main(["compute", text]) == EXIT_COMPUTE_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: coefficient beyond the estimator's float range\n"
+
+    def test_estimator_accuracy_script_nan_error_fails(self, monkeypatch, capsys):
+        # max(0.0, nan) kept 0.0, so a NaN estimate passed with exit 0
+        import importlib.util
+
+        from lctlab.sections import LojaEstimate
+
+        script = Path(__file__).parents[1] / "scripts" / "estimator_accuracy.py"
+        spec = importlib.util.spec_from_file_location("estimator_accuracy", script)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        values = iter([float("nan"), 2.0])
+        monkeypatch.setattr(module, "loja_numeric",
+                            lambda pres, params: LojaEstimate(next(values), "numeric"))
+        assert module.main(["--count", "2"]) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == "max relative error: nan"
 
     @pytest.mark.parametrize("text", ["1 + x^3 + y^3", "3/2 + 2*y^3 - x^4*y^2", "1 + x^2*y^2"])
     def test_unit_germ_exit(self, text, capsys):
