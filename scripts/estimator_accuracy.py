@@ -6,7 +6,9 @@ exact exponent from the Newton polyhedron, and reports for each case the
 estimator's relative error, multi-seed spread, log-log fit residual and
 time.  Exit status: 0 when every relative error is at most 0.05, 1 when
 the largest exceeds it or is NaN, 4 on invalid input (a negative count,
-starts or iters, a budget outside 2..1000, or a usage error).
+starts or iters, a budget outside 2..1000, or a usage error), 5 when the
+estimator fails on a case (a NumericFailureError, reported as `lctlab
+corpus --numeric` reports it).
 """
 import argparse
 import math
@@ -16,8 +18,14 @@ import time
 from lctlab.exactgeom import InvalidInputError
 from lctlab.germs import IdealPresentation, poly
 from lctlab.invariants import loja_monomial
-from lctlab.sections import LojaParams, loja_numeric
-from lctlab.verify import DEFAULT_BUDGET, EXIT_INPUT_ERROR, check_corpus_shape, random_ideal
+from lctlab.sections import LojaParams, NumericFailureError, loja_numeric
+from lctlab.verify import (
+    DEFAULT_BUDGET,
+    EXIT_COMPUTE_ERROR,
+    EXIT_INPUT_ERROR,
+    check_corpus_shape,
+    random_ideal,
+)
 
 MAX_REL_ERR = 0.05
 
@@ -51,7 +59,11 @@ def main(argv=None) -> int:
         exact = float(loja_monomial(a))
         pres = IdealPresentation(2, tuple(poly(2, {g: 1}) for g in a.generators))
         t0 = time.perf_counter()
-        est = loja_numeric(pres, params)
+        try:
+            est = loja_numeric(pres, params)
+        except NumericFailureError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return EXIT_COMPUTE_ERROR
         ms = (time.perf_counter() - t0) * 1000.0
         err = abs(est.value - exact) / exact
         if math.isnan(err) or err > worst:  # a NaN error stays the worst

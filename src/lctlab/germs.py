@@ -112,128 +112,73 @@ def format_polynomial(p: Polynomial) -> str:
     return " ".join(parts)
 
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<var>x[1-4]|[xyzw])|(?P<op>[\^*+/\-()]))")
-
-
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == m.start():
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(text) - len(stripped)
-            raise ParseError(f"unexpected character {stripped[0]!r}", at)
-        at = m.start() + (len(m.group(0)) - len(m.group(0).lstrip()))
-        if m.group("num") is not None:
-            tokens.append(("num", m.group("num"), at))
-        elif m.group("var") is not None:
-            tokens.append(("var", m.group("var"), at))
-        else:
-            tokens.append(("op", m.group("op"), at))
-        pos = m.end()
-    return tokens
-
-
-def _var_index(name: str) -> int:
-    if name in _VAR_NAMES:
-        return _VAR_NAMES.index(name)
-    return int(name[1]) - 1  # x1..x4
+_TOKEN_RE = re.compile(r"\d+|x[1-4]|\S")
 
 
 def parse_polynomial(text: str, dim: int | None = None) -> Polynomial:
-    """Parse the grammar: +/- separated terms of optional rational coefficient
-    times variable powers; '*' optional; variables x,y,z,w or x1..x4, not
-    both in one input."""
-    tokens = _tokenize(text)
-    end = len(text)
+    """Parse [sign] term {sign term}.  A sign is '+' or '-'; a term is one
+    or more factors, with an optional '*' between two of them; a factor is
+    a number, a fraction p/q, or a variable with an optional ^exponent.
+    Variables are x,y,z,w or x1..x4, not both in one input, and a number
+    may not follow a variable with nothing between them."""
+    tokens = [(m.group(), m.start()) for m in _TOKEN_RE.finditer(text)]
     if not tokens:
         raise ParseError("empty input", 0)
+    toks = iter(tokens + [("", len(text))])  # "" marks the end
 
-    terms: list[tuple[Fraction, dict[int, int]]] = []
-    i = 0
-    n_tokens = len(tokens)
+    def number(what: str) -> tuple[int, int]:
+        """The number that must follow '/' or '^', and its offset."""
+        tok, at = next(toks)
+        if not tok.isdecimal():
+            raise ParseError(f"expected {what}", at)
+        return int(tok), at
 
-    def peek():
-        return tokens[i] if i < n_tokens else (None, None, end)
-
-    max_var = -1
-    style = None
-    sign = 1
-    while i < n_tokens:
-        kind, val, at = tokens[i]
-        if kind == "op" and val in "+-":
-            sign = -1 if val == "-" else 1
-            i += 1
-            if i >= n_tokens:
-                raise ParseError("dangling operator", end)
-        coeff = Fraction(sign)
-        sign = 1
-        powers: dict[int, int] = {}
-        saw_factor = False
+    acc: dict[Exponent, Fraction] = {}  # summed over the first MAX_DIM variables
+    names = None  # x,y,z,w or x1..x4, fixed by the first variable
+    max_var = var_end = -1
+    tok, at = next(toks)
+    while True:
+        coeff = Fraction(-1 if tok == "-" else 1)
+        if tok in ("+", "-"):
+            tok, at = next(toks)
+        powers = [0] * MAX_DIM
         while True:
-            kind, val, at = peek()
-            if kind == "op" and val == "*":
-                i += 1
-                kind, val, at = peek()
-                if kind not in ("num", "var"):
-                    raise ParseError("expected factor after '*'", at)
-                continue
-            if kind == "num":
-                i += 1
-                numer = int(val)
-                k2, v2, a2 = peek()
-                if k2 == "op" and v2 == "/":
-                    i += 1
-                    k3, v3, a3 = peek()
-                    if k3 != "num":
-                        raise ParseError("expected denominator", a3)
-                    if int(v3) == 0:
-                        raise ParseError("zero denominator", a3)
-                    i += 1
-                    coeff *= Fraction(numer, int(v3))
-                else:
-                    coeff *= numer
-                saw_factor = True
-            elif kind == "var":
-                i += 1
-                if style is None:
-                    style = len(val)  # 1 for x,y,z,w; 2 for x1..x4
-                elif len(val) != style:
+            if tok.isdecimal():
+                if at == var_end:
+                    raise ParseError("number straight after a variable", at)
+                coeff *= int(tok)
+                tok, at = next(toks)
+                if tok == "/":
+                    q, at = number("denominator")
+                    if not q:
+                        raise ParseError("zero denominator", at)
+                    coeff /= q
+                    tok, at = next(toks)
+            elif tok[:1] in _VAR_NAMES:
+                names = names or (_VAR_NAMES if len(tok) == 1 else ("x1", "x2", "x3", "x4"))
+                if tok not in names:
                     raise ParseError("mixed variable names x,y,z,w and x1..x4", at)
-                idx = _var_index(val)
+                idx = names.index(tok)
                 max_var = max(max_var, idx)
+                var_end = at + len(tok)
+                tok, at = next(toks)
                 exp = 1
-                k2, v2, a2 = peek()
-                if k2 == "op" and v2 == "^":
-                    i += 1
-                    k3, v3, a3 = peek()
-                    if k3 == "op" and v3 == "-":
-                        raise ParseError("negative exponent", a3)
-                    if k3 != "num":
-                        raise ParseError("expected exponent", a3)
-                    i += 1
-                    exp = int(v3)
-                powers[idx] = powers.get(idx, 0) + exp
-                saw_factor = True
+                if tok == "^":
+                    exp, _ = number("exponent")
+                    tok, at = next(toks)
+                powers[idx] += exp
             else:
+                raise ParseError("expected a number or a variable", at)
+            if tok == "*":
+                tok, at = next(toks)
+            elif not (tok.isdecimal() or tok[:1] in _VAR_NAMES):
                 break
-        if not saw_factor:
-            raise ParseError("expected term", at)
-        terms.append((coeff, powers))
-        kind, val, at = peek()
-        if kind is None:
+        v = tuple(powers)
+        acc[v] = acc.get(v, 0) + coeff
+        if not tok:
             break
-        if kind == "op" and val in "+-":
-            sign = -1 if val == "-" else 1
-            i += 1
-            if i >= n_tokens:
-                raise ParseError("dangling operator", end)
-        else:
-            raise ParseError(f"unexpected token {val!r}", at)
+        if tok not in ("+", "-"):
+            raise ParseError("expected + or - between terms", at)
 
     if dim is None:
         dim = max(max_var + 1, 1)
@@ -241,12 +186,7 @@ def parse_polynomial(text: str, dim: int | None = None) -> Polynomial:
         raise InvalidInputError(f"dimension {dim} exceeds {MAX_DIM}")
     if max_var + 1 > dim:
         raise InvalidInputError(f"variable index exceeds dimension {dim}")
-
-    acc: dict[Exponent, Fraction] = {}
-    for coeff, powers in terms:
-        v = tuple(powers.get(k, 0) for k in range(dim))
-        acc[v] = acc.get(v, Fraction(0)) + coeff
-    return poly(dim, acc)
+    return poly(dim, {v[:dim]: c for v, c in acc.items()})
 
 
 @dataclass(frozen=True)

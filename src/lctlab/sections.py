@@ -21,8 +21,6 @@ from .exactgeom import InvalidInputError, MonomialIdeal, NotZeroDimensionalError
 from .germs import IdealPresentation, IsolatedGerm, Monomialization, Polynomial
 from .invariants import loja_monomial
 
-_MAX_RESEEDS = 5  # draws before a line or plane restriction counts as degenerate
-
 
 class SamplingError(RuntimeError):
     pass
@@ -403,26 +401,6 @@ def _is_power_of_maximal(mono: Monomialization) -> int | None:
     return None
 
 
-def _section_estimate(J: IdealPresentation, j: int, seed: int) -> LojaEstimate:
-    """Exponent of J on the first plane sample_plane(n, j, seed + attempt),
-    attempt < _MAX_RESEEDS, on which the restriction is not degenerate:
-    exact on a line, numeric on a plane of dimension >= 2."""
-    n = J.dim
-    line = j == n - 1
-    last_err = None
-    for attempt in range(_MAX_RESEEDS):
-        try:
-            R = restrict(J, sample_plane(n, j, seed + attempt))
-            if line:
-                return LojaEstimate(Fraction(loja_line(R)), "exact-line")
-            return loja_numeric(R)
-        except DegenerateRestrictionError as err:
-            last_err = err
-    raise DegenerateRestrictionError(
-        f"{'line' if line else 'plane'} restriction degenerate for {_MAX_RESEEDS} seeds"
-    ) from last_err
-
-
 def polar_invariant(germ: IsolatedGerm, seed: int = 0) -> tuple[LojaEstimate, ...]:
     """(theta(f_0), ..., theta(f_(n-1))) of a germ that check_isolated
     accepted: theta(f_j) is the Lojasiewicz exponent of J_f restricted to a
@@ -442,5 +420,9 @@ def polar_invariant(germ: IsolatedGerm, seed: int = 0) -> tuple[LojaEstimate, ..
         if k is not None and j < n - 1:
             thetas.append(LojaEstimate(Fraction(k), "exact-monomial"))
         else:
-            thetas.append(_section_estimate(J, j, seed))
+            # one draw: J_f vanishes on a plane L through 0 only if f is
+            # singular along L, which an isolated germ is not
+            R = restrict(J, sample_plane(n, j, seed))
+            thetas.append(LojaEstimate(Fraction(loja_line(R)), "exact-line")
+                          if j == n - 1 else loja_numeric(R))
     return tuple(thetas)

@@ -49,8 +49,6 @@ from lctlab.exactgeom import (
 from lctlab.germs import Exponent, IdealPresentation, Polynomial, derivative, poly
 from lctlab.invariants import _require_zero_dim
 from lctlab.sections import (
-    _MAX_RESEEDS,
-    DegenerateRestrictionError,
     PlaneRestriction,
     _rank,
     loja_line,
@@ -516,19 +514,12 @@ def singular_axis(f: Polynomial) -> int | None:
     return None
 
 
-def line_order_restrict(a: MonomialIdeal, seed: int) -> int | None:
-    """Order of a on the first line sample_plane(n, n-1, seed + attempt),
-    attempt < _MAX_RESEEDS, on which it is not identically zero: each
-    generator restricted to the line by exact substitution, then the least
-    vanishing order."""
+def line_order_restrict(a: MonomialIdeal, seed: int) -> int:
+    """Order of a on the line sample_plane(n, n-1, seed): each generator
+    restricted to the line by exact substitution, then the least vanishing
+    order."""
     gens = IdealPresentation(a.dim, tuple(poly(a.dim, {v: 1}) for v in a.generators))
-    for attempt in range(_MAX_RESEEDS):
-        try:
-            plane = sample_plane(a.dim, a.dim - 1, seed + attempt)
-            return loja_line(restrict(gens, plane))
-        except DegenerateRestrictionError:
-            continue
-    return None
+    return loja_line(restrict(gens, sample_plane(a.dim, a.dim - 1, seed)))
 
 
 def _eval_batch(exps: np.ndarray, coeffs: np.ndarray, Z: np.ndarray) -> np.ndarray:

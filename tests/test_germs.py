@@ -63,12 +63,67 @@ class TestParser:
     def test_implicit_multiplication(self):
         assert parse_polynomial("3x^2y").terms == {(2, 1): 3}
 
+    @pytest.mark.parametrize("text", ["y 2", "y*2", "2 * y", "y^1 2"])
+    def test_number_apart_from_variable(self, text):
+        assert parse_polynomial(text).terms == {(0, 1): 2}
+
     def test_cancellation(self):
         assert parse_polynomial("x - x + y").terms == {(0, 1): 1}
 
     def test_explicit_dim(self):
         f = parse_polynomial("x^2", 3)
         assert f.dim == 3 and f.terms == {(2, 0, 0): 1}
+
+    @pytest.mark.parametrize("text,position", [
+        ("x^2 - -y^2", 6),  # two signs in a row: the second overwrote the first
+        ("x^2 - 2*x*y - -y^2", 14),
+        ("32--1", 3),
+        ("x - +y", 4),
+        ("*y + x^2", 0),  # a '*' that opens a term
+        ("x + *y", 4),
+        ("y2 + x^3", 1),  # a number straight after a variable: read as 2y
+        ("x12", 2),
+        ("x10 + x2^2", 2),
+    ])
+    def test_rejected_shapes(self, text, position):
+        with pytest.raises(ParseError) as err:
+            parse_polynomial(text)
+        assert err.value.position == position
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_drawn_terms(self, data):
+        """Terms (sign, p/q, exponent vector) rendered with x y z w or
+        x1..x4, random spaces and an optional '*' between factors parse to
+        the sum taken directly over the drawn terms."""
+        names = data.draw(st.sampled_from(["xyzw", ["x1", "x2", "x3", "x4"]]))
+        n = data.draw(st.integers(1, 4))
+        terms = data.draw(st.lists(st.tuples(
+            st.booleans(), st.integers(0, 20), st.integers(1, 5),
+            st.lists(st.integers(0, 4), min_size=n, max_size=n)), min_size=1, max_size=5))
+        space = st.sampled_from(["", " ", "  "])
+        text, want = "", {}
+        for k, (negative, p, q, exps) in enumerate(terms):
+            factors = [f"{names[i]}^{e}" if e > 1 or data.draw(st.booleans()) else names[i]
+                       for i, e in enumerate(exps) if e]
+            factors = data.draw(st.permutations(factors))
+            if Fraction(p, q) != 1 or not factors or data.draw(st.booleans()):
+                coeff = str(p)
+                if q > 1 or data.draw(st.booleans()):
+                    coeff += data.draw(space) + "/" + data.draw(space) + str(q)
+                factors = [coeff, *factors]
+            term = factors[0]
+            for factor in factors[1:]:
+                term += data.draw(st.sampled_from(["", " ", "*", " * "])) + factor
+            if negative or k or data.draw(st.booleans()):
+                term = ("-" if negative else "+") + data.draw(space) + term
+            text += data.draw(space) + term
+            key = tuple(exps) + (0,) * (4 - n)
+            want[key] = want.get(key, 0) + (-1 if negative else 1) * Fraction(p, q)
+        dim = max([i + 1 for exps in want for i, e in enumerate(exps) if e], default=1)
+        f = parse_polynomial(text)
+        assert f.dim == dim, text
+        assert f.terms == {v[:dim]: c for v, c in want.items() if c}, text
 
     def test_roundtrip_canonical_order(self):
         f = parse_polynomial("y^3 + x*y + 2*x^2 - 1/3*x^3")

@@ -1,5 +1,6 @@
 """Verdict assembly, corpus runs, reports and the CLI surface."""
 import contextlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -407,6 +408,15 @@ CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
     str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
 
 
+def load_estimator_script():
+    """scripts/estimator_accuracy.py as a module, so a test can patch it."""
+    script = Path(__file__).parents[1] / "scripts" / "estimator_accuracy.py"
+    spec = importlib.util.spec_from_file_location("estimator_accuracy", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "lctlab.cli", *args],
@@ -701,19 +711,27 @@ class TestCli:
 
     def test_estimator_accuracy_script_nan_error_fails(self, monkeypatch, capsys):
         # max(0.0, nan) kept 0.0, so a NaN estimate passed with exit 0
-        import importlib.util
-
         from lctlab.sections import LojaEstimate
 
-        script = Path(__file__).parents[1] / "scripts" / "estimator_accuracy.py"
-        spec = importlib.util.spec_from_file_location("estimator_accuracy", script)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
+        module = load_estimator_script()
         values = iter([float("nan"), 2.0])
         monkeypatch.setattr(module, "loja_numeric",
                             lambda pres, params: LojaEstimate(next(values), "numeric"))
         assert module.main(["--count", "2"]) == 1
         assert capsys.readouterr().out.splitlines()[-1] == "max relative error: nan"
+
+    def test_estimator_accuracy_script_numeric_failure_exit(self, monkeypatch, capsys):
+        # a NumericFailureError ended in a traceback with exit 1
+        module = load_estimator_script()
+
+        def fail(pres, params):
+            raise NumericFailureError("min-max collapsed below float range")
+
+        monkeypatch.setattr(module, "loja_numeric", fail)
+        assert module.main(["--count", "2"]) == EXIT_COMPUTE_ERROR
+        out, err = capsys.readouterr()
+        assert err == "error: min-max collapsed below float range\n"
+        assert "max relative error" not in out
 
     @pytest.mark.parametrize("text", ["1 + x^3 + y^3", "3/2 + 2*y^3 - x^4*y^2", "1 + x^2*y^2"])
     def test_unit_germ_exit(self, text, capsys):
