@@ -273,11 +273,12 @@ def diagonal_intercept(P: NewtonPolyhedron) -> Fraction:
     return Fraction(p, q)
 
 
-def _det(rows) -> int:
-    """Determinant of a small square integer matrix, by cofactor expansion."""
+def det(rows) -> int | Fraction:
+    """Determinant of a small square matrix of int or Fraction entries, by
+    cofactor expansion."""
     if len(rows) == 1:
         return rows[0][0]
-    return sum((-1) ** j * a * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+    return sum((-1) ** j * a * det([r[:j] + r[j + 1:] for r in rows[1:]])
                for j, a in enumerate(rows[0]) if a)
 
 
@@ -310,7 +311,7 @@ def _cone_volume(P: NewtonPolyhedron) -> tuple[Fraction, ...]:
         return triangulations[face]
 
     nf = factorial(n)
-    return tuple(Fraction(sum(abs(_det([verts[k] for k in s]))
+    return tuple(Fraction(sum(abs(det([verts[k] for k in s]))
                               for s in simplices(f, n - 1)), nf)
                  for f in planes)
 

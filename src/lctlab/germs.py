@@ -7,6 +7,7 @@ a germ.  Coefficients are exact rationals; no floating point in this module.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -126,12 +127,20 @@ def parse_polynomial(text: str, dim: int | None = None) -> Polynomial:
         raise ParseError("empty input", 0)
     toks = iter(tokens + [("", len(text))])  # "" marks the end
 
+    def digits(tok: str, at: int) -> int:
+        """The digit run tok at offset at, within Python's int-string limit."""
+        try:
+            return int(tok)
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            raise ParseError(f"number longer than {limit} digits", at) from None
+
     def number(what: str) -> tuple[int, int]:
         """The number that must follow '/' or '^', and its offset."""
         tok, at = next(toks)
         if not tok.isdecimal():
             raise ParseError(f"expected {what}", at)
-        return int(tok), at
+        return digits(tok, at), at
 
     acc: dict[Exponent, Fraction] = {}  # summed over the first MAX_DIM variables
     names = None  # x,y,z,w or x1..x4, fixed by the first variable
@@ -146,7 +155,7 @@ def parse_polynomial(text: str, dim: int | None = None) -> Polynomial:
             if tok.isdecimal():
                 if at == var_end:
                     raise ParseError("number straight after a variable", at)
-                coeff *= int(tok)
+                coeff *= digits(tok, at)
                 tok, at = next(toks)
                 if tok == "/":
                     q, at = number("denominator")

@@ -12,13 +12,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import product
+from itertools import combinations, product
 from math import comb, isfinite
 from operator import add, mul
 from typing import ClassVar
 
-from .exactgeom import InvalidInputError, MonomialIdeal, NotZeroDimensionalError, polyhedron_of
-from .germs import IdealPresentation, IsolatedGerm, Monomialization, Polynomial
+from .exactgeom import InvalidInputError, MonomialIdeal, NotZeroDimensionalError, det
+from .germs import IdealPresentation, IsolatedGerm, Polynomial
 from .invariants import loja_monomial
 
 
@@ -88,34 +88,12 @@ def _draws(n: int, j: int, seed: int):
     raise SamplingError("could not draw a full-rank plane")
 
 
-def _rank(rows) -> int:
-    """Exact rank of a small rational matrix."""
-    mat = [[Fraction(c) for c in r] for r in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    col = 0
-    while rank < len(mat) and col < ncols:
-        pivot = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        prow = mat[rank]
-        if col + 1 < ncols:  # nothing reads the last column once it has a pivot
-            for i in range(rank + 1, len(mat)):
-                if mat[i][col] != 0:
-                    factor = mat[i][col] / prow[col]
-                    mat[i] = [a - factor * b for a, b in zip(mat[i], prow)]
-        rank += 1
-        col += 1
-    return rank
-
-
 def sample_plane(n: int, j: int, seed: int) -> PlaneRestriction:
-    """Deterministic pseudo-random rational plane, redrawn until full rank."""
+    """Deterministic pseudo-random rational plane, redrawn until full rank,
+    that is, until some (n - j)-minor of its matrix is nonzero."""
     for rows in _draws(n, j, seed):
         matrix = tuple(tuple(Fraction(p, q) for p, q in row) for row in rows)
-        if _rank(matrix) == n - j:
+        if any(det(m) for m in combinations(matrix, n - j)):
             return PlaneRestriction(n, j, matrix)
 
 
@@ -390,17 +368,6 @@ def loja_numeric(I: IdealPresentation, params: LojaParams | None = None) -> Loja
         loo_slopes=loo_slopes, residual=residual)
 
 
-def _is_power_of_maximal(mono: Monomialization) -> int | None:
-    """k if the Newton polyhedron is exactly that of m^k, else None."""
-    P = polyhedron_of(mono.ideal)
-    n = mono.ideal.dim
-    if len(P.facets) == 1:
-        w, c = P.facets[0]
-        if w == (1,) * n:
-            return c
-    return None
-
-
 def polar_invariant(germ: IsolatedGerm, seed: int = 0) -> tuple[LojaEstimate, ...]:
     """(theta(f_0), ..., theta(f_(n-1))) of a germ that check_isolated
     accepted: theta(f_j) is the Lojasiewicz exponent of J_f restricted to a
@@ -413,12 +380,15 @@ def polar_invariant(germ: IsolatedGerm, seed: int = 0) -> tuple[LojaEstimate, ..
         thetas = [LojaEstimate(loja_monomial(mono.ideal), "exact-monomial")]
     else:
         thetas = [loja_numeric(J)]
-    # when the integral closure of J_f is m^k, log|J_f| = k log|z| + O(1)
-    # and every plane restriction has exponent exactly k
-    k = _is_power_of_maximal(mono) if mono.exact else None
+    # L_0 = ord(J_f) = k > 0 holds exactly when every pure power is k and no
+    # generator has degree below k, that is, when the Newton polyhedron of
+    # J_f is that of m^k; then log|J_f| = k log|z| + O(1) and every plane
+    # restriction has exponent exactly k.  The unit J_f of a smooth germ
+    # (k = 0) has no facet, and its middle theta_j stay numeric.
+    power = mono.exact and thetas[0].value == mono.ideal.min_degree > 0
     for j in range(1, n):
-        if k is not None and j < n - 1:
-            thetas.append(LojaEstimate(Fraction(k), "exact-monomial"))
+        if power and j < n - 1:
+            thetas.append(thetas[0])
         else:
             # one draw: J_f vanishes on a plane L through 0 only if f is
             # singular along L, which an isolated germ is not

@@ -165,7 +165,7 @@ def verify_chain(
 
 def verify_lct_dominates(
     f: Polynomial,
-    allow_nondegenerate: bool = True,
+    allow_nondegenerate: bool = False,
 ) -> Verdict:
     """lct(m*J_f) >= lct(f), with a strictness indicator."""
     germ = check_isolated(f)

@@ -39,6 +39,7 @@ from lctlab.exactgeom import (
     NewtonPolyhedron,
     NotZeroDimensionalError,
     covolume,
+    det,
     diagonal_intercept,
     ideal_product,
     maximal_ideal,
@@ -50,7 +51,6 @@ from lctlab.germs import Exponent, IdealPresentation, Polynomial, derivative, po
 from lctlab.invariants import _require_zero_dim
 from lctlab.sections import (
     PlaneRestriction,
-    _rank,
     loja_line,
     restrict,
     sample_plane,
@@ -234,7 +234,8 @@ def facets_all_generators(gens, n: int) -> tuple:
     """Facets of conv(gens)+orthant from every minimal generator: candidate
     normals span n-1 of all pairwise difference directions and unit vectors;
     a candidate is a facet when the generators on it and its zero axes span
-    a hyperplane.  It works in np.int64 and is meant for small exponents."""
+    a hyperplane, that is, when their rows have a nonzero (n-1)-minor.  It
+    works in np.int64 and is meant for small exponents."""
     gens = minimalize(gens)
     garr = np.array(gens, dtype=np.int64)
     facets = set()
@@ -248,7 +249,9 @@ def facets_all_generators(gens, n: int) -> tuple:
         rows = [tuple(a - b for a, b in zip(g, base)) for g in tight[1:]]
         rows += [tuple(1 if j == i else 0 for j in range(n))
                  for i in range(n) if w[i] == 0]
-        if n == 1 or _rank(rows) == n - 1:
+        if n == 1 or any(det([[r[k] for k in cols] for r in sub])
+                         for sub in itertools.combinations(rows, n - 1)
+                         for cols in itertools.combinations(range(n), n - 1)):
             facets.add((w, c))
     return tuple(sorted(facets))
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lctlab import exactgeom, sections
+from lctlab import exactgeom
 from lctlab.exactgeom import (
     InvalidInputError,
     MonomialIdeal,
@@ -384,16 +384,29 @@ class TestMonomialIdeal:
         assert maximal_ideal(n) == MonomialIdeal.make(units, n)
 
 
-def test_rank_matches_largest_nonzero_minor():
-    # entries mostly 0 or +-1, so pivots go missing and rows cancel; the
-    # n x 1 columns are the line matrices of sample_plane
+def leibniz(rows):
+    """det by the Leibniz formula: the signed sum over permutations."""
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[a] > perm[b] for a, b in itertools.combinations(range(n), 2))
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def test_det_matches_leibniz():
+    # every square submatrix of small matrices with entries mostly 0 or +-1,
+    # so that cofactors vanish and rows cancel, and some Fraction entries
     rng = random.Random(5)
     for _ in range(600):
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)
         mat = [[rng.choice((0, 0, 0, 1, -1, 2, Fraction(1, 3))) for _ in range(cols)]
                for _ in range(rows)]
-        minors = [k for k in range(1, min(rows, cols) + 1)
-                  for r in itertools.combinations(mat, k)
-                  for c in itertools.combinations(range(cols), k)
-                  if exactgeom._det([[row[j] for j in c] for row in r])]
-        assert sections._rank(mat) == max(minors, default=0), mat
+        for k in range(1, min(rows, cols) + 1):
+            for r in itertools.combinations(mat, k):
+                for c in itertools.combinations(range(cols), k):
+                    sub = [[row[j] for j in c] for row in r]
+                    assert exactgeom.det(sub) == leibniz(sub), sub

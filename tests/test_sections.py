@@ -1,11 +1,13 @@
 """Plane restrictions, line and numeric Lojasiewicz exponents, polar invariants."""
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from lctlab import germs, sections
-from lctlab.exactgeom import InvalidInputError, MonomialIdeal
+from lctlab.exactgeom import InvalidInputError, MonomialIdeal, polyhedron_of
 from lctlab.germs import (
     DegenerateGermError,
     IdealPresentation,
@@ -46,6 +48,16 @@ class TestSamplePlane:
 
     def test_determinism(self):
         assert sample_plane(3, 2, 99) == sample_plane(3, 2, 99)
+
+    @pytest.mark.parametrize("n,j,seed", [(2, 1, 116), (3, 1, 669), (3, 2, 2321),
+                                          (4, 1, 16235), (4, 2, 11411)])
+    def test_redraws_a_rank_deficient_draw(self, n, j, seed):
+        # each first draw has a zero column; three of them also have nonzero
+        # entries, so a draw with some nonzero entry is not enough
+        first, second = itertools.islice(sections._draws(n, j, seed), 2)
+        assert any(all(row[k][0] == 0 for row in first) for k in range(n - j))
+        assert sample_plane(n, j, seed).matrix == tuple(
+            tuple(Fraction(p, q) for p, q in row) for row in second)
 
     def test_bad_codim(self):
         with pytest.raises(ValueError):
@@ -232,6 +244,21 @@ class TestPolarInvariant:
 
     def test_seed_determinism(self):
         assert thetas_of("x^3 + y^3", seed=5) == thetas_of("x^3 + y^3", seed=5)
+
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(1, 5), min_size=n, max_size=n),
+        st.lists(st.tuples(*[st.integers(0, 5)] * n), max_size=5))))
+    @example((3, [1, 1, 1], [(0, 0, 0)]))  # the unit ideal
+    @example((3, [2, 2, 2], [(1, 1, 0), (1, 0, 1), (0, 1, 1)]))  # m^2
+    @example((4, [3, 3, 3, 3], [(1, 1, 1, 0), (0, 2, 0, 2)]))  # m^3's polyhedron
+    def test_power_rule_is_the_polyhedron_of_a_power(self, case):
+        """The rule that gives every middle theta_j = theta_0: L_0 = ord > 0
+        iff the Newton polyhedron is that of m^k, k = ord."""
+        n, powers, extra = case
+        a = MonomialIdeal.make([tuple(p * (i == k) for i in range(n))
+                                for k, p in enumerate(powers)] + extra, n)
+        k = a.min_degree
+        assert (loja_monomial(a) == k > 0) == (polyhedron_of(a).facets == (((1,) * n, k),))
 
 
 class TestLojaParams:

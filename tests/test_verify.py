@@ -149,6 +149,14 @@ class TestVerifyLctDominates:
             with pytest.raises(InvalidInputError, match="non-isolated"):
                 verify_lct_dominates(parse_polynomial(text, 2))
 
+    def test_assumes_nondegeneracy_only_when_asked(self):
+        # m*J_f = (2x^2 + 3x^3) is not term-exact
+        f = parse_polynomial("x^2 + x^3")
+        with pytest.raises(NotMonomializableError, match="is not a single term"):
+            verify_lct_dominates(f)
+        v = verify_lct_dominates(f, allow_nondegenerate=True)
+        assert "lct_monomial:nondegenerate-assumed" in v.sources
+
 
 class TestVerifyChainDim4:
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -770,33 +778,28 @@ class TestCli:
         assert out == ""
         assert err == "error: generator 2*x^2 + 3*x^3 is not a single term\n"
 
-    def test_run_corpus_script(self, tmp_path):
-        script = [sys.executable, str(Path(__file__).parents[1] / "scripts" / "run_corpus.py")]
-        out = tmp_path / "corpus.json"
-        res = subprocess.run(script + ["--count", "5", "-o", str(out)], capture_output=True,
-                             env=CHILD_ENV)
-        assert res.returncode == 0
-        assert out.read_text() == run_cli("corpus", "--count", "5", "--json").stdout
-        res = subprocess.run(script + ["--budget", "1"], capture_output=True, text=True,
-                             env=CHILD_ENV)
-        assert res.returncode == EXIT_INPUT_ERROR
-        assert res.stderr == "error: budget must be >= 2\n"
+    @pytest.mark.parametrize("template,offset", [
+        ("{}*x^2 + y^2", 0), ("1/{}*x^2 + y^2", 2), ("x^{} + y^2", 2),
+    ], ids=["coefficient", "denominator", "exponent"])
+    def test_digit_run_past_int_limit_exit(self, template, offset, capsys):
+        limit = sys.get_int_max_str_digits()
+        assert cli.main(["compute", template.format("9" * (limit + 1))]) == EXIT_INPUT_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: number longer than {limit} digits at offset {offset}\n"
 
-    @pytest.mark.parametrize("args,message", [
-        (["--dim", "5"], "error: corpus dimensions are 2..4\n"),
-        (["--count", "x"], "lctlab corpus: error: argument --count: invalid int value: 'x'\n"),
-        (["-o"], "error: argument -o/--output: expected one argument\n"),
+    @pytest.mark.parametrize("argv", [
+        ["compute", "x + y^2 + z^2"],
+        ["verify-main", "x + y^2 + z^2 + w^3"],
+        ["verify-main", "x^3 + y^4 + z^5"],
     ])
-    def test_run_corpus_script_input_error_exit(self, args, message, tmp_path):
-        # argparse's own exit for a usage error is 2, the code of a failed
-        # exact verdict
-        script = [sys.executable, str(Path(__file__).parents[1] / "scripts" / "run_corpus.py")]
-        res = subprocess.run(script + args, capture_output=True, text=True, env=CHILD_ENV,
-                             cwd=tmp_path)
-        assert res.returncode == EXIT_INPUT_ERROR
-        assert res.stdout == ""
-        assert res.stderr.endswith(message)
-        assert not any(tmp_path.iterdir())
+    def test_middle_thetas_numeric_unless_jacobian_is_a_power(self, argv, capsys):
+        # J_f is term-exact, but its Newton polyhedron is not that of m^k: a
+        # unit J_f (smooth germ, L_0 = ord = 0) has no facet, and
+        # (x^2, y^3, z^4) has L_0 = 4 > ord = 2
+        assert cli.main([*argv, "--json"]) == EXIT_OK
+        methods = json.loads(capsys.readouterr().out)["invariants"]["theta_methods"]
+        assert methods == ["exact-monomial", *["numeric"] * (len(methods) - 2), "exact-line"]
 
     @pytest.mark.parametrize("argv", [
         ["compute", ";"],
