@@ -89,6 +89,16 @@ def _grlex_key(v: Exponent):
     return (sum(v), tuple(-e for e in v))
 
 
+def _coefficient_text(c: Fraction) -> str:
+    """str(c), within Python's int-string limit: a product of numbers that
+    each parsed can pass it."""
+    try:
+        return str(c)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise InvalidInputError(f"coefficient longer than {limit} digits") from None
+
+
 def format_polynomial(p: Polynomial) -> str:
     """Canonical graded-lexicographic printing."""
     if p.is_zero:
@@ -104,7 +114,7 @@ def format_polynomial(p: Polynomial) -> str:
                 factors.append(f"{_VAR_NAMES[i]}^{e}")
         mag = abs(c)
         if mag != 1 or not factors:
-            factors.insert(0, str(mag))
+            factors.insert(0, _coefficient_text(mag))
         term = "*".join(factors)
         if not parts:
             parts.append(term if c > 0 else f"-{term}")

@@ -6,6 +6,7 @@ integral-closure domination of lct(f), and the hyperplane-restriction probe.
 """
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -48,6 +49,10 @@ EXIT_COMPUTE_ERROR = 5  # RuntimeError: numeric failure, sampling
 DEFAULT_TOLERANCE = 0.05
 DEFAULT_BUDGET = 5
 MAX_BUDGET = 1000  # random_ideal's work grows linearly with the budget
+# corpus cases whose exact verdicts are kept, about 1.2 kB each: 1024 serve
+# 98.8% of dim-2 and 49% of dim-3 cases (budget 5), while an unbounded memo
+# took a 25-s dim-3 run from 60 to 95 MB (README, corpus paragraph)
+CASE_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -121,32 +126,35 @@ def _presentation(a: MonomialIdeal) -> IdealPresentation:
     return IdealPresentation(a.dim, tuple(poly(a.dim, {v: 1}) for v in a.generators))
 
 
-def _chain_verdicts(a, lv, lct, order, seed, tolerance,
-                    include_numeric) -> list[Verdict]:
-    """verify_chain's verdicts from a's Lelong vector, lct and line order."""
+def _chain_verdicts(a, lv, lct, order) -> list[Verdict]:
+    """The chain's exact verdicts from a's Lelong vector, lct and line order:
+    chain-lct, chain-term-j0 and, for n > 1, chain-term-j(n-1)."""
     n = a.dim
     ratios = lv.ratios
     verdicts = [
         _verdict("chain-lct", sum(ratios, Fraction(0)), lct,
                  ["dh_lower_bound", "lct_monomial"]),
+        _verdict("chain-term-j0", Fraction(1) / loja_monomial(a), ratios[n - 1],
+                 ["loja_monomial", "lelong_numbers"]),
     ]
-    for j in range(n):
-        ratio = ratios[n - j - 1]  # e_(n-j-1)/e_(n-j)
-        if j == 0:
-            L = loja_monomial(a)
-            verdicts.append(_verdict(
-                "chain-term-j0", Fraction(1) / L, ratio,
-                ["loja_monomial", "lelong_numbers"]))
-        elif j == n - 1:
-            verdicts.append(_verdict(
-                f"chain-term-j{j}", Fraction(1, order), ratio,
-                ["loja_line", "lelong_numbers"]))
-        elif include_numeric:
-            plane = sample_plane(n, j, seed)
-            est = loja_numeric(restrict(_presentation(a), plane))
-            verdicts.append(_verdict(
-                f"chain-term-j{j}", 1.0 / est.value, ratio,
-                ["loja_numeric", "lelong_numbers"], tolerance))
+    if n > 1:
+        verdicts.append(_verdict(
+            f"chain-term-j{n - 1}", Fraction(1, order), ratios[0],
+            ["loja_line", "lelong_numbers"]))
+    return verdicts
+
+
+def _numeric_terms(a, lv, seed, tolerance) -> list[Verdict]:
+    """The chain terms j = 1..n-2, numeric on seeded plane sections; in a
+    chain's verdicts they follow chain-lct and chain-term-j0."""
+    n = a.dim
+    ratios = lv.ratios
+    verdicts = []
+    for j in range(1, n - 1):
+        est = loja_numeric(restrict(_presentation(a), sample_plane(n, j, seed)))
+        verdicts.append(_verdict(
+            f"chain-term-j{j}", 1.0 / est.value, ratios[n - j - 1],  # e_(n-j-1)/e_(n-j)
+            ["loja_numeric", "lelong_numbers"], tolerance))
     return verdicts
 
 
@@ -160,7 +168,10 @@ def verify_chain(
     _check_tolerance(tolerance)
     lv, lct = lelong_numbers(a), lct_monomial(a)
     order = line_order(a, seed) if a.dim > 1 else None
-    return _chain_verdicts(a, lv, lct, order, seed, tolerance, include_numeric)
+    verdicts = _chain_verdicts(a, lv, lct, order)
+    if include_numeric:
+        verdicts[2:2] = _numeric_terms(a, lv, seed, tolerance)
+    return verdicts
 
 
 def verify_lct_dominates(
@@ -330,6 +341,19 @@ class CorpusReport:
         return _exit_code([f["numeric"] for f in self.failures])
 
 
+@functools.lru_cache(maxsize=CASE_CACHE_SIZE)
+def _case_verdicts(a: MonomialIdeal, order: int) -> tuple[Verdict, ...]:
+    """A corpus case's exact verdicts: the chain's and, in dim 2, the Pham
+    probe's.  The seed reaches them only through the line order, so they
+    are kept per (ideal, order); a Verdict is frozen, and no caller mutates
+    the tuple."""
+    lv, lct = lelong_numbers(a), lct_monomial(a)
+    verdicts = _chain_verdicts(a, lv, lct, order)
+    if a.dim == 2:
+        verdicts.append(_pham_verdict(a, lv, lct, order))
+    return tuple(verdicts)
+
+
 def corpus_run(config: CorpusConfig) -> CorpusReport:
     """Run chain (and probe) verdicts over a seeded corpus; deterministic."""
     check_corpus_shape(config.dim, config.budget, config.count, config.tolerance)
@@ -339,13 +363,10 @@ def corpus_run(config: CorpusConfig) -> CorpusReport:
     for index in range(config.count):
         seed = config.seed + index
         a = random_ideal(config.dim, seed, config.budget)
-        # the chain and the probe share the Lelong numbers, lct and line order
-        lv, lct = lelong_numbers(a), lct_monomial(a)
-        order = line_order(a, seed)
-        verdicts = _chain_verdicts(a, lv, lct, order, seed, config.tolerance,
-                                   config.include_numeric)
-        if config.dim == 2:
-            verdicts.append(_pham_verdict(a, lv, lct, order))
+        verdicts = _case_verdicts(a, line_order(a, seed))
+        if config.include_numeric:
+            middle = _numeric_terms(a, lelong_numbers(a), seed, config.tolerance)
+            verdicts = verdicts[:2] + tuple(middle) + verdicts[2:]
         for v in verdicts:
             s = summaries.setdefault(v.name, {
                 "count": 0, "failures": 0, "min_margin": None, "worst_index": None})

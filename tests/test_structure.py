@@ -1,11 +1,18 @@
-"""No lctlab module imports another lctlab module's private names.
+"""Rules on the package's source that no single module test states.
 
-A name with a leading underscore belongs to its module: when a second module
-needs it, it is made public where it lives, or moved to the one module that
-uses it.  Dunder names such as __version__ are public.
+No lctlab module imports another lctlab module's private names.  A name with
+a leading underscore belongs to its module: when a second module needs it, it
+is made public where it lives, or moved to the one module that uses it.
+Dunder names such as __version__ are public.
+
+Every functools cache in the package is bounded: an lru_cache has an int
+maxsize, and a plain cache is kept for functions of no arguments.
 """
 import ast
+import importlib
 from pathlib import Path
+
+import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lctlab"
 
@@ -29,3 +36,80 @@ def test_no_module_imports_private_names():
     paths = sorted(PACKAGE.glob("*.py"))
     assert paths
     assert [name for path in paths for name in private_imports(path)] == []
+
+
+def _cache_name(node) -> str | None:
+    """'cache' or 'lru_cache' when node names functools' decorator of that name."""
+    if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "functools":
+        name = node.attr
+    elif isinstance(node, ast.Name):
+        name = node.id
+    else:
+        return None
+    return name if name in ("cache", "lru_cache") else None
+
+
+def _no_arguments(fn) -> bool:
+    args = fn.args
+    return not (args.posonlyargs or args.args or args.vararg
+                or args.kwonlyargs or args.kwarg)
+
+
+def cache_uses(source: str, namespace: dict) -> list[tuple[str, bool]]:
+    """(use, bounded) for each functools cache in source.  An lru_cache is
+    bounded when its maxsize is an int literal or a name bound to an int in
+    namespace; a cache, when it decorates a function of no arguments, which
+    can keep one value only."""
+    tree = ast.parse(source)
+    calls = {node.func: node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    decorated = {d: node for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 for d in node.decorator_list}
+    uses = []
+    for node in ast.walk(tree):
+        name = _cache_name(node)
+        if name is None:
+            continue
+        if name == "cache":
+            fn = decorated.get(node)
+            uses.append((f"cache at line {node.lineno}",
+                         fn is not None and _no_arguments(fn)))
+            continue
+        call = calls.get(node)
+        size = None
+        if call is not None:
+            size = next((k.value for k in call.keywords if k.arg == "maxsize"),
+                        call.args[0] if call.args else None)
+        if isinstance(size, ast.Name):
+            size = namespace.get(size.id)
+        elif isinstance(size, ast.Constant):
+            size = size.value
+        uses.append((f"lru_cache at line {node.lineno}",
+                     isinstance(size, int) and not isinstance(size, bool)))
+    return uses
+
+
+def test_caches_are_bounded():
+    uses = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"lctlab.{path.stem}")
+        for use, bounded in cache_uses(path.read_text(), vars(module)):
+            uses[f"{path.stem}: {use}"] = bounded
+    assert [use for use, bounded in uses.items() if not bounded] == []
+    assert {use.split(" at ")[0] for use in uses} >= {"cli: cache", "verify: lru_cache"}
+
+
+@pytest.mark.parametrize("source,bounded", [
+    ("@functools.lru_cache(maxsize=SIZE)\ndef f(a): pass", [True]),
+    ("@lru_cache(64)\ndef f(a): pass", [True]),
+    ("@functools.cache\ndef f(): pass", [True]),
+    ("@functools.lru_cache(maxsize=None)\ndef f(a): pass", [False]),
+    ("@functools.lru_cache\ndef f(a): pass", [False]),
+    ("@functools.lru_cache()\ndef f(a): pass", [False]),
+    ("@functools.lru_cache(maxsize=FLAG)\ndef f(a): pass", [False]),
+    ("@functools.cache\ndef f(a): pass", [False]),
+    ("g = functools.cache(f)", [False]),
+])
+def test_cache_check_flags_unbounded(source, bounded):
+    uses = cache_uses(source, {"SIZE": 1024, "FLAG": True})
+    assert [b for _, b in uses] == bounded

@@ -220,32 +220,66 @@ class TestCorpusRun:
         assert report.cases == 0
         assert emit_report(report, "json").find('"cases": 0') >= 0
 
-    @pytest.mark.parametrize("dim,seeds", [(2, range(60)), (3, range(10))])
-    def test_cases_match_chain_and_probe(self, dim, seeds):
-        # corpus_run shares one Lelong vector, lct and line order between
-        # the chain and the probe; each margin must be the public functions'
+    @pytest.mark.parametrize("dim,seeds,numeric", [
+        pytest.param(2, range(60), False, id="2-seeds0"),
+        pytest.param(3, range(10), False, id="3-seeds1"),
+        pytest.param(3, range(4), True, id="3-numeric"),
+    ])
+    def test_cases_match_chain_and_probe(self, dim, seeds, numeric):
+        # corpus_run keeps a case's exact verdicts per (ideal, line order) and
+        # adds the numeric middle terms per case; each margin, in order, must
+        # be the public functions'
         for seed in seeds:
             a = random_ideal(dim, seed, 5)
-            verdicts = verify_chain(a, seed=seed)
+            verdicts = verify_chain(a, seed=seed, include_numeric=numeric)
             if dim == 2:
                 verdicts.append(probe_pham(a, seed=seed))
-            report = corpus_run(CorpusConfig(dim=dim, count=1, seed=seed))
-            assert ({name: s["min_margin"] for name, s in report.summaries.items()}
-                    == {v.name: frac_str(v.margin) for v in verdicts}), seed
+            report = corpus_run(CorpusConfig(dim=dim, count=1, seed=seed,
+                                             include_numeric=numeric))
+            assert ([(name, s["min_margin"]) for name, s in report.summaries.items()]
+                    == [(v.name, frac_str(v.margin)) for v in verdicts]), seed
 
     def test_worst_margin_exact_below_float_ulp(self, monkeypatch):
         # 1/3 - 10^-20 and 1/3 round to the same float: compared as floats,
         # the later, smaller margin would tie and case 0 would stay the worst
         margins = [Fraction(1, 3), Fraction(1, 3) - Fraction(1, 10 ** 20), Fraction(1, 3)]
         assert float(margins[1]) == float(margins[0])
+        cases = iter(margins)
 
-        def chain(a, lv, lct, line_order, seed, *rest):
-            return [Verdict("close", Fraction(0), margins[seed], False, None)]
+        def case_verdicts(a, line_order):
+            return (Verdict("close", Fraction(0), next(cases), False, None),)
 
-        monkeypatch.setattr(verify, "_chain_verdicts", chain)
+        monkeypatch.setattr(verify, "_case_verdicts", case_verdicts)
         report = corpus_run(CorpusConfig(dim=3, count=3, seed=0))
         assert report.summaries["close"]["worst_index"] == 1
         assert report.summaries["close"]["min_margin"] == frac_str(margins[1])
+
+    @settings(max_examples=12, deadline=None)
+    @given(dim=st.sampled_from([2, 3, 4]), seed=st.integers(0, 10 ** 6),
+           count=st.sampled_from([1, 30, 40]))
+    def test_case_memo_keeps_report_bytes(self, dim, seed, count):
+        # a case's verdicts come from the memo or are computed, and the
+        # report does not tell which: cold, warmed by another corpus, repeated
+        cfg = CorpusConfig(dim=dim, count=count, seed=seed)
+        verify._case_verdicts.cache_clear()
+        cold = emit_report(corpus_run(cfg), "json")
+        corpus_run(CorpusConfig(dim=dim, count=count, seed=seed + count // 2))
+        warm = emit_report(corpus_run(cfg), "json")
+        assert warm == cold == emit_report(corpus_run(cfg), "json")
+
+    def test_case_memo_is_bounded(self):
+        verify._case_verdicts.cache_clear()
+        a = random_ideal(2, 0, 5)
+        for order in range(1, verify.CASE_CACHE_SIZE + 11):
+            cached = verify._case_verdicts(a, order)
+        info = verify._case_verdicts.cache_info()
+        assert (info.misses, info.currsize) == (verify.CASE_CACHE_SIZE + 10,
+                                                verify.CASE_CACHE_SIZE)
+        assert isinstance(cached, tuple)
+        assert [v.name for v in cached] == [
+            "chain-lct", "chain-term-j0", "chain-term-j1", "pham-probe"]
+        cfg = CorpusConfig(dim=3, count=30, seed=5)
+        assert emit_report(corpus_run(cfg), "json") == emit_report(corpus_run(cfg), "json")
 
     def test_verdict_margin_and_holds_computed_once(self):
         v = Verdict("v", Fraction(1, 2), Fraction(2, 3), False, None)
@@ -778,15 +812,21 @@ class TestCli:
         assert out == ""
         assert err == "error: generator 2*x^2 + 3*x^3 is not a single term\n"
 
-    @pytest.mark.parametrize("template,offset", [
-        ("{}*x^2 + y^2", 0), ("1/{}*x^2 + y^2", 2), ("x^{} + y^2", 2),
-    ], ids=["coefficient", "denominator", "exponent"])
-    def test_digit_run_past_int_limit_exit(self, template, offset, capsys):
+    @pytest.mark.parametrize("command,template,message", [
+        ("compute", "{long}*x^2 + y^2", "number longer than {limit} digits at offset 0"),
+        ("compute", "1/{long}*x^2 + y^2", "number longer than {limit} digits at offset 2"),
+        ("compute", "x^{long} + y^2", "number longer than {limit} digits at offset 2"),
+        # each factor is within the limit, their product is not
+        ("compute", "{half}*{half}*x^2 + y^2", "coefficient longer than {limit} digits"),
+        ("verify-main", "{half}*{half}*x^2*y + y^4", "coefficient longer than {limit} digits"),
+    ], ids=["coefficient", "denominator", "exponent", "product", "product-message"])
+    def test_digit_run_past_int_limit_exit(self, command, template, message, capsys):
         limit = sys.get_int_max_str_digits()
-        assert cli.main(["compute", template.format("9" * (limit + 1))]) == EXIT_INPUT_ERROR
+        text = template.format(long="9" * (limit + 1), half="9" * (limit // 2 + 1))
+        assert cli.main([command, text]) == EXIT_INPUT_ERROR
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == f"error: number longer than {limit} digits at offset {offset}\n"
+        assert err == f"error: {message.format(limit=limit)}\n"
 
     @pytest.mark.parametrize("argv", [
         ["compute", "x + y^2 + z^2"],
