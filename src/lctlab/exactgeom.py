@@ -10,13 +10,19 @@ floats never enter this module.
 """
 from __future__ import annotations
 
+from collections.abc import Hashable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import factorial, gcd
 from operator import index, le
 
 MAX_DIM = 4
+# polyhedra kept, each with what callers keep on it (Lelong vector, a corpus
+# case's verdicts), about 3.5 kB in dim 3: 8192 serve as many dim-3 corpus
+# repeats as an unbounded cache over 30,000 cases, and 12288 already took
+# the 25-s dim-3 benchmark from 62 to 75 MB (README, corpus paragraph)
+POLY_CACHE_SIZE = 8192
 
 Exponent = tuple[int, ...]
 
@@ -145,9 +151,10 @@ class NewtonPolyhedron:
     facets: tuple[tuple[Exponent, int], ...]
     vertices: tuple[Exponent, ...]
 
-    def keep(self, name: str, compute):
+    def keep(self, name: Hashable, compute):
         """compute(), run once per polyhedron and kept under name, as a
-        cached_property keeps its value, so that a repeated input reuses it."""
+        cached_property keeps its value, so that a repeated input reuses it
+        while the polyhedron stays in the cache."""
         value = self.__dict__.get(name)
         if value is None:
             value = self.__dict__[name] = compute()
@@ -216,17 +223,12 @@ def _vertices_and_facets(gens, n: int):
     return tuple(vertices), tuple(sorted((h[:n], -h[n]) for h, _ in rows if h[n] < 0))
 
 
-_POLY_CACHE: dict[tuple[int, tuple[Exponent, ...]], NewtonPolyhedron] = {}
-
-
+@lru_cache(maxsize=POLY_CACHE_SIZE)
 def _polyhedron(gens: tuple[Exponent, ...], n: int) -> NewtonPolyhedron:
-    """The polyhedron of sorted distinct gens, from the cache or built."""
-    key = (n, gens)
-    poly = _POLY_CACHE.get(key)
-    if poly is None:
-        vertices, facets = _vertices_and_facets(gens, n)
-        poly = _POLY_CACHE[key] = NewtonPolyhedron(n, gens, facets, vertices)
-    return poly
+    """The polyhedron of sorted distinct gens, built once while it stays in
+    the cache; what callers keep on it goes when it is evicted."""
+    vertices, facets = _vertices_and_facets(gens, n)
+    return NewtonPolyhedron(n, gens, facets, vertices)
 
 
 def build_polyhedron(gens, n: int) -> NewtonPolyhedron:
@@ -235,13 +237,9 @@ def build_polyhedron(gens, n: int) -> NewtonPolyhedron:
 
 
 def polyhedron_of(a: MonomialIdeal) -> NewtonPolyhedron:
-    # cache keys are sorted distinct generator tuples, and the generators of
-    # MonomialIdeal.make are sorted minimal ones; a hit skips
-    # build_polyhedron's checks and minimalize
-    cached = _POLY_CACHE.get((a.dim, a.generators))
-    if cached is not None:
-        return cached
-    return build_polyhedron(a.generators, a.dim)
+    # the generators of a MonomialIdeal are sorted minimal ones, so they key
+    # the cache as they are, without build_polyhedron's checks
+    return _polyhedron(a.generators, a.dim)
 
 
 def minkowski_sum(P: NewtonPolyhedron, Q: NewtonPolyhedron) -> NewtonPolyhedron:

@@ -89,14 +89,14 @@ def _grlex_key(v: Exponent):
     return (sum(v), tuple(-e for e in v))
 
 
-def _coefficient_text(c: Fraction) -> str:
-    """str(c), within Python's int-string limit: a product of numbers that
-    each parsed can pass it."""
+def rational_text(c: Fraction, what: str) -> str:
+    """str(c), or InvalidInputError naming what past Python's int-string
+    limit: a product or sum of numbers that each parsed can pass it."""
     try:
         return str(c)
     except ValueError:
         limit = sys.get_int_max_str_digits()
-        raise InvalidInputError(f"coefficient longer than {limit} digits") from None
+        raise InvalidInputError(f"{what} longer than {limit} digits") from None
 
 
 def format_polynomial(p: Polynomial) -> str:
@@ -114,7 +114,7 @@ def format_polynomial(p: Polynomial) -> str:
                 factors.append(f"{_VAR_NAMES[i]}^{e}")
         mag = abs(c)
         if mag != 1 or not factors:
-            factors.insert(0, _coefficient_text(mag))
+            factors.insert(0, rational_text(mag, "coefficient"))
         term = "*".join(factors)
         if not parts:
             parts.append(term if c > 0 else f"-{term}")

@@ -34,6 +34,20 @@ class NumericFailureError(RuntimeError):
     pass
 
 
+class BudgetError(RuntimeError):
+    """An exact computation that would pass its work bound."""
+
+
+# restrict's bounds (README, grammar section).  The digits of a restricted
+# coefficient follow the degree of its term, and a product of two long ones
+# takes a gcd quadratic in them: x^100000*y^100000 on a line takes 0.1 s,
+# x^300000*y^300000 1.1 s.  The work counts coefficient products, each
+# weighted by the degree it reaches: 10^7 take 0.5-1.2 s on a plane of
+# dimension 2 or 3 (2-core VM, Python 3.11).
+MAX_RESTRICT_DEGREE = 200_000
+MAX_RESTRICT_WORK = 10_000_000
+
+
 @dataclass(frozen=True)
 class PlaneRestriction:
     """A generic codimension-j plane through 0, parameterized by its columns."""
@@ -157,19 +171,33 @@ def restrict(I: IdealPresentation, plane: PlaneRestriction) -> IdealPresentation
     into its generator's dict, so a term on a line maps to c M^v t^|v|.
     Terms come out in the order of repeated polynomial products: first
     occurrence, with a coefficient that cancels to zero dropped and
-    re-appended if it returns."""
+    re-appended if it returns.
+
+    Before each power is taken, the degree reached and the products it
+    costs, len(term) times the C(e + s - 1, e) terms of the power of a row
+    with s nonzero entries, weighted by that degree, are checked against
+    MAX_RESTRICT_DEGREE and MAX_RESTRICT_WORK: BudgetError past either."""
     if I.dim != plane.ambient:
         raise InvalidInputError("dimension mismatch in restriction")
     m = plane.ambient - plane.codim
+    support = [sum(1 for c in row if c) for row in plane.matrix]
     powers: dict = {}
     out = []
+    work = 0
     for g in I.generators:
         acc: dict = {}
         for v, c in g.terms.items():
             term = {(0,) * m: c}
+            degree = 0
             for i, e in enumerate(v):
                 if not e:
                     continue
+                degree += e
+                work += len(term) * comb(e + support[i] - 1, e) * degree
+                if degree > MAX_RESTRICT_DEGREE or work > MAX_RESTRICT_WORK:
+                    raise BudgetError(
+                        f"restriction to a {m}-dimensional plane passes its work "
+                        f"bound at a term of degree {degree}")
                 power = powers.get((i, e))
                 if power is None:
                     power = powers[i, e] = _linear_power(plane.matrix[i], e)

@@ -6,7 +6,6 @@ integral-closure domination of lct(f), and the hyperplane-restriction probe.
 """
 from __future__ import annotations
 
-import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -18,6 +17,7 @@ from .exactgeom import (
     InvalidInputError,
     MonomialIdeal,
     minimalize,
+    polyhedron_of,
 )
 from .germs import (
     IdealPresentation,
@@ -25,6 +25,7 @@ from .germs import (
     check_isolated,
     lct_nondegenerate,
     poly,
+    rational_text,
 )
 from .invariants import (
     lelong_numbers,
@@ -49,10 +50,6 @@ EXIT_COMPUTE_ERROR = 5  # RuntimeError: numeric failure, sampling
 DEFAULT_TOLERANCE = 0.05
 DEFAULT_BUDGET = 5
 MAX_BUDGET = 1000  # random_ideal's work grows linearly with the budget
-# corpus cases whose exact verdicts are kept, about 1.2 kB each: 1024 serve
-# 98.8% of dim-2 and 49% of dim-3 cases (budget 5), while an unbounded memo
-# took a 25-s dim-3 run from 60 to 95 MB (README, corpus paragraph)
-CASE_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -254,8 +251,9 @@ class CorpusConfig:
 
 
 def frac_str(x) -> str:
+    """A Fraction as "p/q", or "p" for an integer; a float to 12 digits."""
     if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
+        return rational_text(x, "value")
     return format(float(x), ".12g")
 
 
@@ -341,12 +339,17 @@ class CorpusReport:
         return _exit_code([f["numeric"] for f in self.failures])
 
 
-@functools.lru_cache(maxsize=CASE_CACHE_SIZE)
 def _case_verdicts(a: MonomialIdeal, order: int) -> tuple[Verdict, ...]:
     """A corpus case's exact verdicts: the chain's and, in dim 2, the Pham
     probe's.  The seed reaches them only through the line order, so they
-    are kept per (ideal, order); a Verdict is frozen, and no caller mutates
-    the tuple."""
+    are kept on a's polyhedron per order, next to its Lelong vector, and go
+    when the polyhedron leaves the cache; a Verdict is frozen, and no caller
+    mutates the tuple."""
+    return polyhedron_of(a).keep(("case_verdicts", order),
+                                 lambda: _exact_verdicts(a, order))
+
+
+def _exact_verdicts(a: MonomialIdeal, order: int) -> tuple[Verdict, ...]:
     lv, lct = lelong_numbers(a), lct_monomial(a)
     verdicts = _chain_verdicts(a, lv, lct, order)
     if a.dim == 2:

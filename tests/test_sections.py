@@ -17,6 +17,8 @@ from lctlab.germs import (
 )
 from lctlab.invariants import loja_monomial
 from lctlab.sections import (
+    MAX_RESTRICT_DEGREE,
+    BudgetError,
     DegenerateRestrictionError,
     LojaParams,
     NumericFailureError,
@@ -92,6 +94,30 @@ class TestRestrict:
         R = restrict(monomial_presentation([(100000, 0), (0, 2)], 2), line)
         assert R.generators[0].terms == {(100000,): c1 ** 100000}
         assert R.generators[1].terms == {(2,): c2 ** 2}
+
+    def test_degree_bound(self):
+        line = PlaneRestriction(2, 1, ((Fraction(-4, 3),), (Fraction(1),)))
+        d = MAX_RESTRICT_DEGREE
+        R = restrict(monomial_presentation([(d, 0)], 2), line)
+        assert R.generators[0].terms == {(d,): Fraction(-4, 3) ** d}
+        # past the bound nothing is expanded, however large the exponent
+        for gens in ([(d + 1, 0)], [(d, 1)], [(1, 0), (10 ** 100, 0)]):
+            with pytest.raises(BudgetError, match="degree"):
+                restrict(monomial_presentation(gens, 2), line)
+
+    def test_work_bound_counts_weighted_products(self, monkeypatch):
+        # x^2*y^3 on a plane with full rows: x^2 takes 1 x 3 products at
+        # degree 2, then y^3 takes 3 x 4 at degree 5, 66 in all; a second
+        # generator adds its own
+        plane = PlaneRestriction(3, 1, tuple((Fraction(i), Fraction(i + 1)) for i in (1, 3, 5)))
+        I = monomial_presentation([(2, 3, 0)], 3)
+        monkeypatch.setattr(sections, "MAX_RESTRICT_WORK", 66)
+        assert len(restrict(I, plane).generators[0].terms) == 6  # degree 5 in t_1, t_2
+        with pytest.raises(BudgetError):
+            restrict(monomial_presentation([(2, 3, 0), (0, 0, 1)], 3), plane)
+        monkeypatch.setattr(sections, "MAX_RESTRICT_WORK", 65)
+        with pytest.raises(BudgetError, match="2-dimensional plane"):
+            restrict(I, plane)
 
 
 class TestLojaLine:

@@ -5,8 +5,9 @@ a leading underscore belongs to its module: when a second module needs it, it
 is made public where it lives, or moved to the one module that uses it.
 Dunder names such as __version__ are public.
 
-Every functools cache in the package is bounded: an lru_cache has an int
-maxsize, and a plain cache is kept for functions of no arguments.
+Every cache in the package is bounded: an lru_cache has an int maxsize, a
+plain functools cache is kept for functions of no arguments, and no module
+binds a name ending in _CACHE to an empty dict, which would keep every entry.
 """
 import ast
 import importlib
@@ -55,11 +56,36 @@ def _no_arguments(fn) -> bool:
                 or args.kwonlyargs or args.kwarg)
 
 
+def _empty_dict(node) -> bool:
+    """node is {} or dict()."""
+    if isinstance(node, ast.Dict):
+        return not node.keys
+    return (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "dict"
+            and not node.args and not node.keywords)
+
+
+def dict_caches(tree) -> list[tuple[str, bool]]:
+    """('dict at line N', False) for each module-level name ending in _CACHE
+    that is bound to an empty dict: nothing bounds what is put in it."""
+    uses = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign):
+            targets, value = [node.target], node.value
+        else:
+            continue
+        if _empty_dict(value) and any(isinstance(t, ast.Name) and t.id.endswith("_CACHE")
+                                      for t in targets):
+            uses.append((f"dict at line {node.lineno}", False))
+    return uses
+
+
 def cache_uses(source: str, namespace: dict) -> list[tuple[str, bool]]:
-    """(use, bounded) for each functools cache in source.  An lru_cache is
-    bounded when its maxsize is an int literal or a name bound to an int in
-    namespace; a cache, when it decorates a function of no arguments, which
-    can keep one value only."""
+    """(use, bounded) for each cache in source.  An lru_cache is bounded when
+    its maxsize is an int literal or a name bound to an int in namespace; a
+    functools cache, when it decorates a function of no arguments, which can
+    keep one value only; a module-level dict cache never is."""
     tree = ast.parse(source)
     calls = {node.func: node for node in ast.walk(tree) if isinstance(node, ast.Call)}
     decorated = {d: node for node in ast.walk(tree)
@@ -86,7 +112,7 @@ def cache_uses(source: str, namespace: dict) -> list[tuple[str, bool]]:
             size = size.value
         uses.append((f"lru_cache at line {node.lineno}",
                      isinstance(size, int) and not isinstance(size, bool)))
-    return uses
+    return uses + dict_caches(tree)
 
 
 def test_caches_are_bounded():
@@ -96,7 +122,7 @@ def test_caches_are_bounded():
         for use, bounded in cache_uses(path.read_text(), vars(module)):
             uses[f"{path.stem}: {use}"] = bounded
     assert [use for use, bounded in uses.items() if not bounded] == []
-    assert {use.split(" at ")[0] for use in uses} >= {"cli: cache", "verify: lru_cache"}
+    assert {use.split(" at ")[0] for use in uses} == {"cli: cache", "exactgeom: lru_cache"}
 
 
 @pytest.mark.parametrize("source,bounded", [
@@ -109,6 +135,14 @@ def test_caches_are_bounded():
     ("@functools.lru_cache(maxsize=FLAG)\ndef f(a): pass", [False]),
     ("@functools.cache\ndef f(a): pass", [False]),
     ("g = functools.cache(f)", [False]),
+    ("_POLY_CACHE = {}", [False]),
+    ("_POLY_CACHE: dict[tuple, int] = {}", [False]),
+    ("A_CACHE = B = dict()", [False]),
+    ("_CACHE_SIZE = {}", []),
+    ("_TABLE = {}", []),
+    ("_LEAF_CACHE = {int: repr}", []),
+    ("def f():\n    _CACHE = {}", []),
+    ("_POLY_CACHE = dict(a=1)", []),
 ])
 def test_cache_check_flags_unbounded(source, bounded):
     uses = cache_uses(source, {"SIZE": 1024, "FLAG": True})

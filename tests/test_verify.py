@@ -1,6 +1,7 @@
 """Verdict assembly, corpus runs, reports and the CLI surface."""
 import contextlib
 import importlib.util
+import itertools
 import json
 import os
 import subprocess
@@ -12,11 +13,16 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lctlab import cli, germs, verify
+from lctlab import cli, exactgeom, germs, verify
 from lctlab.cli import build_parser
 from lctlab.exactgeom import InvalidInputError, MonomialIdeal, maximal_ideal
 from lctlab.germs import NotMonomializableError, parse_polynomial
-from lctlab.sections import NumericFailureError, _line_zeros
+from lctlab.sections import (
+    MAX_RESTRICT_DEGREE,
+    NumericFailureError,
+    _line_zeros,
+    line_order,
+)
 from lctlab.verify import (
     CorpusConfig,
     CorpusReport,
@@ -258,28 +264,45 @@ class TestCorpusRun:
     @given(dim=st.sampled_from([2, 3, 4]), seed=st.integers(0, 10 ** 6),
            count=st.sampled_from([1, 30, 40]))
     def test_case_memo_keeps_report_bytes(self, dim, seed, count):
-        # a case's verdicts come from the memo or are computed, and the
+        # a case's verdicts come from its polyhedron or are computed, and the
         # report does not tell which: cold, warmed by another corpus, repeated
         cfg = CorpusConfig(dim=dim, count=count, seed=seed)
-        verify._case_verdicts.cache_clear()
+        exactgeom._polyhedron.cache_clear()
         cold = emit_report(corpus_run(cfg), "json")
         corpus_run(CorpusConfig(dim=dim, count=count, seed=seed + count // 2))
         warm = emit_report(corpus_run(cfg), "json")
         assert warm == cold == emit_report(corpus_run(cfg), "json")
 
     def test_case_memo_is_bounded(self):
-        verify._case_verdicts.cache_clear()
-        a = random_ideal(2, 0, 5)
-        for order in range(1, verify.CASE_CACHE_SIZE + 11):
-            cached = verify._case_verdicts(a, order)
-        info = verify._case_verdicts.cache_info()
-        assert (info.misses, info.currsize) == (verify.CASE_CACHE_SIZE + 10,
-                                                verify.CASE_CACHE_SIZE)
-        assert isinstance(cached, tuple)
-        assert [v.name for v in cached] == [
+        # the verdicts live on their ideal's polyhedron, so the polyhedron
+        # cache bounds them: POLY_CACHE_SIZE + 10 distinct ideals evict the
+        # first case's polyhedron with its verdicts, and an evicted case
+        # recomputes equal verdicts and report bytes
+        size = exactgeom.POLY_CACHE_SIZE
+        exactgeom._polyhedron.cache_clear()
+        cfg = CorpusConfig(dim=2, count=30, seed=5)
+        cold = emit_report(corpus_run(cfg), "json")
+        a = random_ideal(2, 5, 5)
+        P = exactgeom.polyhedron_of(a)
+        order = line_order(a, 5)
+        verdicts = verify._case_verdicts(a, order)
+        assert isinstance(verdicts, tuple)
+        assert [v.name for v in verdicts] == [
             "chain-lct", "chain-term-j0", "chain-term-j1", "pham-probe"]
-        cfg = CorpusConfig(dim=3, count=30, seed=5)
-        assert emit_report(corpus_run(cfg), "json") == emit_report(corpus_run(cfg), "json")
+        assert vars(P)[("case_verdicts", order)] is verdicts
+        assert verify._case_verdicts(a, order) is verdicts
+
+        # (x^i, y^j) with i, j > 5 is no budget-5 corpus ideal
+        misses = exactgeom._polyhedron.cache_info().misses
+        powers = ((i, j) for i in range(6, 200) for j in range(6, 200))
+        for i, j in itertools.islice(powers, size + 10):
+            verify._case_verdicts(MonomialIdeal.make([(i, 0), (0, j)], 2), min(i, j))
+        info = exactgeom._polyhedron.cache_info()
+        assert (info.misses - misses, info.currsize) == (size + 10, size)
+
+        assert exactgeom.polyhedron_of(a) is not P
+        assert verify._case_verdicts(a, order) == verdicts
+        assert emit_report(corpus_run(cfg), "json") == cold
 
     def test_verdict_margin_and_holds_computed_once(self):
         v = Verdict("v", Fraction(1, 2), Fraction(2, 3), False, None)
@@ -819,14 +842,41 @@ class TestCli:
         # each factor is within the limit, their product is not
         ("compute", "{half}*{half}*x^2 + y^2", "coefficient longer than {limit} digits"),
         ("verify-main", "{half}*{half}*x^2*y + y^4", "coefficient longer than {limit} digits"),
-    ], ids=["coefficient", "denominator", "exponent", "product", "product-message"])
+        # every number parses, but lct(f) = 1/a + 1/2 has a denominator 2a
+        # one digit past the limit
+        ("compute", "x^{most} + y^2", "value longer than {limit} digits"),
+        ("verify-lct", "x^{most} + y^2", "value longer than {limit} digits"),
+    ], ids=["coefficient", "denominator", "exponent", "product", "product-message",
+            "value", "value-lct"])
     def test_digit_run_past_int_limit_exit(self, command, template, message, capsys):
         limit = sys.get_int_max_str_digits()
-        text = template.format(long="9" * (limit + 1), half="9" * (limit // 2 + 1))
+        text = template.format(long="9" * (limit + 1), half="9" * (limit // 2 + 1),
+                               most="9" * limit)
         assert cli.main([command, text]) == EXIT_INPUT_ERROR
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: {message.format(limit=limit)}\n"
+
+    @pytest.mark.parametrize("argv,degree", [
+        (["verify-main", "x^100000000 + y^2"], 99999999),
+        (["compute", f"x^{MAX_RESTRICT_DEGREE + 2} + y^2"], MAX_RESTRICT_DEGREE + 1),
+        # degree 3199 on a plane of dimension 2: about 3199^2 weighted products
+        (["verify-main", "x^3200 + y^2 + z^2"], 3199),
+    ], ids=["line", "line-at-bound", "plane"])
+    def test_restriction_past_work_bound_exit(self, argv, degree, capsys):
+        # J_f's power of x is restricted to a generic plane; past the bound
+        # nothing is expanded, and the command exits 5 at once
+        assert cli.main(argv) == EXIT_COMPUTE_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: restriction to a ")
+        assert err.endswith(f"passes its work bound at a term of degree {degree}\n")
+
+    def test_restriction_at_degree_bound(self, capsys):
+        text = f"x^{MAX_RESTRICT_DEGREE + 1} + y^2"
+        assert cli.main(["verify-main", text, "--json"]) == EXIT_OK
+        theta = json.loads(capsys.readouterr().out)["invariants"]["theta"]
+        assert theta == [str(MAX_RESTRICT_DEGREE), "1"]
 
     @pytest.mark.parametrize("argv", [
         ["compute", "x + y^2 + z^2"],
