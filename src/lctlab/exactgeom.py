@@ -2,8 +2,10 @@
 
 Newton polyhedra of monomial ideals in dimension n <= 4: vertices and
 facets in one double description pass, Minkowski sums, the diagonal
-intercept, and the volume of conv(0, F) for each facet F, whose sum is the
-orthant-complement volume (covolume).  Over the facets <w_F, x> >= c_F the
+intercept, and the integer n! vol conv(0, F) for each facet F, whose sum
+over n! is the orthant-complement volume (covolume).  Incidence sets and
+faces are int bitmasks over the generators or vertices: a subset test is
+w & z == z, a size is int.bit_count().  Over the facets <w_F, x> >= c_F the
 diagonal intercept is max_F c_F/|w_F|, with |w_F| the entry sum, found by
 integer cross-multiplication.  Everything is integer/Fraction arithmetic;
 floats never enter this module.
@@ -13,9 +15,9 @@ from __future__ import annotations
 from collections.abc import Hashable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from math import factorial, gcd
-from operator import index, le
+from operator import and_, index, le, mul
 
 MAX_DIM = 4
 # polyhedra kept, each with what callers keep on it (Lelong vector, a corpus
@@ -161,9 +163,9 @@ class NewtonPolyhedron:
         return value
 
     @cached_property
-    def cone_volumes(self) -> tuple[Fraction, ...]:
-        """vol conv(0, F) for each facet F, in `facets` order, computed once
-        per polyhedron; requires finite axis intercepts."""
+    def normalized_cone_volumes(self) -> tuple[int, ...]:
+        """The integer n! vol conv(0, F) for each facet F, in `facets` order,
+        computed once per polyhedron; requires finite axis intercepts."""
         if any(0 in w for w, _ in self.facets):  # an axis never meets P
             raise NotZeroDimensionalError("unbounded orthant complement")
         return _cone_volume(self)
@@ -171,7 +173,7 @@ class NewtonPolyhedron:
     @cached_property
     def _covolume(self) -> Fraction:
         """covolume(self), computed once per polyhedron."""
-        return sum(self.cone_volumes, Fraction(0))
+        return Fraction(sum(self.normalized_cone_volumes), factorial(self.dim))
 
 
 def _vertices_and_facets(gens, n: int):
@@ -184,41 +186,44 @@ def _vertices_and_facets(gens, n: int):
     generators too.
 
     Double description method (Fukuda & Prodon 1996) on the cone over P in
-    dimension n + 1, generated by the rays (e_j, 0), indexed j < n, and the
-    points (g, 1), indexed n + i for g = gens[i].  Each facet of the cone is a
-    primitive integer row h with h.x >= 0 on it, kept with the set of
+    dimension n + 1, generated by the rays (e_j, 0), bit j < n, and the
+    points (g, 1), bit n + i for g = gens[i].  Each facet of the cone is a
+    primitive integer row h with h.x >= 0 on it, kept with the bitmask of
     generators on it.  The cone starts from gens[0] + orthant, whose facets
     are s >= 0 and x_j >= gens[0][j] s.  Adding a point drops the facets it
     violates and joins each violated facet to each kept one adjacent to it,
     that is, whose common generators Z number at least n - 1 and lie on no
-    third facet (the combinatorial test).  The facets of P are the rows with
-    a negative last entry; its vertices are the points that are the only
-    generator on all of their facets.
+    third facet (the combinatorial test; distinct facets have distinct
+    incidence masks).  The facets of P are the rows with a negative last
+    entry; its vertices are the points that are the only generator on all
+    of their facets.
     """
-    rows = [((0,) * n + (1,), frozenset(range(n)))]
+    rows = [((0,) * n + (1,), (1 << n) - 1)]
     rows += [(tuple(int(j == i) for j in range(n)) + (-gens[0][i],),
-              frozenset(range(n + 1)) - {i}) for i in range(n)]
+              ((1 << (n + 1)) - 1) ^ (1 << i)) for i in range(n)]
     for i in range(1, len(gens)):
-        p, q = gens[i] + (1,), n + i
-        dots = [sum(a * b for a, b in zip(h, p)) for h, _ in rows]
-        kept = [(h, z | {q} if d == 0 else z) for (h, z), d in zip(rows, dots) if d >= 0]
+        p, q = gens[i] + (1,), 1 << (n + i)
+        dots = [sum(map(mul, h, p)) for h, _ in rows]
+        kept = [(h, z | q if d == 0 else z) for (h, z), d in zip(rows, dots) if d >= 0]
         pos = [(h, z, d) for (h, z), d in zip(rows, dots) if d > 0]
+        masks = [w for _, w in rows]
         for (hm, zm), dm in zip(rows, dots):
             if dm >= 0:
                 continue
             for hp, zp, dp in pos:
                 z = zm & zp
-                if len(z) < n - 1 or any(z <= w for _, w in rows
-                                         if w is not zm and w is not zp):
+                # zm and zp hold z; a third mask holding it fails the test
+                if z.bit_count() < n - 1 or len([w for w in masks if w & z == z]) > 2:
                     continue
                 h = [dp * a - dm * b for a, b in zip(hm, hp)]
                 c = gcd(*h)
-                kept.append((tuple(a // c for a in h), z | {q}))
+                kept.append((tuple(a // c for a in h), z | q))
         rows = kept
+    masks = [z for _, z in rows]
     vertices = []
     for i, g in enumerate(gens):
-        on = [z for _, z in rows if n + i in z]
-        if on and frozenset.intersection(*on) == {n + i}:
+        q = 1 << (n + i)
+        if reduce(and_, [z for z in masks if z & q], -1) == q:
             vertices.append(g)
     return tuple(vertices), tuple(sorted((h[:n], -h[n]) for h, _ in rows if h[n] < 0))
 
@@ -280,37 +285,35 @@ def det(rows) -> int | Fraction:
                for j, a in enumerate(rows[0]) if a)
 
 
-def _cone_volume(P: NewtonPolyhedron) -> tuple[Fraction, ...]:
-    """vol conv(0, F) for each facet F of P, in P.facets order.
+def _cone_volume(P: NewtonPolyhedron) -> tuple[int, ...]:
+    """n! vol conv(0, F) for each facet F of P, in P.facets order.
 
     Each facet is cut into simplices by a pulling triangulation: pick its
-    first vertex, then recurse into every sub-face that misses it.  The
-    faces come from facet-vertex incidences, with the coordinate
-    hyperplanes counted as facets; each simplex s adds |det(s)| / n!.
+    first vertex, then recurse into every sub-face that misses it.  Faces
+    are bitmasks over P.vertices, from facet-vertex incidences, with the
+    coordinate hyperplanes counted as facets; each simplex s adds |det(s)|.
     """
     verts = P.vertices
     n = P.dim
-    planes = [frozenset(k for k, v in enumerate(verts)
-                        if sum(a * b for a, b in zip(w, v)) == c) for w, c in P.facets]
-    cuts = planes + [frozenset(k for k, v in enumerate(verts) if v[i] == 0)
+    planes = [sum(1 << k for k, v in enumerate(verts) if sum(map(mul, w, v)) == c)
+              for w, c in P.facets]
+    cuts = planes + [sum(1 << k for k, v in enumerate(verts) if not v[i])
                      for i in range(n)]
-    triangulations: dict[frozenset, list[tuple[int, ...]]] = {}
+    triangulations: dict[int, list[tuple[int, ...]]] = {}
 
-    def simplices(face: frozenset, d: int) -> list[tuple[int, ...]]:
+    def simplices(face: int, d: int) -> list[tuple[int, ...]]:
         if d == 0:
-            return [tuple(face)]
+            return [(face.bit_length() - 1,)]
         if face not in triangulations:
-            apex = min(face)
-            subs = {face & h for h in cuts} - {face, frozenset()}
+            apex = face & -face
+            subs = {face & h for h in cuts} - {face, 0}
             triangulations[face] = [
-                s + (apex,) for g in subs
-                if apex not in g and not any(g < h for h in subs)
+                s + (apex.bit_length() - 1,) for g in subs
+                if not g & apex and not any(g & h == g != h for h in subs)
                 for s in simplices(g, d - 1)]
         return triangulations[face]
 
-    nf = factorial(n)
-    return tuple(Fraction(sum(abs(det([verts[k] for k in s]))
-                              for s in simplices(f, n - 1)), nf)
+    return tuple(sum(abs(det([verts[k] for k in s])) for s in simplices(f, n - 1))
                  for f in planes)
 
 
@@ -319,7 +322,7 @@ def covolume(P: NewtonPolyhedron) -> Fraction:
 
     Then every facet normal is positive, so every facet is compact, and each
     ray from 0 leaves the complement through one of them: the cones
-    conv(0, F) tile the complement.  The value is the sum of P's cone
-    volumes, kept on P.
+    conv(0, F) tile the complement.  The value is the sum of P's normalized
+    cone volumes over n!, kept on P.
     """
     return P._covolume

@@ -8,20 +8,23 @@ P, which for a monomial ideal is its largest pure power.
 
 The Lelong numbers e_k of a, the mixed multiplicities of a taken k times
 against the maximal ideal (Kaveh & Khovanskii 2014), come from the facets of
-the Newton polyhedron P of a: e_1 = ord(a), e_n = n! covol(P), and
+the Newton polyhedron P of a.  With N_F = n! vol conv(0, F), the integer
+normalized cone volume that P keeps for each facet <w_F, x> >= c_F,
+e_1 = ord(a), e_n = n! covol(P) = sum_F N_F, and
 
-    e_(n-1) = n! sum_F vol conv(0, F) min(w_F) / c_F
+    e_(n-1) = sum_F N_F min(w_F) / c_F,
 
-over the facets <w_F, x> >= c_F of P, by the first variation of covolume
-(Schneider, Convex Bodies, 2nd ed. 2014, section 5.1).  Only e_2 in dim 4
-takes a Minkowski sum, P + D with D the polyhedron of the maximal ideal.
+by the first variation of covolume (Schneider, Convex Bodies, 2nd ed. 2014,
+section 5.1), summed in integers over the common denominator lcm(c_F).
+Only e_2 in dim 4 takes a Minkowski sum, P + D with D the polyhedron of the
+maximal ideal.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import lcm
 
 from .exactgeom import (
     InvalidInputError,
@@ -136,7 +139,7 @@ def lelong_numbers(a: MonomialIdeal) -> LelongVector:
     2nd ed. 2014, section 5.1): the facet <w_F, x> >= c_F of P moves to offset
     c_F + t min(w_F), so
 
-        e_(n-1) = n! sum_F cone_F min(w_F) / c_F,   cone_F = vol conv(0, F).
+        e_(n-1) = sum_F N_F min(w_F) / c_F,   N_F = n! vol conv(0, F).
 
     e_1 is the order of a, `min_degree`.  That leaves only e_2 in dim 4, from
     the one sum P + D at t = 1:
@@ -152,17 +155,24 @@ def lelong_numbers(a: MonomialIdeal) -> LelongVector:
 
 
 def _lelong_vector(a: MonomialIdeal, P: NewtonPolyhedron) -> LelongVector:
-    n, nf = a.dim, factorial(a.dim)
-    en = nf * covolume(P)
+    """e_1..e_n in integers, each made a Fraction once: e_n is the sum of the
+    normalized cone volumes N_F = n! vol conv(0, F), and e_(n-1) is
+    sum_F N_F min(w_F) / c_F over the common denominator lcm(c_F)."""
+    n = a.dim
+    vols = P.normalized_cone_volumes
+    en = sum(vols)
     if n == 1:
-        return LelongVector((en,))
-    e1 = Fraction(a.min_degree)
+        return LelongVector((Fraction(en),))
+    e1 = a.min_degree
     if n == 2:
-        return LelongVector((e1, en))
-    e_prev = nf * sum(cone * min(w) / c for cone, (w, c) in zip(P.cone_volumes, P.facets))
+        return LelongVector((Fraction(e1), Fraction(en)))
+    den = lcm(*(c for _, c in P.facets))
+    num = sum(v * min(w) * (den // c) for v, (w, c) in zip(vols, P.facets))
     if n == 3:
-        return LelongVector((e1, e_prev, en))
+        return LelongVector((Fraction(e1), Fraction(num, den), Fraction(en)))
     D = polyhedron_of(maximal_ideal(4))
-    e2 = (24 * covolume(minkowski_sum(P, D)) - 1 - 4 * e1 - 4 * e_prev - en) / 6
-    return LelongVector((e1, e2, e_prev, en))
-
+    # 6 e_2 = 24 covol(P + D) - 1 - 4 e_1 - 4 e_3 - e_4, and 24 covol(P + D)
+    # is the sum of the normalized cone volumes of P + D
+    sd = sum(minkowski_sum(P, D).normalized_cone_volumes)
+    e2 = Fraction((sd - 1 - 4 * e1 - en) * den - 4 * num, 6 * den)
+    return LelongVector((Fraction(e1), e2, Fraction(num, den), Fraction(en)))

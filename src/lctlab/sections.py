@@ -46,6 +46,13 @@ class BudgetError(RuntimeError):
 # dimension 2 or 3 (2-core VM, Python 3.11).
 MAX_RESTRICT_DEGREE = 200_000
 MAX_RESTRICT_WORK = 10_000_000
+# loja_numeric's bound on the distinct terms of its ideal.  Its time grows
+# with them, 5.5-7.5 ms a term on a 3-plane and 3.5-5.5 ms on a 2-plane:
+# 256 terms take about 1.9 s on a 3-plane, as long as restrict takes near
+# its bounds, and 823 terms took 15 s (2-core VM, Python 3.11).  Budget-5
+# corpus ideals restrict to at most 32 terms in dim 3; in dim 4, 3 of
+# 20,000 pass 256 (README, grammar section).
+MAX_ESTIMATOR_TERMS = 256
 
 
 @dataclass(frozen=True)
@@ -89,15 +96,47 @@ def _mix_seed(n: int, j: int, seed: int, attempt: int) -> int:
     return ((seed & 0xFFFFFFFFFFFFFFFF) * 1000003 + n * 101 + j * 13 + attempt) & 0xFFFFFFFFFFFFFFFF
 
 
+# the one generator behind every seeded draw in the package (seeded_randint)
+_RNG = random.Random()
+_bits = _RNG.getrandbits
+
+
+def seeded_randint(seed: int):
+    """Reseed the package's one random.Random with seed and return its draw:
+    a run of draw(a, b) calls gives what the same run of
+    random.Random(seed).randint(a, b) calls gives.
+
+    draw(a, b) is a + r, with r = getrandbits(k) for k the bit length of the
+    width b - a + 1, redrawn while r >= width: CPython's
+    _randbelow_with_getrandbits behind randint, without its argument checks
+    and method calls.  The generator is shared by the process, so a caller
+    finishes its draws before it hands control to another caller that
+    draws, and no two threads draw at once."""
+    _RNG.seed(seed)
+    return _draw
+
+
+def _draw(a: int, b: int) -> int:
+    width = b - a + 1
+    k = width.bit_length()
+    r = _bits(k)
+    while r >= width:
+        if width < 1:  # an empty range would redraw forever
+            raise ValueError(f"empty range for a draw: {a}..{b}")
+        r = _bits(k)
+    return a + r
+
+
 def _draws(n: int, j: int, seed: int):
     """The integer draws behind sample_plane(n, j, seed), one per attempt:
     n rows of n - j (numerator, denominator) pairs, numerators in -9..9 and
-    denominators in 1..9.  SamplingError once 1000 attempts are used up."""
+    denominators in 1..9.  Each attempt reseeds and makes all its draws
+    before it is yielded.  SamplingError once 1000 attempts are used up."""
     if not 1 <= j <= n - 1:
         raise InvalidInputError(f"codimension {j} invalid for dimension {n}")
     for attempt in range(1000):
-        rng = random.Random(_mix_seed(n, j, seed, attempt))
-        yield tuple(tuple((rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n - j))
+        draw = seeded_randint(_mix_seed(n, j, seed, attempt))
+        yield tuple(tuple((draw(-9, 9), draw(1, 9)) for _ in range(n - j))
                     for _ in range(n))
     raise SamplingError("could not draw a full-rank plane")
 
@@ -229,7 +268,8 @@ def loja_line(I: IdealPresentation) -> int:
 
 def _term_tables(I: IdealPresentation) -> tuple[np.ndarray, np.ndarray]:
     """Exponent table E (terms x m, integers) over every term of the nonzero
-    generators, and real coefficient matrix C (terms x generators)."""
+    generators, and real coefficient matrix C (terms x generators);
+    BudgetError past MAX_ESTIMATOR_TERMS distinct terms."""
     import numpy as np
 
     gens = [g for g in I.generators if not g.is_zero]
@@ -239,6 +279,10 @@ def _term_tables(I: IdealPresentation) -> tuple[np.ndarray, np.ndarray]:
     for g in gens:
         for v in g.terms:
             index.setdefault(v, len(index))
+    if len(index) > MAX_ESTIMATOR_TERMS:
+        raise BudgetError(
+            f"numeric estimate over {len(index)} terms passes its bound of "
+            f"{MAX_ESTIMATOR_TERMS}")
     if max(max(v) for v in index) > np.iinfo(np.intp).max:
         raise NumericFailureError("exponent beyond the estimator's integer range")
     E = np.array(list(index), dtype=np.intp).reshape(len(index), I.dim)
@@ -363,7 +407,8 @@ def loja_numeric(I: IdealPresentation, params: LojaParams | None = None) -> Loja
 
     If a min-max value falls below 1e-250, every radius is retried once at
     ten times its size; NumericFailureError if one still does or is not
-    finite.
+    finite.  BudgetError, before any descent, when the generators have more
+    than MAX_ESTIMATOR_TERMS distinct terms.
     """
     import numpy as np
 

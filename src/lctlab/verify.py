@@ -7,7 +7,6 @@ integral-closure domination of lct(f), and the hyperplane-restriction probe.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -39,6 +38,7 @@ from .sections import (
     polar_invariant,
     restrict,
     sample_plane,
+    seeded_randint,
 )
 
 EXIT_OK = 0
@@ -129,7 +129,7 @@ def _chain_verdicts(a, lv, lct, order) -> list[Verdict]:
     n = a.dim
     ratios = lv.ratios
     verdicts = [
-        _verdict("chain-lct", sum(ratios, Fraction(0)), lct,
+        _verdict("chain-lct", lv.ratio_sum, lct,
                  ["dh_lower_bound", "lct_monomial"]),
         _verdict("chain-term-j0", Fraction(1) / loja_monomial(a), ratios[n - 1],
                  ["loja_monomial", "lelong_numbers"]),
@@ -223,16 +223,20 @@ def check_corpus_shape(n: int, budget: int, count: int = 0,
 
 
 def random_ideal(n: int, seed: int, budget: int) -> MonomialIdeal:
-    """Seeded zero-dimensional monomial ideal: pure powers plus mixed terms."""
+    """Seeded zero-dimensional monomial ideal: pure powers plus mixed terms.
+
+    Its draws are those of random.Random(s).randint, s mixed from seed, n and
+    budget, made by sections.seeded_randint."""
     check_corpus_shape(n, budget)
-    rng = random.Random((seed * 0x9E3779B1 + n * 7 + budget) & 0xFFFFFFFFFFFFFFFF)
-    axis_powers = [rng.randint(2, budget) for _ in range(n)]
+    draw = seeded_randint((seed * 0x9E3779B1 + n * 7 + budget) & 0xFFFFFFFFFFFFFFFF)
+    axis_powers = [draw(2, budget) for _ in range(n)]
     gens = [tuple(axis_powers[i] if j == i else 0 for j in range(n))
             for i in range(n)]
-    for _ in range(rng.randint(0, budget)):
+    tops = [p - 1 for p in axis_powers]
+    for _ in range(draw(0, budget)):
         for _attempt in range(20):
-            v = tuple(rng.randint(0, axis_powers[i] - 1) for i in range(n))
-            if sum(v) > 0:
+            v = tuple([draw(0, t) for t in tops])
+            if any(v):
                 gens.append(v)
                 break
     # the draws are nonnegative int tuples of length n, so make's checks

@@ -18,7 +18,9 @@ intercept with one Fraction per facet that the integer maximum replaced;
 axis_intercepts_fractions and loja_dual are the axis intercepts and L_0 over
 the facets, which production reads off the pure powers; and
 zero_dimensional_pure_powers is the check by one pure_power search per axis
-that the one-pass check replaced.
+that the one-pass check replaced.  random_ideal_randint and draws_randint
+draw the corpus ideals and the plane entries by random.Random(s).randint,
+the definition that seeded_randint's getrandbits draws replaced.
 singular_axis is the isolation rule of check_isolated by restriction: the
 partials of f restricted to each coordinate axis.  contains and facet_eval
 decide membership by the facet inequalities, against the LP of lp_member;
@@ -27,6 +29,7 @@ and poly_mul test polynomials; poly_mul is also the product that the
 exponent shift of product_with_maximal replaced.
 """
 import itertools
+import random
 from fractions import Fraction
 from math import comb, factorial, gcd
 
@@ -51,6 +54,7 @@ from lctlab.germs import Exponent, IdealPresentation, Polynomial, derivative, po
 from lctlab.invariants import _require_zero_dim
 from lctlab.sections import (
     PlaneRestriction,
+    _mix_seed,
     loja_line,
     restrict,
     sample_plane,
@@ -523,6 +527,29 @@ def line_order_restrict(a: MonomialIdeal, seed: int) -> int:
     order."""
     gens = IdealPresentation(a.dim, tuple(poly(a.dim, {v: 1}) for v in a.generators))
     return loja_line(restrict(gens, sample_plane(a.dim, a.dim - 1, seed)))
+
+
+def random_ideal_randint(n: int, seed: int, budget: int) -> MonomialIdeal:
+    """verify.random_ideal with one random.Random and its randint."""
+    rng = random.Random((seed * 0x9E3779B1 + n * 7 + budget) & 0xFFFFFFFFFFFFFFFF)
+    axis_powers = [rng.randint(2, budget) for _ in range(n)]
+    gens = [tuple(axis_powers[i] if j == i else 0 for j in range(n))
+            for i in range(n)]
+    for _ in range(rng.randint(0, budget)):
+        for _attempt in range(20):
+            v = tuple(rng.randint(0, axis_powers[i] - 1) for i in range(n))
+            if sum(v) > 0:
+                gens.append(v)
+                break
+    return MonomialIdeal(n, minimalize(gens))
+
+
+def draws_randint(n: int, j: int, seed: int, attempt: int) -> tuple:
+    """The draw of sections._draws(n, j, seed) at the given attempt, by one
+    random.Random and its randint."""
+    rng = random.Random(_mix_seed(n, j, seed, attempt))
+    return tuple(tuple((rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n - j))
+                 for _ in range(n))
 
 
 def _eval_batch(exps: np.ndarray, coeffs: np.ndarray, Z: np.ndarray) -> np.ndarray:

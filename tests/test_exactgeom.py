@@ -209,10 +209,11 @@ class TestMinkowskiSum:
 def test_cone_volumes_per_facet():
     P = build_polyhedron({(2, 0), (1, 1), (0, 3)}, 2)
     assert P.facets == (((1, 1), 2), ((2, 1), 3))
-    # the triangles 0, (2, 0), (1, 1) and 0, (1, 1), (0, 3)
-    assert P.cone_volumes == (1, Fraction(3, 2))
+    # the triangles 0, (2, 0), (1, 1) and 0, (1, 1), (0, 3), of areas 1 and
+    # 3/2, kept as the integers 2! vol
+    assert P.normalized_cone_volumes == (2, 3)
     assert covolume(P) == Fraction(5, 2)
-    assert build_polyhedron({(0, 0)}, 2).cone_volumes == ()
+    assert build_polyhedron({(0, 0)}, 2).normalized_cone_volumes == ()
 
 
 def test_covolume_is_kept_on_the_polyhedron(monkeypatch):

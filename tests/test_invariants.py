@@ -190,7 +190,7 @@ class TestLelong:
         assert "lelong_numbers" not in vars(polyhedron_of(a))  # a first call
         lv = lelong_numbers(a)
         assert len(calls) == sums
-        monkeypatch.setattr(invariants, "covolume", None)  # a call would fail
+        monkeypatch.setattr(invariants, "_lelong_vector", None)  # a call would fail
         assert lelong_numbers(MonomialIdeal.make(sorted(gens), n)) is lv
         assert len(calls) == sums
 

@@ -20,7 +20,9 @@ cross-multiplication, the pure powers and L_0, read off the generators, and
 the one-pass zero-dimensionality check are compared with the intercepts
 over the facets in Fractions and with one pure_power search per axis on
 random ideals in dims 1-4, and the line's zero pattern, drawn from the
-numerators alone, with sample_plane's matrix.
+numerators alone, with sample_plane's matrix.  The corpus ideals and plane
+entries, drawn through seeded_randint, are compared with the draws of
+random.Random(s).randint.
 """
 import itertools
 import random
@@ -33,7 +35,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 import oracles
-from lctlab import invariants, sections
+from lctlab import invariants, sections, verify
 from lctlab.exactgeom import (
     InvalidInputError,
     MonomialIdeal,
@@ -74,6 +76,7 @@ from oracles import (
     contains,
     covolume_box,
     diagonal_intercept_fractions,
+    draws_randint,
     facets_all_generators,
     grid_points,
     ideal_power,
@@ -86,6 +89,7 @@ from oracles import (
     minmax_loop,
     mixed_multiplicity_products,
     poly_mul,
+    random_ideal_randint,
     restrict_products,
     singular_axis,
     zero_dimensional_pure_powers,
@@ -158,6 +162,31 @@ def test_line_zeros_match_sample_plane():
             assert _line_zeros(n, s) == [i for i, (c,) in enumerate(plane.matrix) if not c]
             redrawn += not any(p for ((p, _),) in next(_draws(n, n - 1, s)))
     assert redrawn
+
+
+@pytest.mark.parametrize("budget", [2, 3, 5, 17, 1000])
+def test_random_ideal_matches_randint_reference(monkeypatch, budget):
+    """Seeds 0-1999 in dims 2-4.  Both sides skip minimalize, so the draws
+    themselves are compared, in order, and budget 1000 takes no quadratic
+    reduction; equal draws make equal ideals."""
+    monkeypatch.setattr(verify, "minimalize", tuple)
+    monkeypatch.setattr(oracles, "minimalize", tuple)
+    for n in (2, 3, 4):
+        for s in range(2000):
+            assert random_ideal(n, s, budget) == random_ideal_randint(n, s, budget), (n, s)
+
+
+def test_draws_match_randint_reference():
+    """The first two attempts for every codimension, seeds 0-1999 in dims
+    2-4; another caller's draws between two attempts change nothing, since
+    each attempt reseeds."""
+    for n in (2, 3, 4):
+        for j in range(1, n):
+            for s in range(2000):
+                attempts = _draws(n, j, s)
+                assert next(attempts) == draws_randint(n, j, s, 0), (n, j, s)
+                random_ideal(n, s, 5)
+                assert next(attempts) == draws_randint(n, j, s, 1), (n, j, s)
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,7 @@
-"""Plane restrictions, line and numeric Lojasiewicz exponents, polar invariants."""
+"""Seeded draws, plane restrictions, line and numeric Lojasiewicz exponents,
+polar invariants."""
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +19,7 @@ from lctlab.germs import (
 )
 from lctlab.invariants import loja_monomial
 from lctlab.sections import (
+    MAX_ESTIMATOR_TERMS,
     MAX_RESTRICT_DEGREE,
     BudgetError,
     DegenerateRestrictionError,
@@ -28,8 +31,9 @@ from lctlab.sections import (
     polar_invariant,
     restrict,
     sample_plane,
+    seeded_randint,
 )
-from lctlab.verify import random_ideal
+from lctlab.verify import MAX_BUDGET, random_ideal
 
 FAST = LojaParams(starts=24, iters=150)
 
@@ -64,6 +68,32 @@ class TestSamplePlane:
     def test_bad_codim(self):
         with pytest.raises(ValueError):
             sample_plane(2, 2, 0)
+
+
+class TestSeededRandint:
+    def test_equals_randint_at_every_width(self):
+        """Widths 1 to MAX_BUDGET + 1, each in a run with a second width:
+        width 1, randint(2, 2) at budget 2, still takes bits."""
+        for width in range(1, MAX_BUDGET + 2):
+            for s in range(0, 400_000, 13_331):
+                a = s % 23 - 11
+                draw, rng = seeded_randint(s * width), random.Random(s * width)
+                runs = [(a, a + width - 1), (-9, 9), (a, a + width - 1), (1, 9)]
+                assert [draw(lo, hi) for lo, hi in runs] == \
+                    [rng.randint(lo, hi) for lo, hi in runs], (width, s)
+
+    def test_reseeds_the_shared_generator(self):
+        draw = seeded_randint(5)
+        first = [draw(0, 99) for _ in range(8)]
+        seeded_randint(6)(0, 10 ** 30)  # another caller's draws in between
+        draw = seeded_randint(5)
+        assert [draw(0, 99) for _ in range(8)] == first
+
+    def test_empty_range_raises(self):
+        draw = seeded_randint(0)
+        for lo, hi in [(3, 2), (0, -5)]:
+            with pytest.raises(ValueError, match="empty range"):
+                draw(lo, hi)
 
 
 class TestRestrict:
@@ -196,6 +226,24 @@ class TestLojaNumeric:
     def test_exponent_beyond_int64_raises(self):
         with pytest.raises(NumericFailureError):
             loja_numeric(monomial_presentation([(2 ** 70, 0), (0, 2)], 2), FAST)
+
+    def test_term_bound(self, monkeypatch):
+        # 5 distinct terms over two generators, one of them shared
+        I = IdealPresentation(2, (poly(2, {(3, 0): 1, (1, 1): 2, (0, 3): 1}),
+                                  poly(2, {(1, 1): -1, (2, 0): 1, (0, 2): 1})))
+        monkeypatch.setattr(sections, "MAX_ESTIMATOR_TERMS", 5)
+        assert loja_numeric(I, LojaParams(0, 0)).method == "numeric"
+        monkeypatch.setattr(sections, "MAX_ESTIMATOR_TERMS", 4)
+        monkeypatch.setattr(sections, "_minmax", None)  # no descent may start
+        with pytest.raises(BudgetError, match="over 5 terms passes its bound of 4"):
+            loja_numeric(I, LojaParams(0, 0))
+
+    def test_term_bound_above_plane_restrictions(self):
+        """A budget-5 dim-4 ideal on a generic 3-plane: 91 terms."""
+        a = random_ideal(4, 8, 5)
+        R = restrict(monomial_presentation(a.generators, 4), sample_plane(4, 1, 8))
+        E, _ = sections._term_tables(R)
+        assert len(E) == 91 and MAX_ESTIMATOR_TERMS >= 2 * 91
 
     def test_agrees_with_exact_on_corpus(self):
         for i in range(5):

@@ -5,6 +5,9 @@ a leading underscore belongs to its module: when a second module needs it, it
 is made public where it lives, or moved to the one module that uses it.
 Dunder names such as __version__ are public.
 
+Every seeded draw goes through sections.seeded_randint: no other module
+imports random or calls randint, randrange or random.Random.
+
 Every cache in the package is bounded: an lru_cache has an int maxsize, a
 plain functools cache is kept for functions of no arguments, and no module
 binds a name ending in _CACHE to an empty dict, which would keep every entry.
@@ -37,6 +40,50 @@ def test_no_module_imports_private_names():
     paths = sorted(PACKAGE.glob("*.py"))
     assert paths
     assert [name for path in paths for name in private_imports(path)] == []
+
+
+DRAW_MODULE = "sections"  # the module of seeded_randint
+
+
+def draw_uses(source: str) -> list[str]:
+    """'name at line N' for each import of random, and each call of randint,
+    randrange or Random, as a function or a method, in source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names if alias.name.split(".")[0] == "random"]
+        elif isinstance(node, ast.ImportFrom):
+            names = ["random"] if (node.module or "").split(".")[0] == "random" else []
+        elif isinstance(node, ast.Call):
+            f = node.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            names = [name] if name in ("randint", "randrange", "Random") else []
+        else:
+            continue
+        found += [f"{name} at line {node.lineno}" for name in names]
+    return found
+
+
+def test_one_draw_path():
+    uses = {path.stem: draw_uses(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    assert uses[DRAW_MODULE]
+    assert {stem: found for stem, found in uses.items() if found and stem != DRAW_MODULE} == {}
+
+
+@pytest.mark.parametrize("source,found", [
+    ("import random", ["random at line 1"]),
+    ("import random as r", ["random at line 1"]),
+    ("from random import getrandbits", ["random at line 1"]),
+    ("rng.randint(1, 2)", ["randint at line 1"]),
+    ("x = 1\nrandom.randrange(5)", ["randrange at line 2"]),
+    ("rng = random.Random(3)", ["Random at line 1"]),
+    ("rng = Random(3)", ["Random at line 1"]),
+    ("draw = seeded_randint(7)\ndraw(1, 2)", []),
+    ("rng = np.random.default_rng(0)", []),
+    ("import randomness", []),
+])
+def test_draw_check_flags_other_draws(source, found):
+    assert draw_uses(source) == found
 
 
 def _cache_name(node) -> str | None:

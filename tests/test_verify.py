@@ -18,6 +18,7 @@ from lctlab.cli import build_parser
 from lctlab.exactgeom import InvalidInputError, MonomialIdeal, maximal_ideal
 from lctlab.germs import NotMonomializableError, parse_polynomial
 from lctlab.sections import (
+    MAX_ESTIMATOR_TERMS,
     MAX_RESTRICT_DEGREE,
     NumericFailureError,
     _line_zeros,
@@ -871,6 +872,15 @@ class TestCli:
         assert out == ""
         assert err.startswith("error: restriction to a ")
         assert err.endswith(f"passes its work bound at a term of degree {degree}\n")
+
+    def test_estimate_past_term_bound_exit(self, capsys):
+        # theta_1 restricts J_f to a generic 3-plane within restrict's bounds,
+        # to 31,378 terms: the estimator stops before its descent
+        assert cli.main(["verify-main", "x^250 + y^2 + z^2 + w^2"]) == EXIT_COMPUTE_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: numeric estimate over 31378 terms passes its bound "
+                       f"of {MAX_ESTIMATOR_TERMS}\n")
 
     def test_restriction_at_degree_bound(self, capsys):
         text = f"x^{MAX_RESTRICT_DEGREE + 1} + y^2"
