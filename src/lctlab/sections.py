@@ -47,12 +47,13 @@ class BudgetError(RuntimeError):
 MAX_RESTRICT_DEGREE = 200_000
 MAX_RESTRICT_WORK = 10_000_000
 # loja_numeric's bound on the distinct terms of its ideal.  Its time grows
-# with them, 5.5-7.5 ms a term on a 3-plane and 3.5-5.5 ms on a 2-plane:
-# 256 terms take about 1.9 s on a 3-plane, as long as restrict takes near
-# its bounds, and 823 terms took 15 s (2-core VM, Python 3.11).  Budget-5
-# corpus ideals restrict to at most 32 terms in dim 3; in dim 4, 3 of
-# 20,000 pass 256 (README, grammar section).
-MAX_ESTIMATOR_TERMS = 256
+# with them, 5.2-5.9 ms a term on a 3-plane up to 641 terms, then 9.7 ms at
+# 768 and 14.6 ms at 1824: 512 terms take about 3 s.  A restriction within
+# restrict's bounds can reach 31,378 terms, whose monomials alone take 1.6 GB
+# a step.
+# Budget-5 corpus ideals restrict to at most 301 terms in dim 4 (seeds
+# 0-19,999) and 32 in dim 3 (README, grammar section; 2-core VM, Python 3.11).
+MAX_ESTIMATOR_TERMS = 512
 
 
 @dataclass(frozen=True)
@@ -96,27 +97,28 @@ def _mix_seed(n: int, j: int, seed: int, attempt: int) -> int:
     return ((seed & 0xFFFFFFFFFFFFFFFF) * 1000003 + n * 101 + j * 13 + attempt) & 0xFFFFFFFFFFFFFFFF
 
 
-# the one generator behind every seeded draw in the package (seeded_randint)
+# the one generator behind every seeded draw in the package: seed_draws
+# reseeds it and draw reads it
 _RNG = random.Random()
 _bits = _RNG.getrandbits
 
 
-def seeded_randint(seed: int):
-    """Reseed the package's one random.Random with seed and return its draw:
-    a run of draw(a, b) calls gives what the same run of
+def seed_draws(seed: int) -> None:
+    """Reseed the package's one random.Random with seed: the run of
+    draw(a, b) calls that follows gives what the same run of
     random.Random(seed).randint(a, b) calls gives.
 
-    draw(a, b) is a + r, with r = getrandbits(k) for k the bit length of the
-    width b - a + 1, redrawn while r >= width: CPython's
-    _randbelow_with_getrandbits behind randint, without its argument checks
-    and method calls.  The generator is shared by the process, so a caller
-    finishes its draws before it hands control to another caller that
-    draws, and no two threads draw at once."""
+    The generator is process state.  A caller seeds it and makes all its
+    draws before it hands control to another caller that draws, and no two
+    threads draw at once."""
     _RNG.seed(seed)
-    return _draw
 
 
-def _draw(a: int, b: int) -> int:
+def draw(a: int, b: int) -> int:
+    """The next randint(a, b) of the generator that seed_draws seeded: a + r,
+    with r = getrandbits(k) for k the bit length of the width b - a + 1,
+    redrawn while r >= width.  That is CPython's _randbelow_with_getrandbits
+    behind randint, without its argument checks and method calls."""
     width = b - a + 1
     k = width.bit_length()
     r = _bits(k)
@@ -135,7 +137,7 @@ def _draws(n: int, j: int, seed: int):
     if not 1 <= j <= n - 1:
         raise InvalidInputError(f"codimension {j} invalid for dimension {n}")
     for attempt in range(1000):
-        draw = seeded_randint(_mix_seed(n, j, seed, attempt))
+        seed_draws(_mix_seed(n, j, seed, attempt))
         yield tuple(tuple((draw(-9, 9), draw(1, 9)) for _ in range(n - j))
                     for _ in range(n))
     raise SamplingError("could not draw a full-rank plane")

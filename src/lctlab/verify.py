@@ -32,13 +32,16 @@ from .invariants import (
     loja_monomial,
 )
 from .sections import (
+    BudgetError,
     LojaEstimate,
+    NumericFailureError,
+    draw,
     line_order,
     loja_numeric,
     polar_invariant,
     restrict,
     sample_plane,
-    seeded_randint,
+    seed_draws,
 )
 
 EXIT_OK = 0
@@ -141,18 +144,15 @@ def _chain_verdicts(a, lv, lct, order) -> list[Verdict]:
     return verdicts
 
 
-def _numeric_terms(a, lv, seed, tolerance) -> list[Verdict]:
-    """The chain terms j = 1..n-2, numeric on seeded plane sections; in a
-    chain's verdicts they follow chain-lct and chain-term-j0."""
+def _numeric_term(a, lv, seed, tolerance, j) -> Verdict:
+    """The chain term j, 1 <= j <= n-2, numeric on a seeded plane section;
+    in a chain's verdicts the terms j = 1..n-2 follow chain-lct and
+    chain-term-j0."""
     n = a.dim
-    ratios = lv.ratios
-    verdicts = []
-    for j in range(1, n - 1):
-        est = loja_numeric(restrict(_presentation(a), sample_plane(n, j, seed)))
-        verdicts.append(_verdict(
-            f"chain-term-j{j}", 1.0 / est.value, ratios[n - j - 1],  # e_(n-j-1)/e_(n-j)
-            ["loja_numeric", "lelong_numbers"], tolerance))
-    return verdicts
+    est = loja_numeric(restrict(_presentation(a), sample_plane(n, j, seed)))
+    return _verdict(
+        f"chain-term-j{j}", 1.0 / est.value, lv.ratios[n - j - 1],  # e_(n-j-1)/e_(n-j)
+        ["loja_numeric", "lelong_numbers"], tolerance)
 
 
 def verify_chain(
@@ -167,7 +167,8 @@ def verify_chain(
     order = line_order(a, seed) if a.dim > 1 else None
     verdicts = _chain_verdicts(a, lv, lct, order)
     if include_numeric:
-        verdicts[2:2] = _numeric_terms(a, lv, seed, tolerance)
+        verdicts[2:2] = [_numeric_term(a, lv, seed, tolerance, j)
+                         for j in range(1, a.dim - 1)]
     return verdicts
 
 
@@ -226,9 +227,9 @@ def random_ideal(n: int, seed: int, budget: int) -> MonomialIdeal:
     """Seeded zero-dimensional monomial ideal: pure powers plus mixed terms.
 
     Its draws are those of random.Random(s).randint, s mixed from seed, n and
-    budget, made by sections.seeded_randint."""
+    budget, made by sections.draw."""
     check_corpus_shape(n, budget)
-    draw = seeded_randint((seed * 0x9E3779B1 + n * 7 + budget) & 0xFFFFFFFFFFFFFFFF)
+    seed_draws((seed * 0x9E3779B1 + n * 7 + budget) & 0xFFFFFFFFFFFFFFFF)
     axis_powers = [draw(2, budget) for _ in range(n)]
     gens = [tuple(axis_powers[i] if j == i else 0 for j in range(n))
             for i in range(n)]
@@ -319,9 +320,11 @@ class CorpusReport:
     summaries: dict  # verdict name -> {count, failures, min_margin, worst_index}
     failures: list  # reproduction data
     meta: dict = field(default_factory=dict)
+    # reproduction data of the numeric verdicts that could not be made
+    errors: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
+        d = {
             "corpus": {
                 "dim": self.config.dim,
                 "count": self.config.count,
@@ -331,16 +334,24 @@ class CorpusReport:
             "cases": self.cases,
             "summaries": self.summaries,
             "failures": self.failures,
-            "meta": {
-                "seed": self.config.seed,
-                "version": __version__,
-                "timings_ms": self.meta.get("timings_ms"),
-            },
         }
+        if self.errors:
+            d["errors"] = self.errors
+        d["meta"] = {
+            "seed": self.config.seed,
+            "version": __version__,
+            "timings_ms": self.meta.get("timings_ms"),
+        }
+        return d
 
     @property
     def exit_code(self) -> int:
-        return _exit_code([f["numeric"] for f in self.failures])
+        """An exact failure outranks a verdict that could not be made
+        (EXIT_COMPUTE_ERROR), which outranks a numeric failure."""
+        code = _exit_code([f["numeric"] for f in self.failures])
+        if self.errors and code != EXIT_EXACT_FAILURE:
+            return EXIT_COMPUTE_ERROR
+        return code
 
 
 def _case_verdicts(a: MonomialIdeal, order: int) -> tuple[Verdict, ...]:
@@ -362,21 +373,43 @@ def _exact_verdicts(a: MonomialIdeal, order: int) -> tuple[Verdict, ...]:
 
 
 def corpus_run(config: CorpusConfig) -> CorpusReport:
-    """Run chain (and probe) verdicts over a seeded corpus; deterministic."""
+    """Run chain (and probe) verdicts over a seeded corpus; deterministic.
+
+    A numeric verdict that raises BudgetError or NumericFailureError is not
+    counted in its summary; the report's errors keep its case and message."""
     check_corpus_shape(config.dim, config.budget, config.count, config.tolerance)
     summaries: dict[str, dict] = {}
     min_margins = {}  # verdict name -> least margin so far, as computed
     failures = []
+    errors = []
     for index in range(config.count):
         seed = config.seed + index
         a = random_ideal(config.dim, seed, config.budget)
         verdicts = _case_verdicts(a, line_order(a, seed))
         if config.include_numeric:
-            middle = _numeric_terms(a, lelong_numbers(a), seed, config.tolerance)
+            lv, middle = lelong_numbers(a), []
+            for j in range(1, config.dim - 1):
+                # a restriction or an estimate past its bound, or a min-max
+                # that collapses, costs this verdict and not the run; its
+                # name stands in its place, so the summaries keep their order
+                try:
+                    middle.append(_numeric_term(a, lv, seed, config.tolerance, j))
+                except (BudgetError, NumericFailureError) as err:
+                    middle.append(f"chain-term-j{j}")
+                    errors.append({
+                        "index": index,
+                        "seed": seed,
+                        "ideal": [list(g) for g in a.generators],
+                        "verdict": middle[-1],
+                        "error": str(err),
+                    })
             verdicts = verdicts[:2] + tuple(middle) + verdicts[2:]
         for v in verdicts:
-            s = summaries.setdefault(v.name, {
+            unmade = isinstance(v, str)
+            s = summaries.setdefault(v if unmade else v.name, {
                 "count": 0, "failures": 0, "min_margin": None, "worst_index": None})
+            if unmade:
+                continue
             s["count"] += 1
             # a verdict name is always exact or always numeric, so margins
             # compare as they are: two Fractions closer than a float ulp differ
@@ -395,7 +428,7 @@ def corpus_run(config: CorpusConfig) -> CorpusReport:
                     "verdict": _verdict_dict(v),
                     "numeric": v.numeric,
                 })
-    return CorpusReport(config, config.count, summaries, failures)
+    return CorpusReport(config, config.count, summaries, failures, errors=errors)
 
 
 def _render_text(d: dict) -> str:

@@ -20,7 +20,7 @@ the facets, which production reads off the pure powers; and
 zero_dimensional_pure_powers is the check by one pure_power search per axis
 that the one-pass check replaced.  random_ideal_randint and draws_randint
 draw the corpus ideals and the plane entries by random.Random(s).randint,
-the definition that seeded_randint's getrandbits draws replaced.
+the definition that sections.draw's getrandbits draws replaced.
 singular_axis is the isolation rule of check_isolated by restriction: the
 partials of f restricted to each coordinate axis.  contains and facet_eval
 decide membership by the facet inequalities, against the LP of lp_member;

@@ -21,7 +21,7 @@ the one-pass zero-dimensionality check are compared with the intercepts
 over the facets in Fractions and with one pure_power search per axis on
 random ideals in dims 1-4, and the line's zero pattern, drawn from the
 numerators alone, with sample_plane's matrix.  The corpus ideals and plane
-entries, drawn through seeded_randint, are compared with the draws of
+entries, drawn through sections.draw, are compared with the draws of
 random.Random(s).randint.
 """
 import itertools

@@ -26,12 +26,13 @@ from lctlab.sections import (
     LojaParams,
     NumericFailureError,
     PlaneRestriction,
+    draw,
     loja_line,
     loja_numeric,
     polar_invariant,
     restrict,
     sample_plane,
-    seeded_randint,
+    seed_draws,
 )
 from lctlab.verify import MAX_BUDGET, random_ideal
 
@@ -70,27 +71,29 @@ class TestSamplePlane:
             sample_plane(2, 2, 0)
 
 
-class TestSeededRandint:
+class TestDraw:
     def test_equals_randint_at_every_width(self):
         """Widths 1 to MAX_BUDGET + 1, each in a run with a second width:
         width 1, randint(2, 2) at budget 2, still takes bits."""
         for width in range(1, MAX_BUDGET + 2):
             for s in range(0, 400_000, 13_331):
                 a = s % 23 - 11
-                draw, rng = seeded_randint(s * width), random.Random(s * width)
+                seed_draws(s * width)
+                rng = random.Random(s * width)
                 runs = [(a, a + width - 1), (-9, 9), (a, a + width - 1), (1, 9)]
                 assert [draw(lo, hi) for lo, hi in runs] == \
                     [rng.randint(lo, hi) for lo, hi in runs], (width, s)
 
     def test_reseeds_the_shared_generator(self):
-        draw = seeded_randint(5)
+        seed_draws(5)
         first = [draw(0, 99) for _ in range(8)]
-        seeded_randint(6)(0, 10 ** 30)  # another caller's draws in between
-        draw = seeded_randint(5)
+        seed_draws(6)  # another caller's draws in between
+        draw(0, 10 ** 30)
+        seed_draws(5)
         assert [draw(0, 99) for _ in range(8)] == first
 
     def test_empty_range_raises(self):
-        draw = seeded_randint(0)
+        seed_draws(0)
         for lo, hi in [(3, 2), (0, -5)]:
             with pytest.raises(ValueError, match="empty range"):
                 draw(lo, hi)
@@ -238,12 +241,14 @@ class TestLojaNumeric:
         with pytest.raises(BudgetError, match="over 5 terms passes its bound of 4"):
             loja_numeric(I, LojaParams(0, 0))
 
-    def test_term_bound_above_plane_restrictions(self):
-        """A budget-5 dim-4 ideal on a generic 3-plane: 91 terms."""
-        a = random_ideal(4, 8, 5)
-        R = restrict(monomial_presentation(a.generators, 4), sample_plane(4, 1, 8))
+    @pytest.mark.parametrize("seed,terms", [(8, 91), (19253, 301)])
+    def test_term_bound_above_plane_restrictions(self, seed, terms):
+        """Budget-5 dim-4 ideals on their generic 3-plane: seed 8 gives 91
+        terms, and seed 19253 the most over seeds 0-19,999, 301."""
+        a = random_ideal(4, seed, 5)
+        R = restrict(monomial_presentation(a.generators, 4), sample_plane(4, 1, seed))
         E, _ = sections._term_tables(R)
-        assert len(E) == 91 and MAX_ESTIMATOR_TERMS >= 2 * 91
+        assert len(E) == terms and MAX_ESTIMATOR_TERMS >= 1.5 * terms
 
     def test_agrees_with_exact_on_corpus(self):
         for i in range(5):

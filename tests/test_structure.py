@@ -5,7 +5,7 @@ a leading underscore belongs to its module: when a second module needs it, it
 is made public where it lives, or moved to the one module that uses it.
 Dunder names such as __version__ are public.
 
-Every seeded draw goes through sections.seeded_randint: no other module
+Every seeded draw goes through sections.draw: no other module
 imports random or calls randint, randrange or random.Random.
 
 Every cache in the package is bounded: an lru_cache has an int maxsize, a
@@ -42,7 +42,7 @@ def test_no_module_imports_private_names():
     assert [name for path in paths for name in private_imports(path)] == []
 
 
-DRAW_MODULE = "sections"  # the module of seeded_randint
+DRAW_MODULE = "sections"  # the module of seed_draws and draw
 
 
 def draw_uses(source: str) -> list[str]:
@@ -78,7 +78,7 @@ def test_one_draw_path():
     ("x = 1\nrandom.randrange(5)", ["randrange at line 2"]),
     ("rng = random.Random(3)", ["Random at line 1"]),
     ("rng = Random(3)", ["Random at line 1"]),
-    ("draw = seeded_randint(7)\ndraw(1, 2)", []),
+    ("seed_draws(7)\ndraw(1, 2)", []),
     ("rng = np.random.default_rng(0)", []),
     ("import randomness", []),
 ])

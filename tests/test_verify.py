@@ -13,13 +13,14 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lctlab import cli, exactgeom, germs, verify
+from lctlab import cli, exactgeom, germs, sections, verify
 from lctlab.cli import build_parser
 from lctlab.exactgeom import InvalidInputError, MonomialIdeal, maximal_ideal
 from lctlab.germs import NotMonomializableError, parse_polynomial
 from lctlab.sections import (
     MAX_ESTIMATOR_TERMS,
     MAX_RESTRICT_DEGREE,
+    LojaParams,
     NumericFailureError,
     _line_zeros,
     line_order,
@@ -260,6 +261,69 @@ class TestCorpusRun:
         report = corpus_run(CorpusConfig(dim=3, count=3, seed=0))
         assert report.summaries["close"]["worst_index"] == 1
         assert report.summaries["close"]["min_margin"] == frac_str(margins[1])
+
+    def test_unmade_estimate_kept_in_errors(self, monkeypatch):
+        """Seed 0's dim-4 ideal restricts to 46 terms on its 3-plane, seeds
+        1-3's to 34-37, and all four to at most 15 on their 2-planes: under a
+        bound of 40 only case 0's chain-term-j1 is not made, and the run goes
+        on."""
+        monkeypatch.setattr(verify, "loja_numeric", lambda R: sections.loja_numeric(
+            R, LojaParams(starts=8, iters=20)))
+        cfg = CorpusConfig(dim=4, count=4, seed=0, include_numeric=True)
+        whole = corpus_run(cfg).to_dict()
+        monkeypatch.setattr(sections, "MAX_ESTIMATOR_TERMS", 40)
+        report = corpus_run(cfg)
+        d = report.to_dict()
+        assert "errors" not in whole
+        assert d["errors"] == [{
+            "index": 0, "seed": 0,
+            "ideal": [list(g) for g in random_ideal(4, 0, 5).generators],
+            "verdict": "chain-term-j1",
+            "error": "numeric estimate over 46 terms passes its bound of 40"}]
+        assert list(d) == ["corpus", "cases", "summaries", "failures", "errors", "meta"]
+        # the summaries keep their order; only chain-term-j1 misses a case
+        assert list(d["summaries"]) == list(whole["summaries"])
+        assert d["summaries"]["chain-term-j1"]["count"] == 3
+        del d["summaries"]["chain-term-j1"], whole["summaries"]["chain-term-j1"]
+        assert d["summaries"] == whole["summaries"]
+        assert d["failures"] == whole["failures"]
+        assert report.exit_code == EXIT_COMPUTE_ERROR
+
+    @pytest.mark.parametrize("cause", ["bound", "collapse"])
+    def test_estimate_never_made_keeps_an_empty_summary(self, monkeypatch, cause):
+        def collapse(I, params=None):
+            raise NumericFailureError("min-max collapsed below float range")
+
+        if cause == "bound":
+            monkeypatch.setattr(sections, "MAX_ESTIMATOR_TERMS", 1)
+            message = "numeric estimate over 10 terms passes its bound of 1"
+        else:
+            monkeypatch.setattr(verify, "loja_numeric", collapse)
+            message = "min-max collapsed below float range"
+        report = corpus_run(CorpusConfig(dim=3, count=2, seed=0, include_numeric=True))
+        assert list(report.summaries) == ["chain-lct", "chain-term-j0", "chain-term-j1",
+                                          "chain-term-j2"]
+        assert report.summaries["chain-term-j1"] == {
+            "count": 0, "failures": 0, "min_margin": None, "worst_index": None}
+        assert [(e["index"], e["verdict"]) for e in report.errors] == \
+            [(0, "chain-term-j1"), (1, "chain-term-j1")]
+        assert report.errors[0]["error"] == message
+
+    @pytest.mark.parametrize("failed_numeric,errors,code", [
+        ([], False, EXIT_OK),
+        ([], True, EXIT_COMPUTE_ERROR),
+        ([True], False, EXIT_NUMERIC_FAILURE),
+        ([True], True, EXIT_COMPUTE_ERROR),
+        ([True, False], True, EXIT_EXACT_FAILURE),
+        ([False], False, EXIT_EXACT_FAILURE),
+    ])
+    def test_exit_code_ranks_errors(self, failed_numeric, errors, code):
+        """An exact failure outranks a verdict not made, which outranks a
+        numeric failure."""
+        report = CorpusReport(CorpusConfig(dim=3, count=1), 1, {},
+                              [{"numeric": x} for x in failed_numeric],
+                              errors=[{"index": 0}] if errors else [])
+        assert report.exit_code == code
 
     @settings(max_examples=12, deadline=None)
     @given(dim=st.sampled_from([2, 3, 4]), seed=st.integers(0, 10 ** 6),
@@ -1007,6 +1071,21 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: Lelong numbers of the unit ideal are 0; its ratios are undefined\n"
+
+    def test_corpus_reports_past_an_unmade_estimate(self, monkeypatch, capsys):
+        monkeypatch.setattr(sections, "MAX_ESTIMATOR_TERMS", 1)
+        assert cli.main(["corpus", "--dim", "3", "--numeric", "--count", "2",
+                         "--json"]) == EXIT_COMPUTE_ERROR
+        out, err = capsys.readouterr()
+        assert err == ""
+        d = json.loads(out)
+        assert d["cases"] == 2 and d["summaries"]["chain-term-j0"]["count"] == 2
+        assert [e["error"] for e in d["errors"]] == [
+            "numeric estimate over 10 terms passes its bound of 1",
+            "numeric estimate over 11 terms passes its bound of 1"]
+        assert cli.main(["corpus", "--dim", "3", "--numeric", "--count", "2"]) \
+            == EXIT_COMPUTE_ERROR
+        assert "errors:\n" in capsys.readouterr().out
 
     def test_numeric_failure_exit(self, monkeypatch, capsys):
         def fail(I, params=None):
