@@ -47,10 +47,10 @@ class BudgetError(RuntimeError):
 MAX_RESTRICT_DEGREE = 200_000
 MAX_RESTRICT_WORK = 10_000_000
 # loja_numeric's bound on the distinct terms of its ideal.  Its time grows
-# with them, 5.2-5.9 ms a term on a 3-plane up to 641 terms, then 9.7 ms at
-# 768 and 14.6 ms at 1824: 512 terms take about 3 s.  A restriction within
-# restrict's bounds can reach 31,378 terms, whose monomials alone take 1.6 GB
-# a step.
+# with them, 2.5-3.1 ms a term on a 3-plane from 91 to 1071 terms, then
+# 4.4 ms at 1824: 512 terms take about 1.4 s.  A restriction within
+# restrict's bounds can reach 31,378 terms, whose 62,504 monomials and
+# partial monomials alone take 0.8 GB a step.
 # Budget-5 corpus ideals restrict to at most 301 terms in dim 4 (seeds
 # 0-19,999) and 32 in dim 3 (README, grammar section; 2-core VM, Python 3.11).
 MAX_ESTIMATOR_TERMS = 512
@@ -269,8 +269,12 @@ def loja_line(I: IdealPresentation) -> int:
 
 
 def _term_tables(I: IdealPresentation) -> tuple[np.ndarray, np.ndarray]:
-    """Exponent table E (terms x m, integers) over every term of the nonzero
-    generators, and real coefficient matrix C (terms x generators);
+    """Exponent table U (monomials x m, integers) of the distinct monomials
+    that the terms of the nonzero generators and their partials take, the
+    terms first, and real coefficient matrix K ((m + 1) gens x monomials),
+    so that K times the monomials gives the generators and then their
+    partials in each z_i: a term c z^v of generator j puts c in row j and,
+    for each v_i > 0, v_i c in row (1 + i) gens + j at z^v lowered in z_i.
     BudgetError past MAX_ESTIMATOR_TERMS distinct terms."""
     import numpy as np
 
@@ -287,8 +291,7 @@ def _term_tables(I: IdealPresentation) -> tuple[np.ndarray, np.ndarray]:
             f"{MAX_ESTIMATOR_TERMS}")
     if max(max(v) for v in index) > np.iinfo(np.intp).max:
         raise NumericFailureError("exponent beyond the estimator's integer range")
-    E = np.array(list(index), dtype=np.intp).reshape(len(index), I.dim)
-    C = np.zeros((len(index), len(gens)))
+    entries = []  # (row, column, value) of K
     for j, g in enumerate(gens):
         for v, c in g.terms.items():
             try:
@@ -297,8 +300,17 @@ def _term_tables(I: IdealPresentation) -> tuple[np.ndarray, np.ndarray]:
                 x = 0.0
             if not x or not isfinite(x):  # c is nonzero
                 raise NumericFailureError("coefficient beyond the estimator's float range")
-            C[index[v], j] = x
-    return E, C
+            entries.append((j, index[v], x))
+            for i, e in enumerate(v):
+                if e:
+                    lowered = (*v[:i], e - 1, *v[i + 1:])
+                    entries.append(((1 + i) * len(gens) + j,
+                                    index.setdefault(lowered, len(index)), e * x))
+    U = np.array(list(index), dtype=np.intp).reshape(len(index), I.dim)
+    K = np.zeros(((I.dim + 1) * len(gens), len(index)))
+    rows, cols, values = zip(*entries)
+    K[rows, cols] = values
+    return U, K
 
 
 def _divide(w: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -321,85 +333,78 @@ def _norms(w: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce((w.conj() * w).real, axis=0))
 
 
-def _minmax(E: np.ndarray, C: np.ndarray, radii, params: LojaParams) -> np.ndarray:
+def _minmax(U: np.ndarray, K: np.ndarray, radii, params: LojaParams) -> np.ndarray:
     """min over |z| = r (complex) of max_j |g_j(z)| for every (seed, radius),
     as a seeds x radii array, by one multi-start descent over all of them.
 
     Every (seed, radius) pair has its own rows: the starts drawn by
     default_rng(seed), the unit vectors and the all-ones vector, scaled to r.
-    Points are the columns of Z (m x rows).  Each step gathers every
-    monomial and its m partial monomials from a table of integer powers of
-    Z, and one batched real product with K = [C^T; E_i C^T] gives every
-    generator's value and partials at once; the coefficients are real, so
-    it multiplies the interleaved (re, im) columns.
+    Points are the columns of Z (m x rows).  Each step gathers the monomials
+    U of _term_tables from a table of integer powers of Z, and one real
+    product with K gives every generator's value and partials at once; the
+    coefficients are real, so it multiplies the interleaved (re, im) columns.
     """
     import numpy as np
 
-    terms, m = E.shape
+    m = U.shape[1]
     blocks = []
     for seed in params.seeds:
         rng = np.random.default_rng(seed)
         Z = rng.standard_normal((params.starts, m)) + 1j * rng.standard_normal((params.starts, m))
         blocks.append(np.vstack([Z, np.eye(m), np.ones((1, m))]))
-    U = np.stack(blocks)[:, None]  # seeds x 1 x S x m
+    V = np.stack(blocks)[:, None]  # seeds x 1 x S x m
     R = np.asarray(radii, dtype=float)[None, :, None, None]
-    Z = R * U / np.linalg.norm(U, axis=3, keepdims=True)
+    Z = R * V / np.linalg.norm(V, axis=3, keepdims=True)
     shape = Z.shape[:3]
     Z = Z.reshape(-1, m).T.copy()
     R = np.broadcast_to(R[..., 0], shape).reshape(-1)
     rows = Z.shape[1]
-    gens = C.shape[1]
+    gens = K.shape[0] // (m + 1)
 
-    # power table: row j * m + i of P is Z[i] ** powers[j], for the powers
-    # the terms take and, in the partial by z_i, their own factor one power
-    # lower (the coefficient E[t, i] is 0 at 0).  Consecutive powers differ
-    # by one unless the exponents are sparse.
-    lower = np.maximum(E - 1, 0)
-    powers = np.array(sorted({0, *E.ravel().tolist(), *lower.ravel().tolist()}))
+    # power table: row k * m + i of P is Z[i] ** powers[k], for the powers
+    # the monomials take.  Consecutive powers differ by one unless the
+    # exponents are sparse.
+    powers = np.array(sorted({0, *U.ravel().tolist()}))
     gaps = np.diff(powers).tolist()
-    # idx[i, k * terms + t]: the row of P holding term t's factor in z_i,
-    # in block k = 0 for the monomials and k = 1 + l for the partial by z_l
-    idx = np.empty((m, m + 1, terms), dtype=np.intp)
-    idx[:] = (np.searchsorted(powers, E) * m + np.arange(m)).T[:, None]
-    for i in range(m):
-        idx[i, 1 + i] = np.searchsorted(powers, lower[:, i]) * m + i
-    idx = idx.reshape(m, -1)
-    K = np.concatenate([C.T[None], E.T[:, None, :] * C.T])  # (m + 1) x gens x terms
+    idx = np.searchsorted(powers, U.T) * m + np.arange(m)[:, None]  # m x monomials
     P = np.empty((len(powers), m, rows), dtype=complex)
     P[0] = 1.0
     Pf = P.reshape(-1, rows)
-    cols = np.arange(rows)
-    offsets = np.arange(m + 1)[:, None] * (gens * rows)  # of block k in the product
+    # flat index in the product of the last row of block k at point r
+    offsets = (np.arange(m + 1)[:, None] * gens + gens - 1) * rows + np.arange(rows)
+    # a point's active generator is its first largest one, the one argmax
+    # takes, found by one max over the ranks (gens - 1 - j) * rows: how far
+    # row j lies back from the last row.  A NaN value equals no maximum and
+    # gets rank 0, the last generator; its NaN min-max ends the estimate.
+    rank = (gens - 1 - np.arange(gens))[:, None] * rows
 
     best = np.full(rows, np.inf)
     lr = 0.3
     for it in range(params.iters + 1):
-        for j, gap in enumerate(gaps, 1):
-            np.multiply(P[j - 1], Z if gap == 1 else Z ** gap, out=P[j])
-        last = it == params.iters  # the last step needs only the values
-        n = terms if last else idx.shape[1]
-        mono = Pf[idx[0, :n]]  # the monomials, then the partial monomials
+        for k, gap in enumerate(gaps, 1):
+            np.multiply(P[k - 1], Z if gap == 1 else Z ** gap, out=P[k])
+        mono = Pf[idx[0]]
         for i in range(1, m):
-            mono *= Pf[idx[i, :n]]
-        if last:
-            G = (K[0] @ mono.view(float)).view(complex)
+            mono *= Pf[idx[i]]
+        if it == params.iters:  # the last step needs only the values
+            G = (K[:gens] @ mono.view(float)).view(complex)
             np.minimum(best, np.abs(G).max(axis=0), out=best)
             break
-        GD = (K @ mono.view(float).reshape(m + 1, terms, 2 * rows)).view(complex)
-        absG = np.abs(GD[0])  # gens x rows
-        flat = absG.argmax(axis=0) * rows + cols  # active generator's entries
-        gmod = absG.take(flat)
+        GD = (K @ mono.view(float)).view(complex)  # (m + 1) gens x rows
+        absG = np.abs(GD[:gens])
+        gmod = absG.max(axis=0)
         np.minimum(best, gmod, out=best)
-        sel = GD.take(offsets + flat)  # its value, then its partials
+        sel = GD.take(offsets - ((absG == gmod) * rank).max(axis=0))  # active value, partials
         # descent direction in C^m for |g|: (g / |g|) * conj(dg)
         gmod[gmod == 0] = 1.0
         grad = _divide(sel[0], gmod) * np.conj(sel[1:])
         gn = _norms(grad)
         gn[gn == 0] = 1.0
-        Z = Z - _divide(lr * R * grad, gn)
-        zn = _norms(Z)
-        zn[zn == 0] = 1.0
-        Z = _divide(R * Z, zn)
+        Z -= _divide(lr * R * grad, gn)
+        # the step has length lr * R or 0, so |Z| >= (1 - lr) R > 0: no norm
+        # is 0.  Z * (R / |Z|) rounds differently, and the descent can turn a
+        # last-bit change into a 4% change of an estimate (dim 3, budget 17).
+        Z = _divide(R * Z, _norms(Z))
         lr *= 0.97
     return best.reshape(shape).min(axis=2)
 
@@ -417,30 +422,32 @@ def loja_numeric(I: IdealPresentation, params: LojaParams | None = None) -> Loja
     if I.dim < 2:
         raise InvalidInputError("loja_numeric requires >= 2 variables")
     params = params or LojaParams()
-    E, C = _term_tables(I)
+    U, K = _term_tables(I)
     radii = [params.r0 * params.ratio ** i for i in range(params.n_radii)]
-    minmax = _minmax(E, C, radii, params)
+    minmax = _minmax(U, K, radii, params)
     if not (minmax >= 1e-250).all():
         radii = [r * 10 for r in radii]  # shrink the range upward and retry once
-        minmax = _minmax(E, C, radii, params)
+        minmax = _minmax(U, K, radii, params)
     if not np.isfinite(minmax).all():
         raise NumericFailureError("min-max is not finite")
     if not (minmax >= 1e-250).all():
         raise NumericFailureError("min-max collapsed below float range")
 
+    # least-squares slopes as sums w . y with weights centred on each fit's
+    # points: row 0 fits every radius, row 1 + k every radius but radius k
     logs_r = np.log(radii)
+    n = len(radii)
+    keep = np.vstack([np.ones(n, dtype=bool), ~np.eye(n, dtype=bool)])
+    xc = np.where(keep, logs_r - (keep @ logs_r / keep.sum(axis=1))[:, None], 0.0)
     logs_v = np.log(minmax)
-    fits = [np.polyfit(logs_r, ys, 1) for ys in logs_v]
-    loo_slopes = tuple(
-        tuple(float(np.polyfit(np.delete(logs_r, k), np.delete(ys, k), 1)[0])
-              for k in range(len(radii)))
-        for ys in logs_v)
-    slopes = [float(fit[0]) for fit in fits] + [s for loo in loo_slopes for s in loo]
-    residual = float(np.sqrt(np.mean((logs_v[0] - np.polyval(fits[0], logs_r)) ** 2)))
+    slopes = logs_v @ (xc / np.square(xc).sum(axis=1, keepdims=True)).T  # seeds x (1 + n)
+    ys = logs_v[0] - logs_v[0].mean()
+    residual = float(np.sqrt(np.mean(np.square(ys - slopes[0, 0] * xc[0]))))
     return LojaEstimate(
-        slopes[0], "numeric", max(slopes) - min(slopes), tuple(radii),
+        float(slopes[0, 0]), "numeric", float(slopes.max() - slopes.min()), tuple(radii),
         minmax=tuple(tuple(float(v) for v in row) for row in minmax),
-        loo_slopes=loo_slopes, residual=residual)
+        loo_slopes=tuple(tuple(float(s) for s in row[1:]) for row in slopes),
+        residual=residual)
 
 
 def polar_invariant(germ: IsolatedGerm, seed: int = 0) -> tuple[LojaEstimate, ...]:

@@ -498,10 +498,11 @@ def loop_minmax(I, params):
 
 def test_batched_minmax_matches_loop():
     cases = [(monomial_presentation(a.generators, 2), 1e-9) for a in CORPUS_2D[:10]]
-    for s, rtol in ((1, 1e-9), (2, 1e-6)):
-        # 3 variables, Fraction coefficients.  The descent on the s = 2
-        # restriction amplifies rounding: in the loop alone, writing the
-        # phase as exp(-1j * angle(g)) moves its values by 1.7e-8.
+    for s, rtol in ((1, 1e-9), (2, 1e-6), (8, 1e-6)):
+        # 3 variables, Fraction coefficients; s = 8 gives 91 terms.  The
+        # descent on the s = 2 restriction amplifies rounding: in the loop
+        # alone, writing the phase as exp(-1j * angle(g)) moves its values
+        # by 1.7e-8.
         a = random_ideal(4, s, 5)
         cases.append((restrict(monomial_presentation(a.generators, 4),
                                sample_plane(4, 1, s)), rtol))

@@ -241,14 +241,41 @@ class TestLojaNumeric:
         with pytest.raises(BudgetError, match="over 5 terms passes its bound of 4"):
             loja_numeric(I, LojaParams(0, 0))
 
+    def test_term_tables_give_generators_and_partials(self):
+        # x*y is shared by two generators; the partial of x^3 in x is a
+        # multiple of the term x^2; y^5 has a zero partial in x; x^120 puts
+        # a gap in the power table; the second generator is zero
+        I = IdealPresentation(2, (
+            poly(2, {(3, 0): 1, (1, 1): 2, (2, 0): Fraction(-1, 2)}),
+            poly(2, {}),
+            poly(2, {(1, 1): -1, (0, 2): Fraction(7, 3), (120, 0): 3}),
+            poly(2, {(0, 5): 1})))
+        U, K = sections._term_tables(I)
+        gens = [g for g in I.generators if not g.is_zero]
+        terms = list(dict.fromkeys(v for g in gens for v in g.terms))
+        assert [tuple(u) for u in U[:len(terms)]] == terms
+        assert len({tuple(u) for u in U}) == len(U)
+        assert K.shape == (3 * len(gens), len(U))
+        rng = np.random.default_rng(0)
+        Z = np.exp(2j * np.pi * rng.random((8, 2)))  # |z_i| = 1: x^120 has modulus 1
+        values = np.prod(Z[:, None, :] ** U, axis=2) @ K.T  # points x rows of K
+        for k in range(3):
+            for j, g in enumerate(gens):
+                f = g if k == 0 else germs.derivative(g, k - 1)
+                want = [sum(complex(c) * z[0] ** v[0] * z[1] ** v[1] for v, c in f.terms.items())
+                        for z in Z]
+                np.testing.assert_allclose(values[:, k * len(gens) + j], want,
+                                           rtol=1e-12, atol=1e-12)
+        assert not K[len(gens) + 2].any()  # y^5 in x
+
     @pytest.mark.parametrize("seed,terms", [(8, 91), (19253, 301)])
     def test_term_bound_above_plane_restrictions(self, seed, terms):
         """Budget-5 dim-4 ideals on their generic 3-plane: seed 8 gives 91
         terms, and seed 19253 the most over seeds 0-19,999, 301."""
         a = random_ideal(4, seed, 5)
         R = restrict(monomial_presentation(a.generators, 4), sample_plane(4, 1, seed))
-        E, _ = sections._term_tables(R)
-        assert len(E) == terms and MAX_ESTIMATOR_TERMS >= 1.5 * terms
+        distinct = {v for g in R.generators for v in g.terms}
+        assert len(distinct) == terms and MAX_ESTIMATOR_TERMS >= 1.5 * terms
 
     def test_agrees_with_exact_on_corpus(self):
         for i in range(5):

@@ -691,8 +691,9 @@ class TestNumpyOnFirstUse:
             "from lctlab.sections import LojaParams, loja_numeric\n"
             "I = IdealPresentation(2, (poly(2, {(2, 0): 1}), poly(2, {(0, 3): 1})))\n"
             "est = loja_numeric(I, LojaParams(starts=8, iters=20))\n"
-            "print('numpy' in sys.modules, est.method)")
-        assert (res.returncode, res.stdout, res.stderr) == (0, "True numeric\n", "")
+            "print('numpy' in sys.modules, 'numpy.ma' in sys.modules, est.method)")
+        # numpy.ma (which np.unique(..., axis=0) imports) would add to peak RSS
+        assert (res.returncode, res.stdout, res.stderr) == (0, "True False numeric\n", "")
 
     @pytest.mark.parametrize("argv,stdout", [
         (["compute", "x^3 + x*y^2 + y^4"], COMPUTE_NUMERIC),
@@ -705,9 +706,9 @@ class TestNumpyOnFirstUse:
         res = run_child("import sys\n"
                         "from lctlab import cli\n"
                         "code = cli.main(sys.argv[1:])\n"
-                        "print('numpy' in sys.modules, file=sys.stderr)\n"
+                        "print('numpy' in sys.modules, 'numpy.ma' in sys.modules, file=sys.stderr)\n"
                         "sys.exit(code)", *argv)
-        assert (res.returncode, res.stdout, res.stderr) == (0, stdout, "True\n")
+        assert (res.returncode, res.stdout, res.stderr) == (0, stdout, "True False\n")
 
 
 class TestCli:
