@@ -8,7 +8,7 @@ time.  Exit status: 0 when every relative error is at most 0.05, 1 when
 the largest exceeds it or is NaN, 4 on invalid input (a negative count,
 starts or iters, a budget outside 2..1000, or a usage error), 5 when the
 estimator fails on a case (a NumericFailureError, reported as `lctlab
-corpus --numeric` reports it).
+compute` reports it for a numeric theta).
 """
 import argparse
 import math

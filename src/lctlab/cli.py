@@ -143,9 +143,7 @@ def _cmd_verify_main(args) -> int:
 
 def _cmd_verify_chain(args) -> int:
     a = _parse_ideal(args.input, args.dim)
-    verdicts = verify_chain(
-        a, seed=args.seed, tolerance=args.tolerance,
-        include_numeric=args.numeric)
+    verdicts = verify_chain(a, seed=args.seed, include_numeric=args.numeric)
     return _single_report(args, args.input, a.dim, _generator_strings(a),
                           _ideal_invariants(a), verdicts)
 
@@ -175,7 +173,6 @@ def _cmd_corpus(args) -> int:
         seed=args.seed,
         budget=args.budget,
         include_numeric=args.numeric,
-        tolerance=args.tolerance,
     )
     report = corpus_run(config)
     if args.timings:
@@ -192,6 +189,8 @@ _FLAGS = {
     "--tolerance": dict(type=float, default=DEFAULT_TOLERANCE,
                         help="relative tolerance for numeric verdicts"),
     "--budget": dict(type=int, default=DEFAULT_BUDGET, help="generator degree budget"),
+    "--numeric": dict(action="store_true",
+                      help="include the exact chain terms j = 1..n-2"),
     "--nondegenerate": dict(
         action="store_true",
         help="permit flagged nondegenerate-assumed monomialization"),
@@ -224,9 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-chain", help="Lelong-ratio chain for an ideal")
     p.add_argument("input")
-    p.add_argument("--numeric", action="store_true",
-                   help="include numeric intermediate-codimension terms")
-    _add_flags(p, "--tolerance")
+    _add_flags(p, "--numeric")
 
     p = sub.add_parser("verify-lct", help="lct(m*J_f) >= lct(f)")
     p.add_argument("input")
@@ -238,10 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("corpus", help="randomized corpus run")
     p.add_argument("--count", type=int, default=50)
-    p.add_argument("--numeric", action="store_true")
     p.add_argument("--timings", action="store_true",
                    help="record wall time (breaks byte-stability)")
-    _add_flags(p, "--tolerance", "--budget")
+    _add_flags(p, "--numeric", "--budget")
 
     return parser
 

@@ -45,7 +45,7 @@ class NotZeroDimensionalError(GeometryError):
     pass
 
 
-def _check_dim(n: int) -> None:
+def check_dim(n: int) -> None:
     if not 1 <= n <= MAX_DIM:
         raise UnsupportedDimensionError(f"dimension {n} not supported (1..{MAX_DIM})")
 
@@ -85,7 +85,7 @@ class MonomialIdeal:
 
     @classmethod
     def make(cls, gens, dim: int) -> "MonomialIdeal":
-        _check_dim(dim)
+        check_dim(dim)
         gens = list(gens)
         if not gens:
             raise InvalidInputError("empty generator set")
@@ -122,7 +122,7 @@ class MonomialIdeal:
 
 
 def maximal_ideal(n: int) -> MonomialIdeal:
-    _check_dim(n)
+    check_dim(n)
     # the unit vectors, sorted: e_(n-1) comes first
     return MonomialIdeal(n, tuple(tuple(int(j == i) for j in range(n))
                                   for i in reversed(range(n))))

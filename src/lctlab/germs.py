@@ -11,7 +11,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactgeom import InvalidInputError, MAX_DIM, MonomialIdeal
+from .exactgeom import InvalidInputError, MAX_DIM, MonomialIdeal, check_dim
 from .invariants import lct_monomial
 
 Exponent = tuple[int, ...]
@@ -131,7 +131,10 @@ def parse_polynomial(text: str, dim: int | None = None) -> Polynomial:
     or more factors, with an optional '*' between two of them; a factor is
     a number, a fraction p/q, or a variable with an optional ^exponent.
     Variables are x,y,z,w or x1..x4, not both in one input, and a number
-    may not follow a variable with nothing between them."""
+    may not follow a variable with nothing between them.  A given dim
+    outside 1..MAX_DIM is rejected before any parsing."""
+    if dim is not None:
+        check_dim(dim)
     tokens = [(m.group(), m.start()) for m in _TOKEN_RE.finditer(text)]
     if not tokens:
         raise ParseError("empty input", 0)
@@ -201,8 +204,6 @@ def parse_polynomial(text: str, dim: int | None = None) -> Polynomial:
 
     if dim is None:
         dim = max(max_var + 1, 1)
-    if dim > MAX_DIM:
-        raise InvalidInputError(f"dimension {dim} exceeds {MAX_DIM}")
     if max_var + 1 > dim:
         raise InvalidInputError(f"variable index exceeds dimension {dim}")
     return poly(dim, {v[:dim]: c for v, c in acc.items()})

@@ -96,6 +96,32 @@ def loja_monomial(a: MonomialIdeal) -> Fraction:
     return Fraction(max((s for g in a.generators if (s := sum(g)) and s in g), default=0))
 
 
+def loja_section(a: MonomialIdeal, j: int) -> Fraction:
+    """L^(j)(a), the Lojasiewicz exponent of a on a generic plane of
+    codimension j, 0 <= j <= n-1, in one pass over the generators' support
+    bitmasks; 0 for the unit ideal.
+
+    An arc in the plane with orders w has ord(a o arc) = min_g <w, g>, and
+    those w are the vectors whose least entry is taken at least j + 1 times
+    (the tropical linear space of the uniform matroid; Ardila & Klivans,
+    JCTB 96, 2006).  The sup of ord(a o arc)/min(w) is reached with weight 1
+    on a (j+1)-set S and unbounded weights off it, so
+
+        L^(j)(a) = max over (j+1)-sets S of min{|g| : supp g in S},
+
+    attained on the line where the plane meets x_k = 0 for k not in S.
+    j = 0 gives loja_monomial, j = n - 1 the order min_degree."""
+    n = a.dim
+    if not 0 <= j < n:
+        raise InvalidInputError(f"codimension {j} invalid for dimension {n}")
+    _require_zero_dim(a, "Lojasiewicz exponent")
+    degrees = [(sum(1 << i for i, e in enumerate(g) if e), sum(g)) for g in a.generators]
+    # a zero-dimensional a has a pure power on each axis of every S
+    return Fraction(max(
+        min(s for mask, s in degrees if mask | S == S)
+        for S in (sum(1 << i for i in c) for c in itertools.combinations(range(n), j + 1))))
+
+
 def mixed_multiplicity(ideals) -> Fraction:
     """Polarization of covolumes over Minkowski sums of the Newton polyhedra.
 

@@ -1,10 +1,10 @@
 """Restriction to seeded generic linear subspaces and Lojasiewicz estimation.
 
-Exact paths: monomial ideals (axis intercepts) and one-variable restrictions
-(vanishing orders).  Intermediate codimensions fall back to a numeric min-max
-slope estimator on shrinking spheres; floats appear only there.  The
-estimator's functions import numpy themselves, so a process loads it on its
-first numeric estimate and not when it imports lctlab.
+Exact paths: monomial ideals (axis intercepts and generic sections) and
+one-variable restrictions (vanishing orders).  Other ideals fall back to a
+numeric min-max slope estimator on shrinking spheres; floats appear only
+there.  The estimator's functions import numpy themselves, so a process
+loads it on its first numeric estimate and not when it imports lctlab.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from typing import ClassVar
 
 from .exactgeom import InvalidInputError, MonomialIdeal, NotZeroDimensionalError, det
 from .germs import IdealPresentation, IsolatedGerm, Polynomial
-from .invariants import loja_monomial
+from .invariants import loja_monomial, loja_section
 
 
 class SamplingError(RuntimeError):
@@ -48,11 +48,10 @@ MAX_RESTRICT_DEGREE = 200_000
 MAX_RESTRICT_WORK = 10_000_000
 # loja_numeric's bound on the distinct terms of its ideal.  Its time grows
 # with them, 2.5-3.1 ms a term on a 3-plane from 91 to 1071 terms, then
-# 4.4 ms at 1824: 512 terms take about 1.4 s.  A restriction within
-# restrict's bounds can reach 31,378 terms, whose 62,504 monomials and
-# partial monomials alone take 0.8 GB a step.
-# Budget-5 corpus ideals restrict to at most 301 terms in dim 4 (seeds
-# 0-19,999) and 32 in dim 3 (README, grammar section; 2-core VM, Python 3.11).
+# 4.4 ms at 1824: 512 terms take about 1.4 s, near restrict's 1 s (2-core
+# VM, Python 3.11).  A restriction within restrict's bounds can reach
+# 31,378 terms, whose 62,504 monomials and partial monomials alone take
+# 0.8 GB a step.  Only a germ whose J_f is not term-exact reaches it.
 MAX_ESTIMATOR_TERMS = 512
 
 
@@ -453,24 +452,19 @@ def loja_numeric(I: IdealPresentation, params: LojaParams | None = None) -> Loja
 def polar_invariant(germ: IsolatedGerm, seed: int = 0) -> tuple[LojaEstimate, ...]:
     """(theta(f_0), ..., theta(f_(n-1))) of a germ that check_isolated
     accepted: theta(f_j) is the Lojasiewicz exponent of J_f restricted to a
-    generic codimension-j plane (j = 0 means no restriction).  theta_0 is
-    exact when J_f is term-exact, and in one variable, where J_f = (f') and
-    theta_0 is the least exponent of f'."""
+    generic codimension-j plane (j = 0 means no restriction).  When J_f is
+    term-exact, theta_0 is loja_monomial and theta_1..theta_(n-2) are
+    loja_section of its monomial ideal; theta_0 is also exact in one
+    variable, where J_f = (f') and theta_0 is the least exponent of f'."""
     J, mono = germ.jacobian, germ.mono
     n = J.dim
     if mono.exact or n == 1:
         thetas = [LojaEstimate(loja_monomial(mono.ideal), "exact-monomial")]
     else:
         thetas = [loja_numeric(J)]
-    # L_0 = ord(J_f) = k > 0 holds exactly when every pure power is k and no
-    # generator has degree below k, that is, when the Newton polyhedron of
-    # J_f is that of m^k; then log|J_f| = k log|z| + O(1) and every plane
-    # restriction has exponent exactly k.  The unit J_f of a smooth germ
-    # (k = 0) has no facet, and its middle theta_j stay numeric.
-    power = mono.exact and thetas[0].value == mono.ideal.min_degree > 0
     for j in range(1, n):
-        if power and j < n - 1:
-            thetas.append(thetas[0])
+        if mono.exact and j < n - 1:
+            thetas.append(LojaEstimate(loja_section(mono.ideal, j), "exact-monomial"))
         else:
             # one draw: J_f vanishes on a plane L through 0 only if f is
             # singular along L, which an isolated germ is not

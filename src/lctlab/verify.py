@@ -19,28 +19,22 @@ from .exactgeom import (
     polyhedron_of,
 )
 from .germs import (
-    IdealPresentation,
     Polynomial,
     check_isolated,
     lct_nondegenerate,
-    poly,
     rational_text,
 )
 from .invariants import (
     lelong_numbers,
     lct_monomial,
     loja_monomial,
+    loja_section,
 )
 from .sections import (
-    BudgetError,
     LojaEstimate,
-    NumericFailureError,
     draw,
     line_order,
-    loja_numeric,
     polar_invariant,
-    restrict,
-    sample_plane,
     seed_draws,
 )
 
@@ -122,10 +116,6 @@ def verify_main(
     return _verdict("theorem-main", lhs, rhs, sources, tolerance), thetas
 
 
-def _presentation(a: MonomialIdeal) -> IdealPresentation:
-    return IdealPresentation(a.dim, tuple(poly(a.dim, {v: 1}) for v in a.generators))
-
-
 def _chain_verdicts(a, lv, lct, order) -> list[Verdict]:
     """The chain's exact verdicts from a's Lelong vector, lct and line order:
     chain-lct, chain-term-j0 and, for n > 1, chain-term-j(n-1)."""
@@ -144,31 +134,28 @@ def _chain_verdicts(a, lv, lct, order) -> list[Verdict]:
     return verdicts
 
 
-def _numeric_term(a, lv, seed, tolerance, j) -> Verdict:
-    """The chain term j, 1 <= j <= n-2, numeric on a seeded plane section;
-    in a chain's verdicts the terms j = 1..n-2 follow chain-lct and
-    chain-term-j0."""
+def _middle_terms(a, lv) -> tuple[Verdict, ...]:
+    """The chain terms j = 1..n-2 from a's exact section exponents; in a
+    chain's verdicts they follow chain-lct and chain-term-j0."""
     n = a.dim
-    est = loja_numeric(restrict(_presentation(a), sample_plane(n, j, seed)))
-    return _verdict(
-        f"chain-term-j{j}", 1.0 / est.value, lv.ratios[n - j - 1],  # e_(n-j-1)/e_(n-j)
-        ["loja_numeric", "lelong_numbers"], tolerance)
+    return tuple(_verdict(f"chain-term-j{j}", 1 / loja_section(a, j),
+                          lv.ratios[n - j - 1],  # e_(n-j-1)/e_(n-j)
+                          ["loja_section", "lelong_numbers"])
+                 for j in range(1, n - 1))
 
 
 def verify_chain(
     a: MonomialIdeal,
     seed: int = 0,
-    tolerance: float = DEFAULT_TOLERANCE,
     include_numeric: bool = False,
 ) -> list[Verdict]:
-    """The Lelong-ratio chain and its termwise Lojasiewicz lower bounds."""
-    _check_tolerance(tolerance)
+    """The Lelong-ratio chain and its termwise Lojasiewicz lower bounds; the
+    terms j = 1..n-2 only with include_numeric."""
     lv, lct = lelong_numbers(a), lct_monomial(a)
     order = line_order(a, seed) if a.dim > 1 else None
     verdicts = _chain_verdicts(a, lv, lct, order)
     if include_numeric:
-        verdicts[2:2] = [_numeric_term(a, lv, seed, tolerance, j)
-                         for j in range(1, a.dim - 1)]
+        verdicts[2:2] = _middle_terms(a, lv)
     return verdicts
 
 
@@ -208,13 +195,11 @@ def probe_pham(
                          line_order(a, seed))
 
 
-def check_corpus_shape(n: int, budget: int, count: int = 0,
-                       tolerance: float = DEFAULT_TOLERANCE) -> None:
-    """InvalidInputError unless, in this order, count >= 0, the tolerance is
-    finite and >= 0, n is 2..4 and budget is 2..MAX_BUDGET."""
+def check_corpus_shape(n: int, budget: int, count: int = 0) -> None:
+    """InvalidInputError unless, in this order, count >= 0, n is 2..4 and
+    budget is 2..MAX_BUDGET."""
     if count < 0:
         raise InvalidInputError(f"case count must be >= 0, got {count}")
-    _check_tolerance(tolerance)
     if n not in (2, 3, 4):
         raise InvalidInputError("corpus dimensions are 2..4")
     if budget < 2:
@@ -252,7 +237,6 @@ class CorpusConfig:
     seed: int = 0
     budget: int = DEFAULT_BUDGET
     include_numeric: bool = False
-    tolerance: float = DEFAULT_TOLERANCE
 
 
 def frac_str(x) -> str:
@@ -320,11 +304,9 @@ class CorpusReport:
     summaries: dict  # verdict name -> {count, failures, min_margin, worst_index}
     failures: list  # reproduction data
     meta: dict = field(default_factory=dict)
-    # reproduction data of the numeric verdicts that could not be made
-    errors: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "corpus": {
                 "dim": self.config.dim,
                 "count": self.config.count,
@@ -334,24 +316,16 @@ class CorpusReport:
             "cases": self.cases,
             "summaries": self.summaries,
             "failures": self.failures,
+            "meta": {
+                "seed": self.config.seed,
+                "version": __version__,
+                "timings_ms": self.meta.get("timings_ms"),
+            },
         }
-        if self.errors:
-            d["errors"] = self.errors
-        d["meta"] = {
-            "seed": self.config.seed,
-            "version": __version__,
-            "timings_ms": self.meta.get("timings_ms"),
-        }
-        return d
 
     @property
     def exit_code(self) -> int:
-        """An exact failure outranks a verdict that could not be made
-        (EXIT_COMPUTE_ERROR), which outranks a numeric failure."""
-        code = _exit_code([f["numeric"] for f in self.failures])
-        if self.errors and code != EXIT_EXACT_FAILURE:
-            return EXIT_COMPUTE_ERROR
-        return code
+        return _exit_code([f["numeric"] for f in self.failures])
 
 
 def _case_verdicts(a: MonomialIdeal, order: int) -> tuple[Verdict, ...]:
@@ -373,46 +347,23 @@ def _exact_verdicts(a: MonomialIdeal, order: int) -> tuple[Verdict, ...]:
 
 
 def corpus_run(config: CorpusConfig) -> CorpusReport:
-    """Run chain (and probe) verdicts over a seeded corpus; deterministic.
-
-    A numeric verdict that raises BudgetError or NumericFailureError is not
-    counted in its summary; the report's errors keep its case and message."""
-    check_corpus_shape(config.dim, config.budget, config.count, config.tolerance)
+    """Run chain (and probe) verdicts over a seeded corpus; deterministic."""
+    check_corpus_shape(config.dim, config.budget, config.count)
     summaries: dict[str, dict] = {}
     min_margins = {}  # verdict name -> least margin so far, as computed
     failures = []
-    errors = []
     for index in range(config.count):
         seed = config.seed + index
         a = random_ideal(config.dim, seed, config.budget)
         verdicts = _case_verdicts(a, line_order(a, seed))
         if config.include_numeric:
-            lv, middle = lelong_numbers(a), []
-            for j in range(1, config.dim - 1):
-                # a restriction or an estimate past its bound, or a min-max
-                # that collapses, costs this verdict and not the run; its
-                # name stands in its place, so the summaries keep their order
-                try:
-                    middle.append(_numeric_term(a, lv, seed, config.tolerance, j))
-                except (BudgetError, NumericFailureError) as err:
-                    middle.append(f"chain-term-j{j}")
-                    errors.append({
-                        "index": index,
-                        "seed": seed,
-                        "ideal": [list(g) for g in a.generators],
-                        "verdict": middle[-1],
-                        "error": str(err),
-                    })
-            verdicts = verdicts[:2] + tuple(middle) + verdicts[2:]
+            verdicts = verdicts[:2] + _middle_terms(a, lelong_numbers(a)) + verdicts[2:]
         for v in verdicts:
-            unmade = isinstance(v, str)
-            s = summaries.setdefault(v if unmade else v.name, {
+            s = summaries.setdefault(v.name, {
                 "count": 0, "failures": 0, "min_margin": None, "worst_index": None})
-            if unmade:
-                continue
             s["count"] += 1
-            # a verdict name is always exact or always numeric, so margins
-            # compare as they are: two Fractions closer than a float ulp differ
+            # every corpus verdict is exact, so margins compare as
+            # Fractions: two closer than a float ulp differ
             margin = v.margin
             least = min_margins.get(v.name)
             if least is None or margin < least:
@@ -428,7 +379,7 @@ def corpus_run(config: CorpusConfig) -> CorpusReport:
                     "verdict": _verdict_dict(v),
                     "numeric": v.numeric,
                 })
-    return CorpusReport(config, config.count, summaries, failures, errors=errors)
+    return CorpusReport(config, config.count, summaries, failures)
 
 
 def _render_text(d: dict) -> str:

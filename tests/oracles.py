@@ -21,6 +21,9 @@ zero_dimensional_pure_powers is the check by one pure_power search per axis
 that the one-pass check replaced.  random_ideal_randint and draws_randint
 draw the corpus ideals and the plane entries by random.Random(s).randint,
 the definition that sections.draw's getrandbits draws replaced.
+loja_section_weights is L^(j) by its definition, a max over arc weight
+vectors, against the max over (j+1)-sets of loja_section, and
+section_line_order restricts to the line that certifies the max.
 singular_axis is the isolation rule of check_isolated by restriction: the
 partials of f restricted to each coordinate axis.  contains and facet_eval
 decide membership by the facet inequalities, against the LP of lp_member;
@@ -29,6 +32,7 @@ and poly_mul test polynomials; poly_mul is also the product that the
 exponent shift of product_with_maximal replaced.
 """
 import itertools
+import operator
 import random
 from fractions import Fraction
 from math import comb, factorial, gcd
@@ -527,6 +531,40 @@ def line_order_restrict(a: MonomialIdeal, seed: int) -> int:
     order."""
     gens = IdealPresentation(a.dim, tuple(poly(a.dim, {v: 1}) for v in a.generators))
     return loja_line(restrict(gens, sample_plane(a.dim, a.dim - 1, seed)))
+
+
+def loja_section_weights(a: MonomialIdeal, j: int) -> Fraction:
+    """L^(j)(a) by its definition over arcs in a generic codimension-j plane:
+    the max of min_g <w, g> / min(w) over integer weight vectors w whose
+    least entry is taken at least j + 1 times, with entries 1, 2, 3 and
+    B = 1 + the largest generator degree, which passes every degree and so
+    stands for an unbounded weight."""
+    n = a.dim
+    big = 1 + max(sum(g) for g in a.generators)
+    best = None
+    for w in itertools.product((1, 2, 3, big), repeat=n):
+        least = min(w)
+        if w.count(least) > j:
+            value = Fraction(min(sum(map(operator.mul, w, g)) for g in a.generators), least)
+            best = value if best is None else max(best, value)
+    return best
+
+
+def section_line_order(a: MonomialIdeal, j: int, S, seed: int) -> int | None:
+    """Order of a, by restrict, on the line where sample_plane(n, j, seed),
+    1 <= j <= n - 2, meets x_k = 0 for every k not in S, a (j + 1)-set; None
+    when that line also has a zero entry on S.  The line's direction is
+    M v, with v the kernel vector of the rows of M off S, made of their
+    signed maximal minors."""
+    M = sample_plane(a.dim, j, seed).matrix
+    rows = [M[k] for k in range(a.dim) if k not in S]
+    v = [(-1) ** i * det([r[:i] + r[i + 1:] for r in rows]) for i in range(len(M[0]))]
+    c = [sum(map(operator.mul, row, v)) for row in M]
+    if not all(c[k] for k in S):
+        return None
+    gens = IdealPresentation(a.dim, tuple(poly(a.dim, {g: 1}) for g in a.generators))
+    return loja_line(restrict(gens, PlaneRestriction(a.dim, a.dim - 1,
+                                                     tuple((x,) for x in c))))
 
 
 def random_ideal_randint(n: int, seed: int, budget: int) -> MonomialIdeal:

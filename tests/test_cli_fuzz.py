@@ -36,7 +36,7 @@ EXIT_CODES = {0, 2, 3, 4, 5}
 FLAGS = {
     "compute": ["--nondegenerate"],
     "verify-main": ["--tolerance", "--nondegenerate"],
-    "verify-chain": ["--tolerance", "--numeric"],
+    "verify-chain": ["--numeric"],
     "verify-lct": ["--nondegenerate"],
     "probe-pham": [],
 }
@@ -46,9 +46,9 @@ VALUES = {
     "--tolerance": st.sampled_from(["0", "0.05", "1", "-1", "nan", "inf", "1e-300", "x"]),
 }
 
-# On a 2-core VM the slowest of 3,000 drawn examples took 0.15 s, and the
-# slowest explicit one, the dim-4 verify-chain --numeric below, 0.9-1.1 s;
-# the bound is more than five times that.
+# On a 2-core VM the slowest of 3,000 drawn examples took 0.15 s, and each
+# explicit one below takes less than 0.1 s; the bound is more than fifty
+# times that.
 CALL_BOUND_S = 10.0
 
 TOKENS = st.one_of(

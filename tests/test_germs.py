@@ -4,7 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lctlab.exactgeom import InvalidInputError, build_polyhedron, polyhedron_of
+from lctlab.exactgeom import (
+    InvalidInputError,
+    UnsupportedDimensionError,
+    build_polyhedron,
+    polyhedron_of,
+)
 from lctlab.germs import (
     DegenerateGermError,
     IdealPresentation,
@@ -73,6 +78,14 @@ class TestParser:
     def test_explicit_dim(self):
         f = parse_polynomial("x^2", 3)
         assert f.dim == 3 and f.terms == {(2, 0, 0): 1}
+
+    @pytest.mark.parametrize("dim", [-1, 0, 5])
+    @pytest.mark.parametrize("text", ["3", "x^2 + y^3", "x +"])
+    def test_dim_outside_range_rejected_before_parsing(self, text, dim):
+        # dim 0 read "3" as a constant germ, and -1 failed on the variables
+        with pytest.raises(UnsupportedDimensionError,
+                           match=rf"^dimension {dim} not supported \(1\.\.4\)$"):
+            parse_polynomial(text, dim)
 
     @pytest.mark.parametrize("text,position", [
         ("x^2 - -y^2", 6),  # two signs in a row: the second overwrote the first

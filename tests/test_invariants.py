@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from lctlab import invariants
 from lctlab.exactgeom import (
     MonomialIdeal,
+    InvalidInputError,
     NotZeroDimensionalError,
     covolume,
     ideal_product,
@@ -21,6 +22,7 @@ from lctlab.invariants import (
     lct_monomial,
     lelong_numbers,
     loja_monomial,
+    loja_section,
     mixed_multiplicity,
 )
 from lctlab.verify import random_ideal
@@ -74,6 +76,47 @@ class TestLoja:
     def test_not_zero_dimensional(self):
         with pytest.raises(NotZeroDimensionalError):
             loja_monomial(MonomialIdeal.make({(1, 1)}, 2))
+
+
+class TestLojaSection:
+    @pytest.mark.parametrize("gens,values", [
+        # pure powers: the (j+1)-set without the j largest powers
+        ([(2, 0, 0), (0, 3, 0), (0, 0, 4)], (4, 3, 2)),
+        ([(4, 0, 0, 0), (0, 12, 0, 0), (0, 0, 15, 0), (0, 0, 0, 2)], (15, 12, 4, 2)),
+        # xy lowers the sets {x, y} and {x, y, z}, not {y, z}
+        ([(2, 0, 0), (0, 3, 0), (0, 0, 4), (1, 1, 0)], (4, 3, 2)),
+        ([(5, 0, 0), (0, 5, 0), (0, 0, 5), (0, 1, 1)], (5, 5, 2)),
+        ([(3, 0), (1, 1), (0, 3)], (3, 2)),
+        ([(7,)], (7,)),
+    ])
+    def test_values(self, gens, values):
+        a = MonomialIdeal.make(gens, len(gens[0]))
+        got = tuple(loja_section(a, j) for j in range(a.dim))
+        assert got == values and all(isinstance(v, Fraction) for v in got)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_endpoints(self, n):
+        for s in range(20):
+            a = random_ideal(n, s, 6) if n > 1 else MonomialIdeal.make([(s + 1,)], 1)
+            assert loja_section(a, 0) == loja_monomial(a)
+            assert loja_section(a, n - 1) == a.min_degree
+
+    def test_power_of_maximal(self):
+        a = ideal_power(maximal_ideal(4), 3)
+        assert [loja_section(a, j) for j in range(4)] == [3] * 4
+
+    def test_unit_ideal(self):
+        a = MonomialIdeal.make({(0, 0, 0)}, 3)
+        assert [loja_section(a, j) for j in range(3)] == [0] * 3
+
+    def test_not_zero_dimensional(self):
+        with pytest.raises(NotZeroDimensionalError):
+            loja_section(MonomialIdeal.make({(2, 0, 0), (0, 2, 0)}, 3), 1)
+
+    @pytest.mark.parametrize("j", [-1, 3])
+    def test_codimension_range(self, j):
+        with pytest.raises(InvalidInputError, match=f"codimension {j} invalid for dimension 3"):
+            loja_section(maximal_ideal(3), j)
 
 
 class TestColength:

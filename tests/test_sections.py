@@ -17,7 +17,7 @@ from lctlab.germs import (
     parse_polynomial,
     poly,
 )
-from lctlab.invariants import loja_monomial
+from lctlab.invariants import loja_monomial, loja_section
 from lctlab.sections import (
     MAX_ESTIMATOR_TERMS,
     MAX_RESTRICT_DEGREE,
@@ -304,6 +304,16 @@ class TestPolarInvariant:
         est = thetas_of("x^3 + y^3")[1]
         assert_exact(est, 2, "exact-line")
 
+    @pytest.mark.parametrize("text,values", [
+        ("x^3 + y^4 + z^5", (4, 3, 2)),
+        ("x^2 + y^3 + z^4 + w^5", (4, 3, 2, 1)),
+        ("x^3 + y^3 + z^3 + w^13", (12, 2, 2, 2)),
+    ])
+    def test_term_exact_middle_thetas_are_section_exponents(self, text, values):
+        thetas = thetas_of(text)
+        assert tuple(t.value for t in thetas) == values
+        assert [t.method for t in thetas] == ["exact-monomial"] * (len(values) - 1) + ["exact-line"]
+
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_fermat_3d_all_exact(self, d):
         thetas = thetas_of(f"x^{d} + y^{d} + z^{d}")
@@ -358,13 +368,16 @@ class TestPolarInvariant:
     @example((3, [2, 2, 2], [(1, 1, 0), (1, 0, 1), (0, 1, 1)]))  # m^2
     @example((4, [3, 3, 3, 3], [(1, 1, 1, 0), (0, 2, 0, 2)]))  # m^3's polyhedron
     def test_power_rule_is_the_polyhedron_of_a_power(self, case):
-        """The rule that gives every middle theta_j = theta_0: L_0 = ord > 0
-        iff the Newton polyhedron is that of m^k, k = ord."""
+        """L_0 = ord = k > 0 iff the Newton polyhedron is that of m^k, and
+        then every section exponent is k: they fall from L_0 to ord."""
         n, powers, extra = case
         a = MonomialIdeal.make([tuple(p * (i == k) for i in range(n))
                                 for k, p in enumerate(powers)] + extra, n)
         k = a.min_degree
         assert (loja_monomial(a) == k > 0) == (polyhedron_of(a).facets == (((1,) * n, k),))
+        sections = [loja_section(a, j) for j in range(n)]
+        assert sections == sorted(sections, reverse=True)
+        assert (sections[0], sections[-1]) == (loja_monomial(a), k)
 
 
 class TestLojaParams:

@@ -4,6 +4,7 @@ import importlib.util
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -17,10 +18,10 @@ from lctlab import cli, exactgeom, germs, sections, verify
 from lctlab.cli import build_parser
 from lctlab.exactgeom import InvalidInputError, MonomialIdeal, maximal_ideal
 from lctlab.germs import NotMonomializableError, parse_polynomial
+from lctlab.invariants import lelong_numbers, loja_section
 from lctlab.sections import (
     MAX_ESTIMATOR_TERMS,
     MAX_RESTRICT_DEGREE,
-    LojaParams,
     NumericFailureError,
     _line_zeros,
     line_order,
@@ -129,10 +130,15 @@ class TestVerifyChain:
             assert all(v.holds for v in verify_chain(a))
 
     def test_numeric_term_3d(self):
+        # the middle term is exact: 1/L^(1) against e_1/e_2
         a = random_ideal(3, 5, 3)
         verdicts = verify_chain(a, include_numeric=True)
-        names = {v.name for v in verdicts}
-        assert "chain-term-j1" in names
+        assert [v.name for v in verdicts] == [
+            "chain-lct", "chain-term-j0", "chain-term-j1", "chain-term-j2"]
+        j1 = verdicts[2]
+        assert not j1.numeric and j1.sources == ("loja_section", "lelong_numbers")
+        assert j1.lhs == 1 / loja_section(a, 1)
+        assert j1.rhs == lelong_numbers(a)[1] / lelong_numbers(a)[2]
         assert all(v.holds for v in verdicts)
 
 
@@ -261,69 +267,6 @@ class TestCorpusRun:
         report = corpus_run(CorpusConfig(dim=3, count=3, seed=0))
         assert report.summaries["close"]["worst_index"] == 1
         assert report.summaries["close"]["min_margin"] == frac_str(margins[1])
-
-    def test_unmade_estimate_kept_in_errors(self, monkeypatch):
-        """Seed 0's dim-4 ideal restricts to 46 terms on its 3-plane, seeds
-        1-3's to 34-37, and all four to at most 15 on their 2-planes: under a
-        bound of 40 only case 0's chain-term-j1 is not made, and the run goes
-        on."""
-        monkeypatch.setattr(verify, "loja_numeric", lambda R: sections.loja_numeric(
-            R, LojaParams(starts=8, iters=20)))
-        cfg = CorpusConfig(dim=4, count=4, seed=0, include_numeric=True)
-        whole = corpus_run(cfg).to_dict()
-        monkeypatch.setattr(sections, "MAX_ESTIMATOR_TERMS", 40)
-        report = corpus_run(cfg)
-        d = report.to_dict()
-        assert "errors" not in whole
-        assert d["errors"] == [{
-            "index": 0, "seed": 0,
-            "ideal": [list(g) for g in random_ideal(4, 0, 5).generators],
-            "verdict": "chain-term-j1",
-            "error": "numeric estimate over 46 terms passes its bound of 40"}]
-        assert list(d) == ["corpus", "cases", "summaries", "failures", "errors", "meta"]
-        # the summaries keep their order; only chain-term-j1 misses a case
-        assert list(d["summaries"]) == list(whole["summaries"])
-        assert d["summaries"]["chain-term-j1"]["count"] == 3
-        del d["summaries"]["chain-term-j1"], whole["summaries"]["chain-term-j1"]
-        assert d["summaries"] == whole["summaries"]
-        assert d["failures"] == whole["failures"]
-        assert report.exit_code == EXIT_COMPUTE_ERROR
-
-    @pytest.mark.parametrize("cause", ["bound", "collapse"])
-    def test_estimate_never_made_keeps_an_empty_summary(self, monkeypatch, cause):
-        def collapse(I, params=None):
-            raise NumericFailureError("min-max collapsed below float range")
-
-        if cause == "bound":
-            monkeypatch.setattr(sections, "MAX_ESTIMATOR_TERMS", 1)
-            message = "numeric estimate over 10 terms passes its bound of 1"
-        else:
-            monkeypatch.setattr(verify, "loja_numeric", collapse)
-            message = "min-max collapsed below float range"
-        report = corpus_run(CorpusConfig(dim=3, count=2, seed=0, include_numeric=True))
-        assert list(report.summaries) == ["chain-lct", "chain-term-j0", "chain-term-j1",
-                                          "chain-term-j2"]
-        assert report.summaries["chain-term-j1"] == {
-            "count": 0, "failures": 0, "min_margin": None, "worst_index": None}
-        assert [(e["index"], e["verdict"]) for e in report.errors] == \
-            [(0, "chain-term-j1"), (1, "chain-term-j1")]
-        assert report.errors[0]["error"] == message
-
-    @pytest.mark.parametrize("failed_numeric,errors,code", [
-        ([], False, EXIT_OK),
-        ([], True, EXIT_COMPUTE_ERROR),
-        ([True], False, EXIT_NUMERIC_FAILURE),
-        ([True], True, EXIT_COMPUTE_ERROR),
-        ([True, False], True, EXIT_EXACT_FAILURE),
-        ([False], False, EXIT_EXACT_FAILURE),
-    ])
-    def test_exit_code_ranks_errors(self, failed_numeric, errors, code):
-        """An exact failure outranks a verdict not made, which outranks a
-        numeric failure."""
-        report = CorpusReport(CorpusConfig(dim=3, count=1), 1, {},
-                              [{"numeric": x} for x in failed_numeric],
-                              errors=[{"index": 0}] if errors else [])
-        assert report.exit_code == code
 
     @settings(max_examples=12, deadline=None)
     @given(dim=st.sampled_from([2, 3, 4]), seed=st.integers(0, 10 ** 6),
@@ -470,7 +413,7 @@ class TestEmitReport:
 
     @pytest.mark.parametrize("args", [
         ["corpus", "--dim", "3", "--count", "4", "--seed", "5"],
-        ["corpus", "--dim", "3", "--count", "2", "--numeric", "--tolerance", "0"],
+        ["corpus", "--dim", "3", "--count", "2", "--numeric"],
         ["verify-main", "x^3 + y^4 + z^5"],
         ["compute", "x^3 + y^4 + z^5"],
     ])
@@ -510,11 +453,11 @@ class TestEmitReport:
 CLI_FLAGS = {
     "compute": {"--ideal", "--json", "--seed", "--dim", "--nondegenerate"},
     "verify-main": {"--json", "--seed", "--dim", "--tolerance", "--nondegenerate"},
-    "verify-chain": {"--numeric", "--json", "--seed", "--dim", "--tolerance"},
+    "verify-chain": {"--numeric", "--json", "--seed", "--dim"},
     "verify-lct": {"--json", "--seed", "--dim", "--nondegenerate"},
     "probe-pham": {"--json", "--seed", "--dim"},
     "corpus": {"--count", "--numeric", "--timings", "--json", "--seed", "--dim",
-               "--tolerance", "--budget"},
+               "--budget"},
 }
 FLAG_VALUES = {"--seed": ["1"], "--dim": ["2"], "--tolerance": ["0.1"],
                "--budget": ["4"], "--count": ["3"]}
@@ -531,6 +474,19 @@ def test_cli_accepted_flags(command):
         else:
             with pytest.raises(SystemExit):
                 parser.parse_args(argv)
+
+
+def test_readme_flags_table_matches_parser():
+    """README's subcommand table lists each subcommand's flags besides
+    --json, --seed and --dim, which all of them take."""
+    lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| Subcommand | Flags |") + 2
+    table = {}
+    for line in itertools.takewhile(lambda x: x.startswith("|"), lines[start:]):
+        command, flags = (cell.strip() for cell in line.strip("|").split("|"))
+        table[command.strip("`")] = set(re.findall(r"`(--[a-z-]+)`", flags))
+    assert table == {command: flags - {"--json", "--seed", "--dim"}
+                     for command, flags in CLI_FLAGS.items()}
 
 
 # child processes import lctlab from where this one found it
@@ -558,8 +514,8 @@ def run_child(code, *args):
                           capture_output=True, text=True, env=CHILD_ENV)
 
 
-# stdout of three commands that reach the numeric estimator, pinned to 12
-# significant digits by the report
+# stdout of a command that reaches the numeric estimator, pinned to 12
+# significant digits by the report, and of three exact ones
 COMPUTE_NUMERIC = """\
 input: x^3 + x*y^2 + y^4
 n: 2
@@ -583,7 +539,7 @@ meta:
   timings_ms: None
 """
 
-CHAIN_NUMERIC_DIM3 = """\
+CHAIN_MIDDLE_DIM3 = """\
 input: x^2; y^3; z^4
 n: 3
 ideal:
@@ -620,12 +576,12 @@ verdicts:
     tolerance: None
   -
     name: chain-term-j1
-    lhs: 0.342276783202
+    lhs: 1/3
     rhs: 1/3
-    margin: -0.00894344986891
+    margin: 0
     holds: True
-    numeric: True
-    tolerance: 0.05
+    numeric: False
+    tolerance: None
   -
     name: chain-term-j2
     lhs: 1/2
@@ -640,7 +596,7 @@ meta:
   timings_ms: None
 """
 
-CORPUS_NUMERIC_DIM3 = """\
+CORPUS_MIDDLE_DIM3 = """\
 corpus:
   dim: 3
   count: 2
@@ -661,8 +617,8 @@ summaries:
   chain-term-j1:
     count: 2
     failures: 0
-    min_margin: -0.000209050851963
-    worst_index: 1
+    min_margin: 0
+    worst_index: 0
   chain-term-j2:
     count: 2
     failures: 0
@@ -674,6 +630,47 @@ meta:
   version: 0.1.0
   timings_ms: None
 """
+
+MAIN_DIM3 = """\
+input: x^3 + y^4 + z^5
+n: 3
+ideal:
+  generators:
+    - x^3 + y^4 + z^5
+invariants:
+  theta:
+    - 4
+    - 3
+    - 2
+  theta_methods:
+    - exact-monomial
+    - exact-monomial
+    - exact-line
+  exact: True
+verdicts:
+  -
+    name: theorem-main
+    lhs: 47/60
+    rhs: 13/15
+    margin: 1/12
+    holds: True
+    numeric: False
+    tolerance: None
+meta:
+  seed: 0
+  version: 0.1.0
+  timings_ms: None
+"""
+
+
+def run_main_child(*argv):
+    """cli.main(argv) in a child process, which writes to stderr whether
+    numpy and numpy.ma were loaded."""
+    return run_child("import sys\n"
+                     "from lctlab import cli\n"
+                     "code = cli.main(sys.argv[1:])\n"
+                     "print('numpy' in sys.modules, 'numpy.ma' in sys.modules, file=sys.stderr)\n"
+                     "sys.exit(code)", *argv)
 
 
 class TestNumpyOnFirstUse:
@@ -697,18 +694,22 @@ class TestNumpyOnFirstUse:
 
     @pytest.mark.parametrize("argv,stdout", [
         (["compute", "x^3 + x*y^2 + y^4"], COMPUTE_NUMERIC),
-        (["verify-chain", "x^2; y^3; z^4", "--numeric"], CHAIN_NUMERIC_DIM3),
-        (["corpus", "--dim", "3", "--numeric", "--count", "2"], CORPUS_NUMERIC_DIM3),
-    ], ids=["compute", "verify-chain", "corpus"])
+    ], ids=["compute"])
     def test_cli_paths_reach_the_estimator(self, argv, stdout):
-        # J_f of the germ is not term-exact, so theta_0 is numeric; in dim 3
-        # the codimension-1 chain term is numeric
-        res = run_child("import sys\n"
-                        "from lctlab import cli\n"
-                        "code = cli.main(sys.argv[1:])\n"
-                        "print('numpy' in sys.modules, 'numpy.ma' in sys.modules, file=sys.stderr)\n"
-                        "sys.exit(code)", *argv)
+        # J_f of the germ is not term-exact, so theta_0 is numeric
+        res = run_main_child(*argv)
         assert (res.returncode, res.stdout, res.stderr) == (0, stdout, "True False\n")
+
+    @pytest.mark.parametrize("argv,stdout", [
+        (["verify-chain", "x^2; y^3; z^4", "--numeric"], CHAIN_MIDDLE_DIM3),
+        (["corpus", "--dim", "3", "--numeric", "--count", "2"], CORPUS_MIDDLE_DIM3),
+        (["verify-main", "x^3 + y^4 + z^5"], MAIN_DIM3),
+    ], ids=["verify-chain", "corpus", "verify-main"])
+    def test_exact_cli_paths_leave_numpy_out(self, argv, stdout):
+        # the middle chain terms and the middle theta of a term-exact J_f
+        # are exact section exponents
+        res = run_main_child(*argv)
+        assert (res.returncode, res.stdout, res.stderr) == (0, stdout, "False False\n")
 
 
 class TestCli:
@@ -754,19 +755,20 @@ class TestCli:
         assert res.stdout == ""
         assert res.stderr == "error: case count must be >= 0, got -1\n"
 
-    def test_negative_count_reported_before_tolerance(self, capsys):
-        argv = ["corpus", "--count", "-1", "--tolerance", "nan", "--budget", "1"]
+    def test_negative_count_reported_before_budget(self, capsys):
+        argv = ["corpus", "--count", "-1", "--budget", "1"]
         assert cli.main(argv) == EXIT_INPUT_ERROR
         assert capsys.readouterr() == ("", "error: case count must be >= 0, got -1\n")
 
     @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
     @pytest.mark.parametrize("argv", [
-        ["corpus", "--numeric", "--count", "1"],
-        ["verify-chain", "x^2; y^3; z^4", "--numeric"],
         ["verify-main", "x^3 + y^3"],
+        ["verify-main", "x^3 + y^4 + z^5"],
+        ["verify-main", "x^3 + x*y^2 + y^4", "--nondegenerate"],
     ])
     def test_invalid_tolerance_exit(self, argv, value, capsys):
-        # -1 failed verdicts with a margin of 5e-16, inf held every numeric
+        # checked before any theta, exact (dims 2 and 3) or numeric: -1
+        # failed verdicts with a margin of 5e-16, inf held every numeric
         # verdict, and nan reached the JSON report as a bare NaN
         assert cli.main([*argv, "--tolerance", value, "--json"]) == EXIT_INPUT_ERROR
         out, err = capsys.readouterr()
@@ -926,8 +928,9 @@ class TestCli:
     @pytest.mark.parametrize("argv,degree", [
         (["verify-main", "x^100000000 + y^2"], 99999999),
         (["compute", f"x^{MAX_RESTRICT_DEGREE + 2} + y^2"], MAX_RESTRICT_DEGREE + 1),
-        # degree 3199 on a plane of dimension 2: about 3199^2 weighted products
-        (["verify-main", "x^3200 + y^2 + z^2"], 3199),
+        # degree 3199 on a plane of dimension 2: about 3199^2 weighted
+        # products; J_f is not term-exact, so theta_1 restricts it
+        (["compute", "x^3200 + x*y + y^2 + z^2"], 3199),
     ], ids=["line", "line-at-bound", "plane"])
     def test_restriction_past_work_bound_exit(self, argv, degree, capsys):
         # J_f's power of x is restricted to a generic plane; past the bound
@@ -939,9 +942,10 @@ class TestCli:
         assert err.endswith(f"passes its work bound at a term of degree {degree}\n")
 
     def test_estimate_past_term_bound_exit(self, capsys):
-        # theta_1 restricts J_f to a generic 3-plane within restrict's bounds,
-        # to 31,378 terms: the estimator stops before its descent
-        assert cli.main(["verify-main", "x^250 + y^2 + z^2 + w^2"]) == EXIT_COMPUTE_ERROR
+        # J_f is not term-exact, so theta_1 restricts it to a generic 3-plane
+        # within restrict's bounds, to 31,378 terms: the estimator stops
+        # before its descent
+        assert cli.main(["compute", "x^250 + x*y + y^2 + z^2 + w^2"]) == EXIT_COMPUTE_ERROR
         out, err = capsys.readouterr()
         assert out == ""
         assert err == (f"error: numeric estimate over 31378 terms passes its bound "
@@ -953,18 +957,27 @@ class TestCli:
         theta = json.loads(capsys.readouterr().out)["invariants"]["theta"]
         assert theta == [str(MAX_RESTRICT_DEGREE), "1"]
 
-    @pytest.mark.parametrize("argv", [
-        ["compute", "x + y^2 + z^2"],
-        ["verify-main", "x + y^2 + z^2 + w^3"],
-        ["verify-main", "x^3 + y^4 + z^5"],
+    @pytest.mark.parametrize("argv,theta", [
+        (["compute", "x + y^2 + z^2"], ["0", "0", "0"]),
+        (["verify-main", "x + y^2 + z^2 + w^3"], ["0", "0", "0", "0"]),
+        (["verify-main", "x^3 + y^4 + z^5"], ["4", "3", "2"]),
+        (["verify-main", "x^2 + y^3 + z^4 + w^5"], ["4", "3", "2", "1"]),
     ])
-    def test_middle_thetas_numeric_unless_jacobian_is_a_power(self, argv, capsys):
-        # J_f is term-exact, but its Newton polyhedron is not that of m^k: a
-        # unit J_f (smooth germ, L_0 = ord = 0) has no facet, and
-        # (x^2, y^3, z^4) has L_0 = 4 > ord = 2
+    def test_middle_thetas_exact_when_jacobian_is_term_exact(self, argv, theta, capsys):
+        # the middle theta_j of a term-exact J_f are its section exponents
+        # L^(j), also when its Newton polyhedron is not that of m^k: a unit
+        # J_f (smooth germ) has L^(j) = 0, and (x^2, y^3, z^4) has
+        # L^(1) = 3 between L_0 = 4 and ord = 2
         assert cli.main([*argv, "--json"]) == EXIT_OK
-        methods = json.loads(capsys.readouterr().out)["invariants"]["theta_methods"]
-        assert methods == ["exact-monomial", *["numeric"] * (len(methods) - 2), "exact-line"]
+        inv = json.loads(capsys.readouterr().out)["invariants"]
+        assert inv["theta"] == theta and inv["exact"]
+        assert inv["theta_methods"] == [*["exact-monomial"] * (len(theta) - 1), "exact-line"]
+
+    def test_middle_thetas_numeric_when_jacobian_is_not_term_exact(self, capsys):
+        assert cli.main(["compute", "x^3 + x*y^2 + y^4 + z^2", "--json"]) == EXIT_OK
+        inv = json.loads(capsys.readouterr().out)["invariants"]
+        assert inv["theta_methods"] == ["numeric", "numeric", "exact-line"]
+        assert not inv["exact"]
 
     @pytest.mark.parametrize("argv", [
         ["compute", ";"],
@@ -978,6 +991,20 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: empty ideal\n"
+
+    @pytest.mark.parametrize("argv,dim", [
+        (["verify-main", "3", "--dim", "0"], 0),
+        (["compute", "x^2 + y^3", "--dim", "-1"], -1),
+        (["compute", "x +", "--dim", "5"], 5),
+        (["verify-chain", "x^2; y^3", "--dim", "0"], 0),
+    ])
+    def test_dimension_outside_range_exit(self, argv, dim, capsys):
+        # checked before parsing: --dim 0 read "3" as a unit germ, and --dim -1
+        # said "variable index exceeds dimension -1"
+        assert cli.main(argv) == EXIT_INPUT_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: dimension {dim} not supported (1..4)\n"
 
     def test_corpus_dim_zero_exit(self, capsys):
         # --dim 0 is rejected, not read as the default dimension 2
@@ -1073,27 +1100,27 @@ class TestCli:
         assert out == ""
         assert err == "error: Lelong numbers of the unit ideal are 0; its ratios are undefined\n"
 
-    def test_corpus_reports_past_an_unmade_estimate(self, monkeypatch, capsys):
-        monkeypatch.setattr(sections, "MAX_ESTIMATOR_TERMS", 1)
-        assert cli.main(["corpus", "--dim", "3", "--numeric", "--count", "2",
-                         "--json"]) == EXIT_COMPUTE_ERROR
-        out, err = capsys.readouterr()
-        assert err == ""
-        d = json.loads(out)
-        assert d["cases"] == 2 and d["summaries"]["chain-term-j0"]["count"] == 2
-        assert [e["error"] for e in d["errors"]] == [
-            "numeric estimate over 10 terms passes its bound of 1",
-            "numeric estimate over 11 terms passes its bound of 1"]
-        assert cli.main(["corpus", "--dim", "3", "--numeric", "--count", "2"]) \
-            == EXIT_COMPUTE_ERROR
-        assert "errors:\n" in capsys.readouterr().out
+    def test_numeric_corpus_middle_terms_exact(self, capsys):
+        # case 1 is (x^4, y^12, z^15, w^2): on a generic 3-plane the forms of
+        # x and w vanish together on a line, where the order is 12, so
+        # L^(1) = 12; the estimator gave 3.99, a false numeric failure
+        argv = ["corpus", "--dim", "4", "--numeric", "--budget", "17", "--count", "3",
+                "--seed", "3", "--json"]
+        assert cli.main(argv) == EXIT_OK
+        d = json.loads(capsys.readouterr().out)
+        assert random_ideal(4, 4, 17).generators == (
+            (0, 0, 0, 2), (0, 0, 15, 0), (0, 12, 0, 0), (4, 0, 0, 0))
+        assert list(d["summaries"]) == ["chain-lct", "chain-term-j0", "chain-term-j1",
+                                        "chain-term-j2", "chain-term-j3"]
+        assert all(s["count"] == 3 and not s["failures"] for s in d["summaries"].values())
+        assert "errors" not in d
 
     def test_numeric_failure_exit(self, monkeypatch, capsys):
         def fail(I, params=None):
             raise NumericFailureError("min-max collapsed below float range")
 
-        monkeypatch.setattr(verify, "loja_numeric", fail)
-        code = cli.main(["verify-chain", "x^2; y^3; z^4", "--numeric"])
+        monkeypatch.setattr(sections, "loja_numeric", fail)
+        code = cli.main(["compute", "x^3 + x*y^2 + y^4"])
         assert code == EXIT_COMPUTE_ERROR
         assert capsys.readouterr().err == "error: min-max collapsed below float range\n"
 
