@@ -17,7 +17,6 @@ from .invariants import (  # noqa: F401
     lct_monomial,
     lelong_numbers,
     loja_monomial,
-    loja_section,
     mixed_multiplicity,
 )
 from .germs import (  # noqa: F401

@@ -4,7 +4,9 @@ Log canonical threshold, Lojasiewicz exponent, mixed multiplicities and
 higher Lelong numbers.  Over the facets <w_F, x> >= c_F of the Newton
 polyhedron P of a, 1/lct(a) = max_F c_F/|w_F|, the diagonal intercept, with
 |w_F| the entry sum (Howald 2001).  L_0(a) is the largest axis intercept of
-P, which for a monomial ideal is its largest pure power.
+P, which for a monomial ideal is its largest pure power, and L^(j)(a), the
+exponent on a generic plane of codimension j, is read off the generators'
+supports.
 
 The Lelong numbers e_k of a, the mixed multiplicities of a taken k times
 against the maximal ideal (Kaveh & Khovanskii 2014), come from the facets of
@@ -84,19 +86,7 @@ def lct_monomial(a: MonomialIdeal) -> Fraction:
     return 1 / t0
 
 
-def loja_monomial(a: MonomialIdeal) -> Fraction:
-    """Largest axis intercept of the Newton polyhedron P, in one pass over
-    the generators; 0 for the unit ideal.
-
-    A point of P on axis i is a convex combination of generators on that
-    axis plus a point of the orthant, so the intercept is the pure power of
-    x_i.  A nonzero generator whose sum is one of its entries is such a
-    power."""
-    _require_zero_dim(a, "Lojasiewicz exponent")
-    return Fraction(max((s for g in a.generators if (s := sum(g)) and s in g), default=0))
-
-
-def loja_section(a: MonomialIdeal, j: int) -> Fraction:
+def loja_monomial(a: MonomialIdeal, j: int = 0) -> Fraction:
     """L^(j)(a), the Lojasiewicz exponent of a on a generic plane of
     codimension j, 0 <= j <= n-1, in one pass over the generators' support
     bitmasks; 0 for the unit ideal.
@@ -110,16 +100,17 @@ def loja_section(a: MonomialIdeal, j: int) -> Fraction:
         L^(j)(a) = max over (j+1)-sets S of min{|g| : supp g in S},
 
     attained on the line where the plane meets x_k = 0 for k not in S.
-    j = 0 gives loja_monomial, j = n - 1 the order min_degree."""
+    j = 0 gives L_0, the largest pure power, and j = n - 1 the order
+    min_degree."""
     n = a.dim
     if not 0 <= j < n:
         raise InvalidInputError(f"codimension {j} invalid for dimension {n}")
     _require_zero_dim(a, "Lojasiewicz exponent")
-    degrees = [(sum(1 << i for i, e in enumerate(g) if e), sum(g)) for g in a.generators]
+    bits = [1 << i for i in range(n)]
+    degrees = [(sum(itertools.compress(bits, g)), sum(g)) for g in a.generators]
     # a zero-dimensional a has a pure power on each axis of every S
-    return Fraction(max(
-        min(s for mask, s in degrees if mask | S == S)
-        for S in (sum(1 << i for i in c) for c in itertools.combinations(range(n), j + 1))))
+    return Fraction(max(min(s for mask, s in degrees if mask | S == S)
+                        for S in map(sum, itertools.combinations(bits, j + 1))))
 
 
 def mixed_multiplicity(ideals) -> Fraction:

@@ -1,6 +1,6 @@
 """Restriction to seeded generic linear subspaces and Lojasiewicz estimation.
 
-Exact paths: monomial ideals (axis intercepts and generic sections) and
+Exact paths: monomial ideals (exponents on generic sections) and
 one-variable restrictions (vanishing orders).  Other ideals fall back to a
 numeric min-max slope estimator on shrinking spheres; floats appear only
 there.  The estimator's functions import numpy themselves, so a process
@@ -19,7 +19,7 @@ from typing import ClassVar
 
 from .exactgeom import InvalidInputError, MonomialIdeal, NotZeroDimensionalError, det
 from .germs import IdealPresentation, IsolatedGerm, Polynomial
-from .invariants import loja_monomial, loja_section
+from .invariants import loja_monomial
 
 
 class SamplingError(RuntimeError):
@@ -452,23 +452,26 @@ def loja_numeric(I: IdealPresentation, params: LojaParams | None = None) -> Loja
 def polar_invariant(germ: IsolatedGerm, seed: int = 0) -> tuple[LojaEstimate, ...]:
     """(theta(f_0), ..., theta(f_(n-1))) of a germ that check_isolated
     accepted: theta(f_j) is the Lojasiewicz exponent of J_f restricted to a
-    generic codimension-j plane (j = 0 means no restriction).  When J_f is
-    term-exact, theta_0 is loja_monomial and theta_1..theta_(n-2) are
-    loja_section of its monomial ideal; theta_0 is also exact in one
-    variable, where J_f = (f') and theta_0 is the least exponent of f'."""
+    generic codimension-j plane (j = 0 means no restriction).
+
+    When J_f is term-exact, theta_j is loja_monomial(j) of its monomial
+    ideal for every j, labelled exact-line at j = n - 1 >= 1, where it is
+    min_degree, the order on a generic line; no line is drawn.  In one
+    variable J_f = (f') and theta_0 is the least exponent of f'.  Otherwise
+    theta_0 is estimated on J_f, and theta_j for j >= 1 on J_f restricted
+    to sample_plane(n, j, seed): by loja_line on the line, by loja_numeric
+    on a larger plane."""
     J, mono = germ.jacobian, germ.mono
     n = J.dim
     if mono.exact or n == 1:
-        thetas = [LojaEstimate(loja_monomial(mono.ideal), "exact-monomial")]
-    else:
-        thetas = [loja_numeric(J)]
+        return tuple(LojaEstimate(loja_monomial(mono.ideal, j),
+                                  "exact-line" if j == n - 1 >= 1 else "exact-monomial")
+                     for j in range(n))
+    thetas = [loja_numeric(J)]
     for j in range(1, n):
-        if mono.exact and j < n - 1:
-            thetas.append(LojaEstimate(loja_section(mono.ideal, j), "exact-monomial"))
-        else:
-            # one draw: J_f vanishes on a plane L through 0 only if f is
-            # singular along L, which an isolated germ is not
-            R = restrict(J, sample_plane(n, j, seed))
-            thetas.append(LojaEstimate(Fraction(loja_line(R)), "exact-line")
-                          if j == n - 1 else loja_numeric(R))
+        # one draw: J_f vanishes on a plane L through 0 only if f is
+        # singular along L, which an isolated germ is not
+        R = restrict(J, sample_plane(n, j, seed))
+        thetas.append(LojaEstimate(Fraction(loja_line(R)), "exact-line")
+                      if j == n - 1 else loja_numeric(R))
     return tuple(thetas)

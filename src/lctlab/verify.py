@@ -28,7 +28,6 @@ from .invariants import (
     lelong_numbers,
     lct_monomial,
     loja_monomial,
-    loja_section,
 )
 from .sections import (
     LojaEstimate,
@@ -116,17 +115,19 @@ def verify_main(
     return _verdict("theorem-main", lhs, rhs, sources, tolerance), thetas
 
 
-def _chain_verdicts(a, lv, lct, order) -> list[Verdict]:
-    """The chain's exact verdicts from a's Lelong vector, lct and line order:
-    chain-lct, chain-term-j0 and, for n > 1, chain-term-j(n-1)."""
+def _chain_verdicts(a, order, middle) -> list[Verdict]:
+    """The Lelong-ratio chain of a and its termwise Lojasiewicz lower bounds
+    1/L^(j) <= e_(n-j-1)/e_(n-j): chain-lct, chain-term-j0, the terms
+    j = 1..n-2 when middle, and, for n > 1, chain-term-j(n-1) from the
+    order on the sampled line."""
     n = a.dim
+    lv = lelong_numbers(a)
     ratios = lv.ratios
-    verdicts = [
-        _verdict("chain-lct", lv.ratio_sum, lct,
-                 ["dh_lower_bound", "lct_monomial"]),
-        _verdict("chain-term-j0", Fraction(1) / loja_monomial(a), ratios[n - 1],
-                 ["loja_monomial", "lelong_numbers"]),
-    ]
+    verdicts = [_verdict("chain-lct", lv.ratio_sum, lct_monomial(a),
+                         ["dh_lower_bound", "lct_monomial"])]
+    verdicts += [_verdict(f"chain-term-j{j}", 1 / loja_monomial(a, j), ratios[n - j - 1],
+                          ["loja_monomial", "lelong_numbers"])
+                 for j in range(max(1, n - 1) if middle else 1)]
     if n > 1:
         verdicts.append(_verdict(
             f"chain-term-j{n - 1}", Fraction(1, order), ratios[0],
@@ -134,14 +135,11 @@ def _chain_verdicts(a, lv, lct, order) -> list[Verdict]:
     return verdicts
 
 
-def _middle_terms(a, lv) -> tuple[Verdict, ...]:
-    """The chain terms j = 1..n-2 from a's exact section exponents; in a
-    chain's verdicts they follow chain-lct and chain-term-j0."""
-    n = a.dim
-    return tuple(_verdict(f"chain-term-j{j}", 1 / loja_section(a, j),
-                          lv.ratios[n - j - 1],  # e_(n-j-1)/e_(n-j)
-                          ["loja_section", "lelong_numbers"])
-                 for j in range(1, n - 1))
+def _seeded_order(a: MonomialIdeal, seed: int) -> int | None:
+    """line_order(a, seed) for n > 1, once lelong_numbers has rejected a
+    unit or non-zero-dimensional a, so that no draw comes before its error."""
+    lelong_numbers(a)
+    return line_order(a, seed) if a.dim > 1 else None
 
 
 def verify_chain(
@@ -151,12 +149,7 @@ def verify_chain(
 ) -> list[Verdict]:
     """The Lelong-ratio chain and its termwise Lojasiewicz lower bounds; the
     terms j = 1..n-2 only with include_numeric."""
-    lv, lct = lelong_numbers(a), lct_monomial(a)
-    order = line_order(a, seed) if a.dim > 1 else None
-    verdicts = _chain_verdicts(a, lv, lct, order)
-    if include_numeric:
-        verdicts[2:2] = _middle_terms(a, lv)
-    return verdicts
+    return _chain_verdicts(a, _seeded_order(a, seed), include_numeric)
 
 
 def verify_lct_dominates(
@@ -173,14 +166,15 @@ def verify_lct_dominates(
                     strict=rhs > lct_f)
 
 
-def _pham_verdict(a, lv, lct, order) -> Verdict:
-    """probe_pham's verdict from a's Lelong vector, lct and line order; a
-    is zero-dimensional, since lelong_numbers(a) has run."""
+def _pham_verdict(a, order) -> Verdict:
+    """probe_pham's verdict from a's line order; a is zero-dimensional and
+    not the unit ideal."""
+    lv = lelong_numbers(a)
     # the largest 1/order over the sampled line and the two coordinate lines,
     # which are not dominated when the sampled line is an axis
     lct_1 = Fraction(1, min(order, a.pure_power(0), a.pure_power(1)))
     lhs = lct_1 + lv[1] / lv[2]
-    return _verdict("pham-probe", lhs, lct,
+    return _verdict("pham-probe", lhs, lct_monomial(a),
                     ["loja_line", "lelong_numbers", "lct_monomial"])
 
 
@@ -191,8 +185,7 @@ def probe_pham(
     """Evidence probe: lct(a) >= lct_1(a) + e_1/e_2 in dimension 2."""
     if a.dim != 2:
         raise InvalidInputError("probe is exact only in dimension 2")
-    return _pham_verdict(a, lelong_numbers(a), lct_monomial(a),
-                         line_order(a, seed))
+    return _pham_verdict(a, _seeded_order(a, seed))
 
 
 def check_corpus_shape(n: int, budget: int, count: int = 0) -> None:
@@ -328,22 +321,19 @@ class CorpusReport:
         return _exit_code([f["numeric"] for f in self.failures])
 
 
-def _case_verdicts(a: MonomialIdeal, order: int) -> tuple[Verdict, ...]:
+def _case_verdicts(a: MonomialIdeal, order: int, middle: bool) -> tuple[Verdict, ...]:
     """A corpus case's exact verdicts: the chain's and, in dim 2, the Pham
     probe's.  The seed reaches them only through the line order, so they
-    are kept on a's polyhedron per order, next to its Lelong vector, and go
-    when the polyhedron leaves the cache; a Verdict is frozen, and no caller
-    mutates the tuple."""
-    return polyhedron_of(a).keep(("case_verdicts", order),
-                                 lambda: _exact_verdicts(a, order))
+    are kept on a's polyhedron per (order, middle), next to its Lelong
+    vector, and go when the polyhedron leaves the cache; a Verdict is
+    frozen, and no caller mutates the tuple."""
+    def verdicts():
+        chain = _chain_verdicts(a, order, middle)
+        if a.dim == 2:
+            chain.append(_pham_verdict(a, order))
+        return tuple(chain)
 
-
-def _exact_verdicts(a: MonomialIdeal, order: int) -> tuple[Verdict, ...]:
-    lv, lct = lelong_numbers(a), lct_monomial(a)
-    verdicts = _chain_verdicts(a, lv, lct, order)
-    if a.dim == 2:
-        verdicts.append(_pham_verdict(a, lv, lct, order))
-    return tuple(verdicts)
+    return polyhedron_of(a).keep(("case_verdicts", order, middle), verdicts)
 
 
 def corpus_run(config: CorpusConfig) -> CorpusReport:
@@ -355,9 +345,7 @@ def corpus_run(config: CorpusConfig) -> CorpusReport:
     for index in range(config.count):
         seed = config.seed + index
         a = random_ideal(config.dim, seed, config.budget)
-        verdicts = _case_verdicts(a, line_order(a, seed))
-        if config.include_numeric:
-            verdicts = verdicts[:2] + _middle_terms(a, lelong_numbers(a)) + verdicts[2:]
+        verdicts = _case_verdicts(a, line_order(a, seed), config.include_numeric)
         for v in verdicts:
             s = summaries.setdefault(v.name, {
                 "count": 0, "failures": 0, "min_margin": None, "worst_index": None})

@@ -22,7 +22,7 @@ that the one-pass check replaced.  random_ideal_randint and draws_randint
 draw the corpus ideals and the plane entries by random.Random(s).randint,
 the definition that sections.draw's getrandbits draws replaced.
 loja_section_weights is L^(j) by its definition, a max over arc weight
-vectors, against the max over (j+1)-sets of loja_section, and
+vectors, against the max over (j+1)-sets of loja_monomial, and
 section_line_order restricts to the line that certifies the max.
 singular_axis is the isolation rule of check_isolated by restriction: the
 partials of f restricted to each coordinate axis.  contains and facet_eval

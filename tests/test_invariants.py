@@ -22,7 +22,6 @@ from lctlab.invariants import (
     lct_monomial,
     lelong_numbers,
     loja_monomial,
-    loja_section,
     mixed_multiplicity,
 )
 from lctlab.verify import random_ideal
@@ -91,32 +90,33 @@ class TestLojaSection:
     ])
     def test_values(self, gens, values):
         a = MonomialIdeal.make(gens, len(gens[0]))
-        got = tuple(loja_section(a, j) for j in range(a.dim))
+        got = tuple(loja_monomial(a, j) for j in range(a.dim))
         assert got == values and all(isinstance(v, Fraction) for v in got)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_endpoints(self, n):
         for s in range(20):
             a = random_ideal(n, s, 6) if n > 1 else MonomialIdeal.make([(s + 1,)], 1)
-            assert loja_section(a, 0) == loja_monomial(a)
-            assert loja_section(a, n - 1) == a.min_degree
+            # L_0 is the largest pure power, and j defaults to 0
+            assert loja_monomial(a, 0) == loja_monomial(a) == max(map(a.pure_power, range(n)))
+            assert loja_monomial(a, n - 1) == a.min_degree
 
     def test_power_of_maximal(self):
         a = ideal_power(maximal_ideal(4), 3)
-        assert [loja_section(a, j) for j in range(4)] == [3] * 4
+        assert [loja_monomial(a, j) for j in range(4)] == [3] * 4
 
     def test_unit_ideal(self):
         a = MonomialIdeal.make({(0, 0, 0)}, 3)
-        assert [loja_section(a, j) for j in range(3)] == [0] * 3
+        assert [loja_monomial(a, j) for j in range(3)] == [0] * 3
 
     def test_not_zero_dimensional(self):
         with pytest.raises(NotZeroDimensionalError):
-            loja_section(MonomialIdeal.make({(2, 0, 0), (0, 2, 0)}, 3), 1)
+            loja_monomial(MonomialIdeal.make({(2, 0, 0), (0, 2, 0)}, 3), 1)
 
     @pytest.mark.parametrize("j", [-1, 3])
     def test_codimension_range(self, j):
         with pytest.raises(InvalidInputError, match=f"codimension {j} invalid for dimension 3"):
-            loja_section(maximal_ideal(3), j)
+            loja_monomial(maximal_ideal(3), j)
 
 
 class TestColength:

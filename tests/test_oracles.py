@@ -24,6 +24,7 @@ numerators alone, with sample_plane's matrix.  The corpus ideals and plane
 entries, drawn through sections.draw, are compared with the draws of
 random.Random(s).randint.
 """
+import contextlib
 import itertools
 import random
 from fractions import Fraction
@@ -58,7 +59,7 @@ from lctlab.germs import (
     poly,
     product_with_maximal,
 )
-from lctlab.invariants import lelong_numbers, loja_monomial, loja_section, mixed_multiplicity
+from lctlab.invariants import lelong_numbers, loja_monomial, mixed_multiplicity
 from lctlab.sections import (
     PlaneRestriction,
     _draws,
@@ -406,15 +407,15 @@ def test_line_order_matches_restriction():
 
 
 def test_loja_section_matches_weight_brute_force():
-    """At every j, on corpus ideals in dims 2-4; its endpoints are
-    loja_monomial and the order, and its value falls with j."""
+    """At every j, on corpus ideals in dims 2-4; its endpoints are L_0 over
+    the facets and the order, and its value falls with j."""
     for n, seeds in ((2, range(300)), (3, range(200)), (4, range(100))):
         for budget in (5, 9):
             for s in seeds:
                 a = random_ideal(n, s, budget)
-                values = [loja_section(a, j) for j in range(n)]
+                values = [loja_monomial(a, j) for j in range(n)]
                 assert values == [loja_section_weights(a, j) for j in range(n)], a
-                assert values[0] == loja_monomial(a) and values[-1] == a.min_degree
+                assert values[0] == loja_dual(polyhedron_of(a)) and values[-1] == a.min_degree
                 assert values == sorted(values, reverse=True)
 
 
@@ -427,7 +428,7 @@ def test_loja_section_attained_on_a_line():
         for s in seeds:
             a = random_ideal(n, s, 6)
             for j in range(1, n - 1):
-                value = loja_section(a, j)
+                value = loja_monomial(a, j)
                 S = next(S for S in itertools.combinations(range(n), j + 1)
                          if min(sum(g) for g in a.generators
                                 if all(g[k] == 0 for k in range(n) if k not in S)) == value)
@@ -439,11 +440,8 @@ def test_loja_section_attained_on_a_line():
 
 def _line_theta_and_order(germ, seed):
     """theta_(n-1) of polar_invariant and line_order of the monomial ideal of
-    J_f's terms, for a germ that check_isolated accepted.  The numeric
-    estimates on planes of dimension >= 2 are stubbed out: only the line's
-    value is compared."""
-    with mock.patch.object(sections, "loja_numeric", lambda I: None):
-        theta = polar_invariant(germ, seed)[-1]
+    J_f's terms, for a term-exact germ that check_isolated accepted."""
+    theta = polar_invariant(germ, seed)[-1]
     assert theta.method == "exact-line"
     return theta.value, line_order(germ.mono.ideal, seed)
 
@@ -458,22 +456,68 @@ def test_line_order_matches_polar_invariant_on_fermat_germs(n):
             assert theta == order == d - 1, (f, seed)
 
 
-# about 1 in 25 drawn germs is isolated, term-exact and in 2 or more
-# variables; 50 of them take about 6 s
-@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
-@given(f=germ_texts().map(parse_polynomial), seed=st.integers(0, 10 ** 6))
-@example(f=parse_polynomial("x^5 + y^3"), seed=77)  # the x-axis: order 4
-@example(f=parse_polynomial("x*y + z^4"), seed=194)  # the z-axis: order 3
-def test_line_order_matches_polar_invariant_on_term_exact_germs(f, seed):
-    """The restriction of J_f to the line and the zero pattern of the line
-    give one order when every partial is a single term."""
+def _term_exact_germ(f):
+    """check_isolated(f) when it accepts f and J_f is term-exact, else the
+    example is discarded."""
     try:
         germ = check_isolated(f)
     except (InvalidInputError, DegenerateGermError):
         assume(False)
-    assume(f.dim > 1 and germ.mono.exact)
+    assume(germ.mono.exact)
+    return germ
+
+
+# about 1 in 25 drawn germs is isolated, term-exact and in 2 or more
+# variables; 50 of them take about 6 s
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(f=germ_texts().map(parse_polynomial), seed=st.integers(0, 10 ** 6))
+@example(f=parse_polynomial("x^5 + y^3"), seed=77)  # the x-axis: line order 4
+@example(f=parse_polynomial("x*y + z^4"), seed=194)  # the z-axis: line order 3
+@example(f=parse_polynomial("x^3 + y^3 + z^2 + w^13"), seed=0)  # z entry 0: line order 2
+def test_line_order_matches_polar_invariant_on_term_exact_germs(f, seed):
+    """theta_(n-1) of a term-exact J_f is its order min_degree, the order on
+    a generic line.  The seeded line's order is at least that, and equal to
+    it when the line has no zero entry."""
+    germ = _term_exact_germ(f)
+    assume(f.dim > 1)
     theta, order = _line_theta_and_order(germ, seed)
-    assert theta == order, (f, seed)
+    assert theta == germ.mono.ideal.min_degree <= order, (f, seed)
+    if all(c for (c,) in sample_plane(f.dim, f.dim - 1, seed).matrix):
+        assert theta == order, (f, seed)
+
+
+def _thetas_without_planes(germ, seed):
+    """polar_invariant(germ, seed) with every function that draws, restricts
+    or estimates on a plane patched to fail."""
+    def no_call(*args, **kwargs):
+        raise AssertionError("a term-exact J_f left loja_monomial")
+
+    with contextlib.ExitStack() as stack:
+        for name in ("restrict", "sample_plane", "loja_line", "loja_numeric"):
+            stack.enter_context(mock.patch.object(sections, name, no_call))
+        return polar_invariant(germ, seed)
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(f=germ_texts().map(parse_polynomial), seed=st.integers(0, 10 ** 6))
+@example(f=parse_polynomial("x^2 + y^3 + z^4 + w^5"), seed=0)
+@example(f=parse_polynomial("x^3 + y^3 + z^2 + w^13"), seed=0)
+@example(f=parse_polynomial("x*y + z^4"), seed=194)
+def test_term_exact_thetas_take_one_path(f, seed):
+    """Every theta_j of a term-exact J_f is loja_monomial(j) of its monomial
+    ideal, with no plane drawn, restricted or estimated."""
+    germ = _term_exact_germ(f)
+    thetas = _thetas_without_planes(germ, seed)
+    assert [t.value for t in thetas] == [loja_monomial(germ.mono.ideal, j)
+                                         for j in range(f.dim)], (f, seed)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_term_exact_thetas_take_one_path_on_fermat_germs(n):
+    for d in (2, 3, 7):
+        germ = check_isolated(parse_polynomial(" + ".join(f"x{i}^{d}" for i in range(1, n + 1))))
+        for seed in range(5):
+            assert [t.value for t in _thetas_without_planes(germ, seed)] == [d - 1] * n
 
 
 def _monomialize_error(I):

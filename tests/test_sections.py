@@ -17,7 +17,7 @@ from lctlab.germs import (
     parse_polynomial,
     poly,
 )
-from lctlab.invariants import loja_monomial, loja_section
+from lctlab.invariants import loja_monomial
 from lctlab.sections import (
     MAX_ESTIMATOR_TERMS,
     MAX_RESTRICT_DEGREE,
@@ -375,7 +375,7 @@ class TestPolarInvariant:
                                 for k, p in enumerate(powers)] + extra, n)
         k = a.min_degree
         assert (loja_monomial(a) == k > 0) == (polyhedron_of(a).facets == (((1,) * n, k),))
-        sections = [loja_section(a, j) for j in range(n)]
+        sections = [loja_monomial(a, j) for j in range(n)]
         assert sections == sorted(sections, reverse=True)
         assert (sections[0], sections[-1]) == (loja_monomial(a), k)
 

@@ -18,7 +18,7 @@ from lctlab import cli, exactgeom, germs, sections, verify
 from lctlab.cli import build_parser
 from lctlab.exactgeom import InvalidInputError, MonomialIdeal, maximal_ideal
 from lctlab.germs import NotMonomializableError, parse_polynomial
-from lctlab.invariants import lelong_numbers, loja_section
+from lctlab.invariants import lelong_numbers, loja_monomial
 from lctlab.sections import (
     MAX_ESTIMATOR_TERMS,
     MAX_RESTRICT_DEGREE,
@@ -124,6 +124,14 @@ class TestVerifyChain:
         j0 = verdicts["chain-term-j0"]
         assert (j0.lhs, j0.rhs) == (Fraction(1, 3), Fraction(2, 5))
 
+    @pytest.mark.parametrize("include_numeric", [False, True])
+    def test_one_variable(self, include_numeric):
+        # n = 1 has no middle term and no line: L_0 = 3 against e_0/e_1
+        verdicts = verify_chain(MonomialIdeal.make([(3,)], 1), include_numeric=include_numeric)
+        assert [(v.name, v.lhs, v.rhs) for v in verdicts] == [
+            ("chain-lct", Fraction(1, 3), Fraction(1, 3)),
+            ("chain-term-j0", Fraction(1, 3), Fraction(1, 3))]
+
     def test_random_corpus_holds(self):
         for i in range(10):
             a = random_ideal(2, 1000 + i, 5)
@@ -136,8 +144,8 @@ class TestVerifyChain:
         assert [v.name for v in verdicts] == [
             "chain-lct", "chain-term-j0", "chain-term-j1", "chain-term-j2"]
         j1 = verdicts[2]
-        assert not j1.numeric and j1.sources == ("loja_section", "lelong_numbers")
-        assert j1.lhs == 1 / loja_section(a, 1)
+        assert not j1.numeric and j1.sources == ("loja_monomial", "lelong_numbers")
+        assert j1.lhs == 1 / loja_monomial(a, 1)
         assert j1.rhs == lelong_numbers(a)[1] / lelong_numbers(a)[2]
         assert all(v.holds for v in verdicts)
 
@@ -260,7 +268,7 @@ class TestCorpusRun:
         assert float(margins[1]) == float(margins[0])
         cases = iter(margins)
 
-        def case_verdicts(a, line_order):
+        def case_verdicts(a, order, middle):
             return (Verdict("close", Fraction(0), next(cases), False, None),)
 
         monkeypatch.setattr(verify, "_case_verdicts", case_verdicts)
@@ -293,24 +301,49 @@ class TestCorpusRun:
         a = random_ideal(2, 5, 5)
         P = exactgeom.polyhedron_of(a)
         order = line_order(a, 5)
-        verdicts = verify._case_verdicts(a, order)
+        verdicts = verify._case_verdicts(a, order, False)
         assert isinstance(verdicts, tuple)
         assert [v.name for v in verdicts] == [
             "chain-lct", "chain-term-j0", "chain-term-j1", "pham-probe"]
-        assert vars(P)[("case_verdicts", order)] is verdicts
-        assert verify._case_verdicts(a, order) is verdicts
+        assert vars(P)[("case_verdicts", order, False)] is verdicts
+        assert verify._case_verdicts(a, order, False) is verdicts
 
         # (x^i, y^j) with i, j > 5 is no budget-5 corpus ideal
         misses = exactgeom._polyhedron.cache_info().misses
         powers = ((i, j) for i in range(6, 200) for j in range(6, 200))
         for i, j in itertools.islice(powers, size + 10):
-            verify._case_verdicts(MonomialIdeal.make([(i, 0), (0, j)], 2), min(i, j))
+            verify._case_verdicts(MonomialIdeal.make([(i, 0), (0, j)], 2), min(i, j), False)
         info = exactgeom._polyhedron.cache_info()
         assert (info.misses - misses, info.currsize) == (size + 10, size)
 
         assert exactgeom.polyhedron_of(a) is not P
-        assert verify._case_verdicts(a, order) == verdicts
+        assert verify._case_verdicts(a, order, False) == verdicts
         assert emit_report(corpus_run(cfg), "json") == cold
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_case_memo_keyed_by_middle_terms(self, dim):
+        # a --numeric corpus keeps verdicts with the middle terms on the
+        # same polyhedra and line orders that a default corpus on the same
+        # seeds meets, so the memo key must tell them apart
+        cfg = CorpusConfig(dim=dim, count=20, seed=11)
+        exactgeom._polyhedron.cache_clear()
+        fresh = emit_report(corpus_run(cfg), "json")
+        exactgeom._polyhedron.cache_clear()
+        numeric = corpus_run(CorpusConfig(dim=dim, count=20, seed=11, include_numeric=True))
+        assert "chain-term-j1" in numeric.summaries
+        assert emit_report(corpus_run(cfg), "json") == fresh
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_case_verdicts_are_the_chain(self, dim):
+        # one chain builder: a case's verdicts are verify_chain's for the
+        # same ideal, seed and middle terms, and then, in dim 2, the probe's
+        for seed in range(10):
+            a = random_ideal(dim, seed, 6)
+            for middle in (False, True):
+                want = verify_chain(a, seed=seed, include_numeric=middle)
+                if dim == 2:
+                    want.append(probe_pham(a, seed=seed))
+                assert verify._case_verdicts(a, line_order(a, seed), middle) == tuple(want)
 
     def test_verdict_margin_and_holds_computed_once(self):
         v = Verdict("v", Fraction(1, 2), Fraction(2, 3), False, None)
@@ -926,15 +959,16 @@ class TestCli:
         assert err == f"error: {message.format(limit=limit)}\n"
 
     @pytest.mark.parametrize("argv,degree", [
-        (["verify-main", "x^100000000 + y^2"], 99999999),
-        (["compute", f"x^{MAX_RESTRICT_DEGREE + 2} + y^2"], MAX_RESTRICT_DEGREE + 1),
+        (["compute", "x^100000000 + x*y + y^2"], 99999999),
+        (["compute", f"x^{MAX_RESTRICT_DEGREE + 2} + x*y + y^2"], MAX_RESTRICT_DEGREE + 1),
         # degree 3199 on a plane of dimension 2: about 3199^2 weighted
-        # products; J_f is not term-exact, so theta_1 restricts it
+        # products
         (["compute", "x^3200 + x*y + y^2 + z^2"], 3199),
     ], ids=["line", "line-at-bound", "plane"])
     def test_restriction_past_work_bound_exit(self, argv, degree, capsys):
-        # J_f's power of x is restricted to a generic plane; past the bound
-        # nothing is expanded, and the command exits 5 at once
+        # J_f is not term-exact (x*y), so theta_(n-1) restricts its power
+        # of x to a generic line or plane; past the bound nothing is
+        # expanded, and the command exits 5 at once
         assert cli.main(argv) == EXIT_COMPUTE_ERROR
         out, err = capsys.readouterr()
         assert out == ""
@@ -951,11 +985,40 @@ class TestCli:
         assert err == (f"error: numeric estimate over 31378 terms passes its bound "
                        f"of {MAX_ESTIMATOR_TERMS}\n")
 
+    @pytest.mark.parametrize("argv,theta", [
+        (["verify-main", "x^100000000 + y^2"], ["99999999", "1"]),
+        (["compute", f"x^{MAX_RESTRICT_DEGREE + 2} + y^2"], [str(MAX_RESTRICT_DEGREE + 1), "1"]),
+    ], ids=["line", "line-at-bound"])
+    def test_term_exact_line_theta_restricts_nothing(self, argv, theta, capsys):
+        # a term-exact J_f takes theta_1 from its monomial ideal, so the
+        # powers past restrict's bounds give an exact report
+        def no_restriction(I, plane):
+            raise AssertionError("term-exact J_f restricted")
+
+        with mock.patch.object(sections, "restrict", no_restriction):
+            assert cli.main([*argv, "--json"]) == EXIT_OK
+        inv = json.loads(capsys.readouterr().out)["invariants"]
+        assert inv["theta"] == theta and inv["exact"]
+        assert inv["theta_methods"] == ["exact-monomial", "exact-line"]
+
+    def test_term_exact_line_theta_is_the_generic_order(self, capsys):
+        # the seeded line sample_plane(4, 3, 0) has a 0 in its z entry and
+        # misses J_f's generator z, where it gave theta_3 = 2 and lhs 14/13;
+        # theta_3 is the order on a generic line, 1
+        assert _line_zeros(4, 0) == [2]
+        assert cli.main(["verify-main", "x^3 + y^3 + z^2 + w^13", "--json"]) == EXIT_OK
+        d = json.loads(capsys.readouterr().out)
+        assert d["invariants"]["theta"] == ["12", "2", "2", "1"]
+        v = d["verdicts"][0]
+        assert (v["lhs"], v["rhs"], v["holds"], v["numeric"]) == ("97/78", "5/3", True, False)
+
     def test_restriction_at_degree_bound(self, capsys):
-        text = f"x^{MAX_RESTRICT_DEGREE + 1} + y^2"
-        assert cli.main(["verify-main", text, "--json"]) == EXIT_OK
-        theta = json.loads(capsys.readouterr().out)["invariants"]["theta"]
-        assert theta == [str(MAX_RESTRICT_DEGREE), "1"]
+        # J_f is not term-exact, so theta_1 restricts J_f's power x^200000,
+        # at the degree bound, to the line
+        text = f"x^{MAX_RESTRICT_DEGREE + 1} + x*y + y^2"
+        assert cli.main(["compute", text, "--json"]) == EXIT_OK
+        inv = json.loads(capsys.readouterr().out)["invariants"]
+        assert (inv["theta"][1], inv["theta_methods"][1]) == ("1", "exact-line")
 
     @pytest.mark.parametrize("argv,theta", [
         (["compute", "x + y^2 + z^2"], ["0", "0", "0"]),
