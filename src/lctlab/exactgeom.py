@@ -1,17 +1,18 @@
 """Exact rational convex geometry over the nonnegative orthant.
 
-Newton polyhedra of monomial ideals in dimension n <= 4: vertices and
-facets in one double description pass, Minkowski sums, the diagonal
-intercept, and the integer n! vol conv(0, F) for each facet F, whose sum
-over n! is the orthant-complement volume (covolume).  Incidence sets and
-faces are int bitmasks over the generators or vertices: a subset test is
-w & z == z, a size is int.bit_count().  Over the facets <w_F, x> >= c_F the
-diagonal intercept is max_F c_F/|w_F|, with |w_F| the entry sum, found by
-integer cross-multiplication.  Everything is integer/Fraction arithmetic;
-floats never enter this module.
+Newton polyhedra of monomial ideals in dimension n <= 4, one object per
+vertex set: vertices and facets in one double description pass, Minkowski
+sums, the diagonal intercept, and the integer n! vol conv(0, F) for each
+facet F, whose sum over n! is the orthant-complement volume (covolume).
+Incidence sets and faces are int bitmasks over the generators or vertices:
+a subset test is w & z == z, a size is int.bit_count().  Over the facets
+<w_F, x> >= c_F the diagonal intercept is max_F c_F/|w_F|, with |w_F| the
+entry sum, found by integer cross-multiplication.  Everything is
+integer/Fraction arithmetic; floats never enter this module.
 """
 from __future__ import annotations
 
+import weakref
 from collections.abc import Hashable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,10 +21,9 @@ from math import factorial, gcd
 from operator import and_, index, le, mul
 
 MAX_DIM = 4
-# polyhedra kept, each with what callers keep on it (Lelong vector, a corpus
-# case's verdicts), about 3.5 kB in dim 3: 8192 serve as many dim-3 corpus
-# repeats as an unbounded cache over 30,000 cases, and 12288 already took
-# the 25-s dim-3 benchmark from 62 to 75 MB (README, corpus paragraph)
+# generator sets kept, each with its polyhedron and what callers keep on it
+# (Lelong vector, a corpus case's verdicts); generator sets with one hull
+# share one polyhedron (README, corpus paragraph)
 POLY_CACHE_SIZE = 8192
 
 Exponent = tuple[int, ...]
@@ -138,29 +138,35 @@ def ideal_product(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
 
 @dataclass(frozen=True)
 class NewtonPolyhedron:
-    """conv(generators) + nonnegative orthant, with exact facet inequalities.
+    """conv(vertices) + nonnegative orthant, with exact facet inequalities.
 
     Facets are pairs (normal, offset) with primitive integer normal >= 0
     describing {x >= 0 : <normal, x> >= offset}; offsets are positive
-    integers (inequalities implied by x >= 0 are not stored).  The
-    generators are sorted and distinct: the minimal generators of an ideal,
-    or the vertex sums of a Minkowski sum, which may be dominated.  The
-    vertices are the generators that are vertices of the polyhedron.
+    integers (inequalities implied by x >= 0 are not stored).  The vertices
+    are sorted, and they are minimal generators of the ideal they span.
+    One polyhedron stands for every generator set with this hull, so what
+    is kept on it must depend on the polyhedron alone.
     """
 
     dim: int
-    generators: tuple[Exponent, ...]
     facets: tuple[tuple[Exponent, int], ...]
     vertices: tuple[Exponent, ...]
 
     def keep(self, name: Hashable, compute):
         """compute(), run once per polyhedron and kept under name, as a
-        cached_property keeps its value, so that a repeated input reuses it
-        while the polyhedron stays in the cache."""
+        cached_property keeps its value, so that every generator set with
+        this hull reuses it while the polyhedron stays in the cache."""
         value = self.__dict__.get(name)
         if value is None:
             value = self.__dict__[name] = compute()
         return value
+
+    @property
+    def vertex_ideal(self) -> MonomialIdeal:
+        """The ideal of the vertices, its minimal generators: it has the
+        polyhedron's order, pure powers and L^(j), each the least value of a
+        positive linear form on a face, taken at a vertex."""
+        return MonomialIdeal(self.dim, self.vertices)
 
     @cached_property
     def normalized_cone_volumes(self) -> tuple[int, ...]:
@@ -228,16 +234,27 @@ def _vertices_and_facets(gens, n: int):
     return tuple(vertices), tuple(sorted((h[:n], -h[n]) for h, _ in rows if h[n] < 0))
 
 
+# vertices -> the live polyhedron of that hull; an entry lives while a
+# _polyhedron entry, or a caller, holds its polyhedron
+_HULLS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 @lru_cache(maxsize=POLY_CACHE_SIZE)
 def _polyhedron(gens: tuple[Exponent, ...], n: int) -> NewtonPolyhedron:
-    """The polyhedron of sorted distinct gens, built once while it stays in
-    the cache; what callers keep on it goes when it is evicted."""
+    """The polyhedron of sorted distinct gens: the hull pass runs once per
+    generator set while it stays in the cache, and a hull that is already
+    live is returned as it is, with all that callers keep on it.  What is
+    kept goes when the last generator set of the hull is evicted."""
     vertices, facets = _vertices_and_facets(gens, n)
-    return NewtonPolyhedron(n, gens, facets, vertices)
+    P = _HULLS.get(vertices)
+    if P is None:
+        P = _HULLS[vertices] = NewtonPolyhedron(n, facets, vertices)
+    return P
 
 
 def build_polyhedron(gens, n: int) -> NewtonPolyhedron:
-    """Newton polyhedron conv(gens) + orthant, with exact vertices and facets."""
+    """Newton polyhedron conv(gens) + orthant, with exact vertices and
+    facets; gens with the same hull give the same object."""
     return _polyhedron(MonomialIdeal.make(gens, n).generators, n)
 
 

@@ -168,19 +168,20 @@ def lelong_numbers(a: MonomialIdeal) -> LelongVector:
             "Lelong numbers of the unit ideal are 0; its ratios are undefined")
     _require_zero_dim(a, "Lelong numbers")
     P = polyhedron_of(a)
-    return P.keep("lelong_numbers", lambda: _lelong_vector(a, P))
+    return P.keep("lelong_numbers", lambda: _lelong_vector(P))
 
 
-def _lelong_vector(a: MonomialIdeal, P: NewtonPolyhedron) -> LelongVector:
-    """e_1..e_n in integers, each made a Fraction once: e_n is the sum of the
-    normalized cone volumes N_F = n! vol conv(0, F), and e_(n-1) is
-    sum_F N_F min(w_F) / c_F over the common denominator lcm(c_F)."""
-    n = a.dim
+def _lelong_vector(P: NewtonPolyhedron) -> LelongVector:
+    """e_1..e_n of P alone, in integers, each made a Fraction once: e_1 is
+    the order of P's vertex ideal, e_n is the sum of the normalized cone
+    volumes N_F = n! vol conv(0, F), and e_(n-1) is sum_F N_F min(w_F) / c_F
+    over the common denominator lcm(c_F)."""
+    n = P.dim
     vols = P.normalized_cone_volumes
     en = sum(vols)
     if n == 1:
         return LelongVector((Fraction(en),))
-    e1 = a.min_degree
+    e1 = P.vertex_ideal.min_degree
     if n == 2:
         return LelongVector((Fraction(e1), Fraction(en)))
     den = lcm(*(c for _, c in P.facets))

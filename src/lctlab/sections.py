@@ -460,18 +460,19 @@ def polar_invariant(germ: IsolatedGerm, seed: int = 0) -> tuple[LojaEstimate, ..
     variable J_f = (f') and theta_0 is the least exponent of f'.  Otherwise
     theta_0 is estimated on J_f, and theta_j for j >= 1 on J_f restricted
     to sample_plane(n, j, seed): by loja_line on the line, by loja_numeric
-    on a larger plane."""
+    on a larger plane.  Every restriction is made before the first
+    estimate, so one past restrict's bounds costs no estimate."""
     J, mono = germ.jacobian, germ.mono
     n = J.dim
     if mono.exact or n == 1:
         return tuple(LojaEstimate(loja_monomial(mono.ideal, j),
                                   "exact-line" if j == n - 1 >= 1 else "exact-monomial")
                      for j in range(n))
+    # one draw each: J_f vanishes on a plane L through 0 only if f is
+    # singular along L, which an isolated germ is not
+    restricted = [restrict(J, sample_plane(n, j, seed)) for j in range(1, n)]
     thetas = [loja_numeric(J)]
-    for j in range(1, n):
-        # one draw: J_f vanishes on a plane L through 0 only if f is
-        # singular along L, which an isolated germ is not
-        R = restrict(J, sample_plane(n, j, seed))
+    for j, R in enumerate(restricted, 1):
         thetas.append(LojaEstimate(Fraction(loja_line(R)), "exact-line")
                       if j == n - 1 else loja_numeric(R))
     return tuple(thetas)

@@ -119,13 +119,17 @@ def _chain_verdicts(a, order, middle) -> list[Verdict]:
     """The Lelong-ratio chain of a and its termwise Lojasiewicz lower bounds
     1/L^(j) <= e_(n-j-1)/e_(n-j): chain-lct, chain-term-j0, the terms
     j = 1..n-2 when middle, and, for n > 1, chain-term-j(n-1) from the
-    order on the sampled line."""
+    order on the sampled line.  Besides the order, each value depends on
+    a's polyhedron P alone: the Lelong vector and lct come from P, and L^(j)
+    from P's vertex ideal."""
     n = a.dim
     lv = lelong_numbers(a)
     ratios = lv.ratios
+    vertex_ideal = polyhedron_of(a).vertex_ideal
     verdicts = [_verdict("chain-lct", lv.ratio_sum, lct_monomial(a),
                          ["dh_lower_bound", "lct_monomial"])]
-    verdicts += [_verdict(f"chain-term-j{j}", 1 / loja_monomial(a, j), ratios[n - j - 1],
+    verdicts += [_verdict(f"chain-term-j{j}", 1 / loja_monomial(vertex_ideal, j),
+                          ratios[n - j - 1],
                           ["loja_monomial", "lelong_numbers"])
                  for j in range(max(1, n - 1) if middle else 1)]
     if n > 1:
@@ -168,11 +172,13 @@ def verify_lct_dominates(
 
 def _pham_verdict(a, order) -> Verdict:
     """probe_pham's verdict from a's line order; a is zero-dimensional and
-    not the unit ideal."""
+    not the unit ideal.  Besides the order, it depends on a's polyhedron
+    alone, as _chain_verdicts does."""
     lv = lelong_numbers(a)
     # the largest 1/order over the sampled line and the two coordinate lines,
     # which are not dominated when the sampled line is an axis
-    lct_1 = Fraction(1, min(order, a.pure_power(0), a.pure_power(1)))
+    vertex_ideal = polyhedron_of(a).vertex_ideal
+    lct_1 = Fraction(1, min(order, vertex_ideal.pure_power(0), vertex_ideal.pure_power(1)))
     lhs = lct_1 + lv[1] / lv[2]
     return _verdict("pham-probe", lhs, lct_monomial(a),
                     ["loja_line", "lelong_numbers", "lct_monomial"])
@@ -323,10 +329,11 @@ class CorpusReport:
 
 def _case_verdicts(a: MonomialIdeal, order: int, middle: bool) -> tuple[Verdict, ...]:
     """A corpus case's exact verdicts: the chain's and, in dim 2, the Pham
-    probe's.  The seed reaches them only through the line order, so they
-    are kept on a's polyhedron per (order, middle), next to its Lelong
-    vector, and go when the polyhedron leaves the cache; a Verdict is
-    frozen, and no caller mutates the tuple."""
+    probe's.  The seed reaches them only through the line order, and the
+    ideal only through its polyhedron, so they are kept on the polyhedron
+    per (order, middle), next to its Lelong vector, shared by every ideal
+    with that hull, and go when the polyhedron leaves the cache; a Verdict
+    is frozen, and no caller mutates the tuple."""
     def verdicts():
         chain = _chain_verdicts(a, order, middle)
         if a.dim == 2:

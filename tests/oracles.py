@@ -129,15 +129,18 @@ def lp_hull_member(gens, n: int, q) -> bool:
     return res.status == "optimal"
 
 
-def lp_member(P: NewtonPolyhedron, q) -> bool:
-    """q in P, by exact LP feasibility over its generators."""
-    return lp_hull_member(P.generators, P.dim, q)
+def lp_member(a: MonomialIdeal, q) -> bool:
+    """q in the Newton polyhedron of a, by exact LP feasibility over a's
+    generators, interior ones included."""
+    return lp_hull_member(a.generators, a.dim, q)
 
 
-def grid_points(P: NewtonPolyhedron) -> list:
-    """Probe points for membership: generators, their midpoints, the axis and
-    diagonal intercept points, each also shifted by +-1/7 along the diagonal."""
-    gens = [tuple(Fraction(c) for c in g) for g in P.generators]
+def grid_points(a: MonomialIdeal) -> list:
+    """Probe points for membership in the Newton polyhedron P of a: a's
+    generators, their midpoints, the axis and diagonal intercept points of P,
+    each also shifted by +-1/7 along the diagonal."""
+    P = polyhedron_of(a)
+    gens = [tuple(Fraction(c) for c in g) for g in a.generators]
     pts = list(gens)
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):

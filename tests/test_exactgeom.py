@@ -97,8 +97,11 @@ class TestBuildPolyhedron:
         assert ((1, 0), 1) in P.facets
 
     def test_vertices_drop_interior_generators(self):
-        P = polyhedron_of(ideal_power(maximal_ideal(4), 5))
-        assert len(P.generators) == 56
+        a = ideal_power(maximal_ideal(4), 5)
+        assert len(a.generators) == 56
+        P = polyhedron_of(a)
+        # the pure powers have the same hull, so they give the same object
+        assert P is build_polyhedron([(5, 0, 0, 0), (0, 5, 0, 0), (0, 0, 5, 0), (0, 0, 0, 5)], 4)
         assert P.vertices == ((0, 0, 0, 5), (0, 0, 5, 0), (0, 5, 0, 0), (5, 0, 0, 0))
         assert P.facets == (((1, 1, 1, 1), 5),)
 
@@ -108,6 +111,37 @@ class TestBuildPolyhedron:
     def test_non_integer_exponent(self, gens):
         with pytest.raises(InvalidInputError, match="non-integer exponent in generator"):
             build_polyhedron(gens, 2)
+
+    def test_hull_pass_once_per_generator_set(self, monkeypatch):
+        # a new generator set runs the hull pass once, then returns the live
+        # polyhedron of its hull; the intern table holds no more polyhedra
+        # than the cache holds generator sets
+        size = exactgeom.POLY_CACHE_SIZE
+        runs = []
+
+        def counted(gens, n):
+            runs.append(gens)
+            return hull(gens, n)
+
+        hull = exactgeom._vertices_and_facets
+        monkeypatch.setattr(exactgeom, "_vertices_and_facets", counted)
+        exactgeom._polyhedron.cache_clear()
+        square = [(2, 0), (0, 2)]
+        P = build_polyhedron(square, 2)
+        assert build_polyhedron(square + [(1, 1)], 2) is P
+        assert build_polyhedron(square + [(1, 1)], 2) is P
+        assert build_polyhedron(square + [(1, 2)], 2) is P  # minimalize drops (1, 2)
+        assert build_polyhedron(square + [(1, 1), (2, 1)], 2) is P
+        assert runs == [((0, 2), (2, 0)), ((0, 2), (1, 1), (2, 0))]
+
+        # (x^i, y^j) with i, j > 2: none has P's hull, and each evicts one
+        # generator set; P is dropped, so only the cache holds polyhedra
+        del P
+        powers = ((i, j) for i in range(3, 200) for j in range(3, 200))
+        for i, j in itertools.islice(powers, size + 10):
+            build_polyhedron([(i, 0), (0, j)], 2)
+        assert len(runs) == 2 + size + 10
+        assert len(exactgeom._HULLS) <= size
 
     def test_cached_polyhedron_skips_minimalize(self, monkeypatch):
         a = random_ideal(3, 11, 5)
@@ -133,9 +167,9 @@ class TestBuildPolyhedron:
         points = tuple(sorted(set(gens)))
         assert exactgeom._vertices_and_facets(points, n) == (P.vertices, P.facets)
         for v in P.vertices:
-            others = [g for g in P.generators if g != v]
+            others = [g for g in points if g != v]
             assert not (others and lp_hull_member(others, n, v)), v
-        for g in P.generators:
+        for g in points:
             assert lp_hull_member(P.vertices, n, g), g
 
     @pytest.mark.parametrize("N", [1000, 4 * 10 ** 9, 10 ** 30])
@@ -171,7 +205,10 @@ class TestMinkowskiSum:
         m = polyhedron_of(maximal_ideal(2))
         S = minkowski_sum(m, m)
         assert S.facets == (((1, 1), 2),)
-        assert set(S.generators) == {(2, 0), (1, 1), (0, 2)}
+        R = build_polyhedron({(2, 0), (1, 1), (0, 2)}, 2)
+        assert (S.vertices, S.facets) == (R.vertices, R.facets)
+        assert S.vertices == ((0, 2), (2, 0))
+        assert S is R
 
     def test_staircase_plus_m(self):
         P = build_polyhedron({(2, 0), (1, 1), (0, 3)}, 2)
@@ -201,9 +238,10 @@ class TestMinkowskiSum:
         P, Q = build_polyhedron(ga, n), build_polyhedron(gb, n)
         S = minkowski_sum(P, Q)
         sums = {tuple(x + y for x, y in zip(u, v)) for u in P.vertices for v in Q.vertices}
-        assert S.generators == tuple(sorted(sums))
+        assert exactgeom._vertices_and_facets(tuple(sorted(sums)), n) == (S.vertices, S.facets)
         R = build_polyhedron(sums, n)
         assert (S.vertices, S.facets) == (R.vertices, R.facets)
+        assert S is R
 
 
 def test_cone_volumes_per_facet():
@@ -290,16 +328,18 @@ class TestProperties:
     @settings(max_examples=30, deadline=None)
     @given(gens2)
     def test_facets_agree_with_lp_on_grid(self, gens):
-        P = build_polyhedron(gens, 2)
-        for q in grid_points(P):
-            assert facet_eval(P, q) == lp_member(P, q)
+        a = MonomialIdeal.make(gens, 2)
+        P = polyhedron_of(a)
+        for q in grid_points(a):
+            assert facet_eval(P, q) == lp_member(a, q)
 
     @settings(max_examples=20, deadline=None)
     @given(gens3)
     def test_facets_agree_with_lp_on_grid_3d(self, gens):
-        P = build_polyhedron(gens, 3)
-        for q in grid_points(P)[:25]:
-            assert facet_eval(P, q) == lp_member(P, q)
+        a = MonomialIdeal.make(gens, 3)
+        P = polyhedron_of(a)
+        for q in grid_points(a)[:25]:
+            assert facet_eval(P, q) == lp_member(a, q)
 
     @settings(max_examples=25, deadline=None)
     @given(gens2, st.sampled_from([1, 2, 3]))

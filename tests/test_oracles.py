@@ -122,8 +122,8 @@ SQUARES4 = squared_compositions(4)  # 35 vertices and 34 facets
 def test_contains_matches_lp_membership():
     for a in IDEALS + [M4]:
         P = polyhedron_of(a)
-        for q in grid_points(P):
-            assert contains(P, q) == lp_member(P, q), (a.generators, q)
+        for q in grid_points(a):
+            assert contains(P, q) == lp_member(a, q), (a.generators, q)
 
 
 def test_diagonal_intercept_matches_lp():
@@ -202,7 +202,7 @@ def covolume_inputs():
     taken = {}
 
     def record(P):
-        key = P.dim, P.generators
+        key = P.dim, P.vertices
         if key not in taken:
             taken[key] = P, covolume_box(P)
         return taken[key][1]
@@ -220,16 +220,17 @@ def covolume_inputs():
 
 def test_covolume_independent_of_bounding_box(covolume_inputs):
     for P, box in covolume_inputs:
-        assert covolume(P) == box == covolume_box(P, 1), P.generators
+        assert covolume(P) == box == covolume_box(P, 1), P.vertices
 
 
 def test_facets_match_all_generator_oracle(covolume_inputs):
     # the oracle's candidate count grows as the cube of the pairwise
-    # directions in dim 4, so the dim-4 products are left to the volumes
-    polys = [polyhedron_of(a) for a in IDEALS + [M4, FERMAT4] + DIM4]
-    polys += [P for P, _ in covolume_inputs if P.dim < 4]
-    for P in polys:
-        assert P.facets == facets_all_generators(P.generators, P.dim), P.generators
+    # directions in dim 4, so the dim-4 products are left to the volumes;
+    # the ideals bring their interior generators, the sums their vertices
+    cases = [(polyhedron_of(a), a.generators) for a in IDEALS + [M4, FERMAT4] + DIM4]
+    cases += [(P, P.vertices) for P, _ in covolume_inputs if P.dim < 4]
+    for P, gens in cases:
+        assert P.facets == facets_all_generators(gens, P.dim), gens
 
 
 def test_many_vertices_covolume():
@@ -240,11 +241,11 @@ def test_many_vertices_covolume():
 def test_vertices_are_exactly_the_extreme_generators():
     for a in IDEALS + [M4, ideal_power(M4, 5), FERMAT4, SQUARES4] + DIM4:
         P = polyhedron_of(a)
-        assert set(P.vertices) <= set(P.generators), a.generators
+        assert set(P.vertices) <= set(a.generators), a.generators
         for v in P.vertices:
-            others = [g for g in P.generators if g != v]
+            others = [g for g in a.generators if g != v]
             assert not (others and lp_hull_member(others, P.dim, v)), (a.generators, v)
-        for g in P.generators:
+        for g in a.generators:
             assert lp_hull_member(P.vertices, P.dim, g), (a.generators, g)
 
 

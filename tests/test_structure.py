@@ -11,6 +11,8 @@ imports random or calls randint, randrange or random.Random.
 Every cache in the package is bounded: an lru_cache has an int maxsize, a
 plain functools cache is kept for functions of no arguments, and no module
 binds a name ending in _CACHE to an empty dict, which would keep every entry.
+A weakref table is listed as a cache too, bounded by whatever holds its
+values (or keys), so that the set of caches names it.
 """
 import ast
 import importlib
@@ -97,6 +99,17 @@ def _cache_name(node) -> str | None:
     return name if name in ("cache", "lru_cache") else None
 
 
+def _is_weak_table(node) -> bool:
+    """node names weakref's WeakValueDictionary, WeakKeyDictionary or WeakSet."""
+    if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "weakref":
+        name = node.attr
+    elif isinstance(node, ast.Name):
+        name = node.id
+    else:
+        return False
+    return name in ("WeakValueDictionary", "WeakKeyDictionary", "WeakSet")
+
+
 def _no_arguments(fn) -> bool:
     args = fn.args
     return not (args.posonlyargs or args.args or args.vararg
@@ -132,7 +145,8 @@ def cache_uses(source: str, namespace: dict) -> list[tuple[str, bool]]:
     """(use, bounded) for each cache in source.  An lru_cache is bounded when
     its maxsize is an int literal or a name bound to an int in namespace; a
     functools cache, when it decorates a function of no arguments, which can
-    keep one value only; a module-level dict cache never is."""
+    keep one value only; a module-level dict cache never is; a weakref table
+    always is, by what holds its entries."""
     tree = ast.parse(source)
     calls = {node.func: node for node in ast.walk(tree) if isinstance(node, ast.Call)}
     decorated = {d: node for node in ast.walk(tree)
@@ -140,6 +154,9 @@ def cache_uses(source: str, namespace: dict) -> list[tuple[str, bool]]:
                  for d in node.decorator_list}
     uses = []
     for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _is_weak_table(node.func):
+            uses.append((f"weak at line {node.lineno}", True))
+            continue
         name = _cache_name(node)
         if name is None:
             continue
@@ -169,7 +186,8 @@ def test_caches_are_bounded():
         for use, bounded in cache_uses(path.read_text(), vars(module)):
             uses[f"{path.stem}: {use}"] = bounded
     assert [use for use, bounded in uses.items() if not bounded] == []
-    assert {use.split(" at ")[0] for use in uses} == {"cli: cache", "exactgeom: lru_cache"}
+    assert {use.split(" at ")[0] for use in uses} == {
+        "cli: cache", "exactgeom: lru_cache", "exactgeom: weak"}
 
 
 @pytest.mark.parametrize("source,bounded", [
@@ -190,6 +208,11 @@ def test_caches_are_bounded():
     ("_LEAF_CACHE = {int: repr}", []),
     ("def f():\n    _CACHE = {}", []),
     ("_POLY_CACHE = dict(a=1)", []),
+    ("_HULLS = weakref.WeakValueDictionary()", [True]),
+    ("_HULLS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()", [True]),
+    ("from weakref import WeakSet\nseen = WeakSet()", [True]),
+    ("def f():\n    return weakref.WeakKeyDictionary()", [True]),
+    ("r = weakref.ref(x)", []),
 ])
 def test_cache_check_flags_unbounded(source, bounded):
     uses = cache_uses(source, {"SIZE": 1024, "FLAG": True})

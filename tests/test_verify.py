@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -18,7 +19,7 @@ from lctlab import cli, exactgeom, germs, sections, verify
 from lctlab.cli import build_parser
 from lctlab.exactgeom import InvalidInputError, MonomialIdeal, maximal_ideal
 from lctlab.germs import NotMonomializableError, parse_polynomial
-from lctlab.invariants import lelong_numbers, loja_monomial
+from lctlab.invariants import lct_monomial, lelong_numbers, loja_monomial
 from lctlab.sections import (
     MAX_ESTIMATOR_TERMS,
     MAX_RESTRICT_DEGREE,
@@ -291,21 +292,22 @@ class TestCorpusRun:
 
     def test_case_memo_is_bounded(self):
         # the verdicts live on their ideal's polyhedron, so the polyhedron
-        # cache bounds them: POLY_CACHE_SIZE + 10 distinct ideals evict the
-        # first case's polyhedron with its verdicts, and an evicted case
-        # recomputes equal verdicts and report bytes
+        # cache bounds them: POLY_CACHE_SIZE + 10 distinct hulls evict every
+        # generator set of the first case's hull, and the polyhedron dies
+        # with its verdicts; an evicted case recomputes equal verdicts and
+        # report bytes.  A weak reference does not keep the polyhedron alive.
         size = exactgeom.POLY_CACHE_SIZE
         exactgeom._polyhedron.cache_clear()
         cfg = CorpusConfig(dim=2, count=30, seed=5)
         cold = emit_report(corpus_run(cfg), "json")
         a = random_ideal(2, 5, 5)
-        P = exactgeom.polyhedron_of(a)
+        P = weakref.ref(exactgeom.polyhedron_of(a))
         order = line_order(a, 5)
         verdicts = verify._case_verdicts(a, order, False)
         assert isinstance(verdicts, tuple)
         assert [v.name for v in verdicts] == [
             "chain-lct", "chain-term-j0", "chain-term-j1", "pham-probe"]
-        assert vars(P)[("case_verdicts", order, False)] is verdicts
+        assert vars(P())[("case_verdicts", order, False)] is verdicts
         assert verify._case_verdicts(a, order, False) is verdicts
 
         # (x^i, y^j) with i, j > 5 is no budget-5 corpus ideal
@@ -316,7 +318,7 @@ class TestCorpusRun:
         info = exactgeom._polyhedron.cache_info()
         assert (info.misses - misses, info.currsize) == (size + 10, size)
 
-        assert exactgeom.polyhedron_of(a) is not P
+        assert P() is None
         assert verify._case_verdicts(a, order, False) == verdicts
         assert emit_report(corpus_run(cfg), "json") == cold
 
@@ -422,6 +424,68 @@ JSON_TREES = st.recursive(
                            st.lists(kids, max_size=3).map(tuple),
                            st.dictionaries(JSON_KEYS, kids, max_size=4)),
     max_leaves=25)
+
+
+@st.composite
+def inside_points(draw, vertices):
+    """A point of the Newton polyhedron of the vertices: a vertex + e_i, or
+    the rounded-up midpoint of two vertices."""
+    u, v = draw(st.sampled_from(vertices)), draw(st.sampled_from(vertices))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(u) - 1))
+        return tuple(c + (k == i) for k, c in enumerate(u))
+    return tuple((x + y + 1) // 2 for x, y in zip(u, v))
+
+
+@st.composite
+def ideal_pairs(draw):
+    """A random_ideal a and the ideal b of a's generators with points of
+    a's Newton polyhedron added, which has the same polyhedron; b keeps only
+    the points that no generator divides (never a vertex + e_i), so about
+    one pair in four differs."""
+    n = draw(st.sampled_from([2, 3, 4]))
+    a = random_ideal(n, draw(st.integers(0, 10 ** 6)), draw(st.integers(2, 8)))
+    points = draw(st.lists(inside_points(exactgeom.polyhedron_of(a).vertices),
+                           min_size=1, max_size=3))
+    return a, MonomialIdeal.make(a.generators + tuple(points), n)
+
+
+class TestSharedHull:
+    """Generator sets with one Newton polyhedron share one object, and with
+    it the values kept on it; those values come from the polyhedron alone."""
+
+    @pytest.mark.parametrize("a,b", [
+        (MonomialIdeal.make([(2, 0), (0, 2)], 2), MonomialIdeal.make([(2, 0), (1, 1), (0, 2)], 2)),
+        # budget-5 dim-3 corpus seeds 29 and 43: (z^2, y^5, x*y*z, x^3) and
+        # (z^2, y^5, x^3), whose line orders at their seeds are both 2
+        (random_ideal(3, 29, 5), random_ideal(3, 43, 5)),
+    ], ids=["squares", "corpus-d3"])
+    def test_one_polyhedron_and_verdict_tuple(self, a, b):
+        assert a.generators != b.generators
+        exactgeom._polyhedron.cache_clear()
+        P = exactgeom.polyhedron_of(a)
+        assert exactgeom.polyhedron_of(b) is P
+        verdicts = verify._case_verdicts(a, 2, False)
+        assert verify._case_verdicts(b, 2, False) is verdicts
+        assert lelong_numbers(b) is lelong_numbers(a)
+
+    @settings(max_examples=100, deadline=None)
+    @given(ideal_pairs())
+    def test_values_depend_on_the_polyhedron_alone(self, pair):
+        # b shares what a kept on their polyhedron, and each ideal from a
+        # cleared cache computes the same: what one kept is what the other
+        # would have kept
+        def values(a):
+            exactgeom._polyhedron.cache_clear()
+            return (exactgeom.polyhedron_of(a).vertices, lelong_numbers(a),
+                    lct_monomial(a), [loja_monomial(a, j) for j in range(a.dim)],
+                    verify._case_verdicts(a, a.dim, True))
+
+        a, b = pair
+        want = values(a)
+        assert exactgeom.polyhedron_of(b) is exactgeom.polyhedron_of(a)
+        assert verify._case_verdicts(b, a.dim, True) is want[-1]
+        assert values(b) == want, (a.generators, b.generators)
 
 
 class TestEmitReport:
@@ -724,6 +788,21 @@ class TestNumpyOnFirstUse:
             "print('numpy' in sys.modules, 'numpy.ma' in sys.modules, est.method)")
         # numpy.ma (which np.unique(..., axis=0) imports) would add to peak RSS
         assert (res.returncode, res.stdout, res.stderr) == (0, "True False numeric\n", "")
+
+    def test_restriction_past_bound_exits_before_any_estimate(self):
+        # every restriction comes before the first estimate, so a line past
+        # restrict's work bound exits 5 before theta_0 is estimated
+        res = run_child("import sys\n"
+                        "from lctlab import cli, sections\n"
+                        "def no_estimate(*args, **kwargs):\n"
+                        "    raise AssertionError('estimate before a restriction')\n"
+                        "sections.loja_numeric = no_estimate\n"
+                        "code = cli.main(sys.argv[1:])\n"
+                        "print('numpy' in sys.modules, file=sys.stderr)\n"
+                        "sys.exit(code)", "compute", "x^100000000 + x*y + y^2")
+        assert (res.returncode, res.stdout) == (EXIT_COMPUTE_ERROR, "")
+        assert res.stderr == ("error: restriction to a 1-dimensional plane passes its "
+                              "work bound at a term of degree 99999999\nFalse\n")
 
     @pytest.mark.parametrize("argv,stdout", [
         (["compute", "x^3 + x*y^2 + y^4"], COMPUTE_NUMERIC),
