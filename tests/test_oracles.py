@@ -36,7 +36,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 import oracles
-from lctlab import invariants, sections, verify
+from lctlab import exactgeom, invariants, sections, verify
 from lctlab.exactgeom import (
     InvalidInputError,
     MonomialIdeal,
@@ -194,12 +194,22 @@ def test_draws_match_randint_reference():
 
 @pytest.fixture(scope="module")
 def covolume_inputs():
-    """(P, complement volume of P in the box of side M0) for every polyhedron
-    whose covolume the covolume-polynomial Lelong numbers of IDEALS, m and
-    DIM4 and the diagonal mixed multiplicities of CORPORA take.  The
-    recording stand-in returns the oracle's volume, so a wrong production
-    covolume cannot stop the run."""
+    """(P, complement volume of P in the box of side M0, the generator sets
+    the hull pass built P from) for every polyhedron whose covolume the
+    covolume-polynomial Lelong numbers of IDEALS, m and DIM4 and the
+    diagonal mixed multiplicities of CORPORA take.  The generator sets are
+    the ideals' own and the vertex sums of the Minkowski sums, with their
+    dominated and interior points; the cache is cleared first, so the hull
+    pass sees each of them.  The recording stand-in returns the oracle's
+    volume, so a wrong production covolume cannot stop the run."""
     taken = {}
+    built = {}  # (n, vertices) -> generator sets the hull pass ran on
+    hull_pass = exactgeom._vertices_and_facets
+
+    def record_pass(gens, n):
+        vertices, facets = hull_pass(gens, n)
+        built.setdefault((n, vertices), set()).add(gens)
+        return vertices, facets
 
     def record(P):
         key = P.dim, P.vertices
@@ -207,29 +217,35 @@ def covolume_inputs():
             taken[key] = P, covolume_box(P)
         return taken[key][1]
 
+    exactgeom._polyhedron.cache_clear()
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactgeom, "_vertices_and_facets", record_pass)
         mp.setattr(invariants, "covolume", record)
         mp.setattr(oracles, "covolume", record)
         for a in IDEALS + [M4] + DIM4:
             lelong_covolume_polynomial(a)
         for a in CORPORA:
             mixed_multiplicity([a] * a.dim)
+    exactgeom._polyhedron.cache_clear()
     assert len(taken) > len(IDEALS)
-    return list(taken.values())
+    return [(P, box, sorted(built[key])) for key, (P, box) in taken.items()]
 
 
 def test_covolume_independent_of_bounding_box(covolume_inputs):
-    for P, box in covolume_inputs:
+    for P, box, _ in covolume_inputs:
         assert covolume(P) == box == covolume_box(P, 1), P.vertices
 
 
 def test_facets_match_all_generator_oracle(covolume_inputs):
     # the oracle's candidate count grows as the cube of the pairwise
-    # directions in dim 4, so the dim-4 products are left to the volumes;
-    # the ideals bring their interior generators, the sums their vertices
-    cases = [(polyhedron_of(a), a.generators) for a in IDEALS + [M4, FERMAT4] + DIM4]
-    cases += [(P, P.vertices) for P, _ in covolume_inputs if P.dim < 4]
-    for P, gens in cases:
+    # directions in dim 4, so the dim-4 products are left to the volumes
+    gen_sets = [(polyhedron_of(a), a.generators) for a in IDEALS + [M4, FERMAT4] + DIM4]
+    gen_sets += [(P, gens) for P, _, sets in covolume_inputs if P.dim < 4 for gens in sets]
+    # the sums bring points that are no vertex, as the ideals do
+    ideals = {a.generators for a in IDEALS + [M4] + DIM4 + CORPORA}
+    assert any(len(gens) > len(P.vertices) for P, _, sets in covolume_inputs
+               if P.dim < 4 for gens in sets if gens not in ideals)
+    for P, gens in gen_sets:
         assert P.facets == facets_all_generators(gens, P.dim), gens
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from lctlab import cli, exactgeom, germs, sections, verify
 from lctlab.cli import build_parser
@@ -427,27 +427,23 @@ JSON_TREES = st.recursive(
 
 
 @st.composite
-def inside_points(draw, vertices):
-    """A point of the Newton polyhedron of the vertices: a vertex + e_i, or
-    the rounded-up midpoint of two vertices."""
-    u, v = draw(st.sampled_from(vertices)), draw(st.sampled_from(vertices))
-    if draw(st.booleans()):
-        i = draw(st.integers(0, len(u) - 1))
-        return tuple(c + (k == i) for k, c in enumerate(u))
-    return tuple((x + y + 1) // 2 for x, y in zip(u, v))
-
-
-@st.composite
 def ideal_pairs(draw):
-    """A random_ideal a and the ideal b of a's generators with points of
-    a's Newton polyhedron added, which has the same polyhedron; b keeps only
-    the points that no generator divides (never a vertex + e_i), so about
-    one pair in four differs."""
+    """A random_ideal a and an ideal b of another generator set with the
+    same Newton polyhedron P: the vertices of P and rounded-up midpoints of
+    two vertices that no generator of a divides, so points of P outside a.
+    Where a has no such midpoint, b is the ideal of the vertices alone, and
+    the example is dropped when that is a itself."""
     n = draw(st.sampled_from([2, 3, 4]))
     a = random_ideal(n, draw(st.integers(0, 10 ** 6)), draw(st.integers(2, 8)))
-    points = draw(st.lists(inside_points(exactgeom.polyhedron_of(a).vertices),
-                           min_size=1, max_size=3))
-    return a, MonomialIdeal.make(a.generators + tuple(points), n)
+    vertices = exactgeom.polyhedron_of(a).vertices
+    midpoints = {tuple((x + y + 1) // 2 for x, y in zip(u, v))
+                 for u, v in itertools.combinations(vertices, 2)}
+    outside = sorted(p for p in midpoints
+                     if not any(all(map(int.__le__, g, p)) for g in a.generators))
+    points = draw(st.lists(st.sampled_from(outside), min_size=1, max_size=3)) if outside else []
+    b = MonomialIdeal.make(vertices + tuple(points), n)
+    assume(b.generators != a.generators)
+    return a, b
 
 
 class TestSharedHull:
@@ -803,6 +799,16 @@ class TestNumpyOnFirstUse:
         assert (res.returncode, res.stdout) == (EXIT_COMPUTE_ERROR, "")
         assert res.stderr == ("error: restriction to a 1-dimensional plane passes its "
                               "work bound at a term of degree 99999999\nFalse\n")
+
+    def test_restriction_bound_outranks_estimator_bound(self):
+        # J_f has 528 terms, past MAX_ESTIMATOR_TERMS, and a term past
+        # restrict's bound: the restriction, made first, is the one reported
+        f = " + ".join(["x^100000000", "x*y", "y^2"]
+                       + [f"x^{i}*y^{d - i}" for d in range(3, 33) for i in range(d + 1)])
+        res = run_main_child("compute", f)
+        assert (res.returncode, res.stdout) == (EXIT_COMPUTE_ERROR, "")
+        assert res.stderr == ("error: restriction to a 1-dimensional plane passes its "
+                              "work bound at a term of degree 99999999\nFalse False\n")
 
     @pytest.mark.parametrize("argv,stdout", [
         (["compute", "x^3 + x*y^2 + y^4"], COMPUTE_NUMERIC),
