@@ -4,7 +4,8 @@
 For each (n, d) the script prints the log canonical threshold, the polar
 invariants theta_0..theta_{n-1}, the summed lower bound, and the verdict
 margin (exactly 0 whenever the bound is attained).  Exit status: 0, or 4
-on invalid input (a dimension outside 1..4, or a usage error).
+on invalid input (a dimension outside 1..4, a max degree below 2, or a
+usage error).
 """
 import argparse
 import sys
@@ -27,6 +28,9 @@ def main(argv=None) -> int:
         if not 1 <= n <= len(VARS):
             print(f"error: dimensions are 1..{len(VARS)}, got {n}", file=sys.stderr)
             return EXIT_INPUT_ERROR
+    if args.max_degree < 2:
+        print(f"error: max degree must be >= 2, got {args.max_degree}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
 
     print(f"{'n':>2} {'d':>3} {'lct':>6} {'theta':>16} {'bound':>8} {'margin':>8}")
     for n in args.dims:

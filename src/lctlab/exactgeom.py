@@ -1,7 +1,9 @@
 """Exact rational convex geometry over the nonnegative orthant.
 
 Newton polyhedra of monomial ideals in dimension n <= 4, one object per
-vertex set: vertices and facets in one double description pass, Minkowski
+hull: a new generator set takes a live polyhedron of its hull when it has
+one, found by hull invariants and checked exactly, and otherwise gets
+vertices and facets from one double description pass.  Also Minkowski
 sums, the diagonal intercept, and the integer n! vol conv(0, F) for each
 facet F, whose sum over n! is the orthant-complement volume (covolume).
 Incidence sets and faces are int bitmasks over the generators or vertices:
@@ -14,11 +16,11 @@ from __future__ import annotations
 
 import weakref
 from collections.abc import Hashable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from math import factorial, gcd
-from operator import and_, index, le, mul
+from operator import and_, index, itemgetter, le, mul
 
 MAX_DIM = 4
 # generator sets kept, each with its polyhedron and what callers keep on it
@@ -151,6 +153,9 @@ class NewtonPolyhedron:
     dim: int
     facets: tuple[tuple[Exponent, int], ...]
     vertices: tuple[Exponent, ...]
+    # the live polyhedra with this one's hull key, this one among them
+    # (_polyhedron); holding the set keeps its entry in _HULLS
+    peers: weakref.WeakSet = field(repr=False, compare=False)
 
     def keep(self, name: Hashable, compute):
         """compute(), run once per polyhedron and kept under name, as a
@@ -234,21 +239,62 @@ def _vertices_and_facets(gens, n: int):
     return tuple(vertices), tuple(sorted((h[:n], -h[n]) for h, _ in rows if h[n] < 0))
 
 
-# vertices -> the live polyhedron of that hull; an entry lives while a
-# _polyhedron entry, or a caller, holds its polyhedron
+# per dimension n, the coordinate orders i + 1, ..., n - 1, 0, ..., i, one
+# ending in each axis i, as sort keys
+_ORDERS = {n: [itemgetter(*[(i + 1 + j) % n for j in range(n)]) for i in range(n)]
+           for n in range(1, MAX_DIM + 1)}
+
+
+def _hull_key(gens, n: int) -> tuple[Exponent, ...]:
+    """Vertices of P = conv(gens) + orthant that every generator set of P
+    holds, read off sorted distinct gens in one pass each: P's least point
+    in each order of _ORDERS[n], and its least point of least degree |x|.
+
+    Each is a vertex: it is no midpoint of two other points of P, one of
+    which would come first (and a midpoint of least degree has two ends of
+    least degree).  Every generator set of P holds P's vertices and lies in
+    P, so its least generators are these points; among the generators of
+    least degree the first in sorted order is the least.  For a
+    zero-dimensional ideal the order ending in axis i gives the pure power
+    of x_i."""
+    return tuple([min(gens, key=k) for k in _ORDERS[n]] + [min(gens, key=sum)])
+
+
+def _spans(P: NewtonPolyhedron, points: set) -> bool:
+    """P = conv(points) + orthant: every vertex of P is a point, so P lies
+    in the hull, and every other point meets every facet of P, so the hull
+    lies in P.  Conversely the vertices of a hull are among its points."""
+    return points.issuperset(P.vertices) and all(
+        sum(map(mul, w, g)) >= c for g in points.difference(P.vertices) for w, c in P.facets)
+
+
+# hull key -> the weak set of live polyhedra with that key; each polyhedron
+# holds its set, so an entry lives while one of its polyhedra does
 _HULLS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 @lru_cache(maxsize=POLY_CACHE_SIZE)
 def _polyhedron(gens: tuple[Exponent, ...], n: int) -> NewtonPolyhedron:
-    """The polyhedron of sorted distinct gens: the hull pass runs once per
-    generator set while it stays in the cache, and a hull that is already
-    live is returned as it is, with all that callers keep on it.  What is
-    kept goes when the last generator set of the hull is evicted."""
+    """The polyhedron of sorted distinct gens, which need not be minimal.
+
+    A new generator set first looks among the live polyhedra with its hull
+    key, each of which holds its key's set, and takes the one its points
+    span (_spans), with all that callers keep on it.  The key is the same
+    for every generator set of a hull, and _spans holds iff the hulls are
+    equal, so the hull pass runs only for a hull with no live polyhedron:
+    there is one polyhedron per hull, and what is kept on it goes when the
+    last cached generator set of the hull is evicted."""
+    key = _hull_key(gens, n)
+    peers = _HULLS.get(key)
+    if peers is None:
+        peers = _HULLS[key] = weakref.WeakSet()
+    points = set(gens)
+    for P in peers:
+        if _spans(P, points):
+            return P
     vertices, facets = _vertices_and_facets(gens, n)
-    P = _HULLS.get(vertices)
-    if P is None:
-        P = _HULLS[vertices] = NewtonPolyhedron(n, facets, vertices)
+    P = NewtonPolyhedron(n, facets, vertices, peers)
+    peers.add(P)
     return P
 
 

@@ -112,10 +112,10 @@ class TestBuildPolyhedron:
         with pytest.raises(InvalidInputError, match="non-integer exponent in generator"):
             build_polyhedron(gens, 2)
 
-    def test_hull_pass_once_per_generator_set(self, monkeypatch):
-        # a new generator set runs the hull pass once, then returns the live
-        # polyhedron of its hull; the intern table holds no more polyhedra
-        # than the cache holds generator sets
+    def test_hull_pass_once_per_live_hull(self, monkeypatch):
+        # a new generator set takes the live polyhedron of its hull, minimal
+        # or not, and the hull pass runs only for a hull that is not live;
+        # the index holds no more keys than the cache holds generator sets
         size = exactgeom.POLY_CACHE_SIZE
         runs = []
 
@@ -132,16 +132,54 @@ class TestBuildPolyhedron:
         assert build_polyhedron(square + [(1, 1)], 2) is P
         assert build_polyhedron(square + [(1, 2)], 2) is P  # minimalize drops (1, 2)
         assert build_polyhedron(square + [(1, 1), (2, 1)], 2) is P
-        assert runs == [((0, 2), (2, 0)), ((0, 2), (1, 1), (2, 0))]
+        assert exactgeom._polyhedron(((0, 2), (1, 1), (1, 2), (2, 0), (2, 1)), 2) is P
+        m = build_polyhedron([(1, 0), (0, 1)], 2)
+        assert minkowski_sum(m, m) is P  # the sums (0, 2), (1, 1), (2, 0)
+        assert runs == [((0, 2), (2, 0)), ((0, 1), (1, 0))]
 
-        # (x^i, y^j) with i, j > 2: none has P's hull, and each evicts one
-        # generator set; P is dropped, so only the cache holds polyhedra
-        del P
+        # (1, 5) lies below the edge from (0, 8) to (3, 2): a second hull
+        # with the first one's key, and its own pass
+        staircase = [(0, 8), (3, 2), (8, 0)]
+        Q = build_polyhedron(staircase, 2)
+        R = build_polyhedron(staircase + [(1, 5)], 2)
+        assert exactgeom._hull_key(((0, 8), (1, 5), (3, 2), (8, 0)), 2) == \
+            exactgeom._hull_key(Q.vertices, 2)
+        assert R is not Q and R.vertices == ((0, 8), (1, 5), (3, 2), (8, 0))
+        assert build_polyhedron(staircase + [(2, 4)], 2) is Q  # (2, 4) lies on that edge
+        assert build_polyhedron(staircase + [(1, 5), (2, 4)], 2) is R
+        assert len(runs) == 4
+
+        # (x^i, y^j) with i, j > 2: none has a live hull, and each evicts one
+        # generator set; the first polyhedra are dropped, so only the cache
+        # holds polyhedra
+        del P, m, Q, R
         powers = ((i, j) for i in range(3, 200) for j in range(3, 200))
         for i, j in itertools.islice(powers, size + 10):
             build_polyhedron([(i, 0), (0, j)], 2)
-        assert len(runs) == 2 + size + 10
+        assert len(runs) == 4 + size + 10
         assert len(exactgeom._HULLS) <= size
+
+    def test_index_empties_with_the_cache(self):
+        # an index entry lives while a polyhedron of its key does: after
+        # POLY_CACHE_SIZE + 10 evictions the index holds none of the evicted
+        # hulls, and once the cache is cleared, none of this test's
+        size = exactgeom.POLY_CACHE_SIZE
+        exactgeom._polyhedron.cache_clear()
+        sets = [((0, 0, k), (0, j, 0), (1, 1, 1), (i, 0, 0))
+                for i in range(3, 40) for j in range(3, 40) for k in range(3, 9)]
+        first = [exactgeom._hull_key(gens, 3) for gens in sets[:10]]
+        for gens in sets[:10]:
+            exactgeom._polyhedron(gens, 3)
+        assert set(first) <= set(exactgeom._HULLS)
+        keys = []
+        for gens in sets[10:size + 20]:
+            exactgeom._polyhedron(gens, 3)
+            keys.append(exactgeom._hull_key(gens, 3))
+        live = set(exactgeom._HULLS)
+        assert not live & set(first + keys[:10])
+        assert set(keys[10:]) <= live
+        exactgeom._polyhedron.cache_clear()
+        assert not set(exactgeom._HULLS) & set(first + keys)
 
     def test_cached_polyhedron_skips_minimalize(self, monkeypatch):
         a = random_ideal(3, 11, 5)
@@ -171,6 +209,45 @@ class TestBuildPolyhedron:
             assert not (others and lp_hull_member(others, n, v)), v
         for g in points:
             assert lp_hull_member(P.vertices, n, g), g
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(*[st.integers(0, 6)] * n), min_size=1, max_size=6),
+        # points of P: a vertex pair's midpoint rounded up, plus an offset
+        st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9),
+                           st.tuples(*[st.integers(0, 2)] * n)), max_size=4),
+        # points anywhere, which may move the hull
+        st.lists(st.tuples(*[st.integers(0, 8)] * n), max_size=2))))
+    # a point below an edge: another hull with the same key
+    @example((2, [(0, 8), (3, 2), (8, 0)], [], [(1, 5)]))
+    @example((2, [(0, 8), (3, 2), (8, 0)], [(0, 1, (0, 0))], [(2, 4)]))
+    # not zero-dimensional, and the orthant
+    @example((3, [(2, 0, 1), (0, 3, 1), (1, 1, 1)], [(0, 1, (0, 0, 0)), (1, 2, (1, 0, 0))], []))
+    @example((2, [(0, 0), (1, 2)], [(0, 0, (1, 1))], [(0, 3)]))
+    def test_live_hull_lookup_matches_hull_pass(self, case):
+        # with P live, another generator set of P's hull (its raw points,
+        # dominated and interior points, no minimalize) gets P without a
+        # pass, and any other set gets the polyhedron of its own hull
+        n, gens, inside, anywhere = case
+        P = build_polyhedron(gens, n)
+        V = P.vertices
+        points = set(V) | {tuple(g) for g in gens} | {
+            tuple((a + b + 1) // 2 + d for a, b, d in zip(V[i % len(V)], V[j % len(V)], off))
+            for i, j, off in inside}
+        same = tuple(sorted(points))
+        other = tuple(sorted(points.union(anywhere)))
+        hull = exactgeom._vertices_and_facets
+        assert hull(same, n) == (P.vertices, P.facets)
+        runs = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exactgeom, "_vertices_and_facets",
+                       lambda gens, n: runs.append(gens) or hull(gens, n))
+            assert exactgeom._polyhedron(same, n) is P
+            assert runs == []
+            Q = exactgeom._polyhedron(other, n)
+        assert (Q.vertices, Q.facets) == hull(other, n)
+        assert (Q is P) == (Q.vertices == P.vertices)
 
     @pytest.mark.parametrize("N", [1000, 4 * 10 ** 9, 10 ** 30])
     def test_large_exponents_exact(self, N):

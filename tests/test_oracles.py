@@ -195,21 +195,21 @@ def test_draws_match_randint_reference():
 @pytest.fixture(scope="module")
 def covolume_inputs():
     """(P, complement volume of P in the box of side M0, the generator sets
-    the hull pass built P from) for every polyhedron whose covolume the
+    P was asked for with) for every polyhedron whose covolume the
     covolume-polynomial Lelong numbers of IDEALS, m and DIM4 and the
     diagonal mixed multiplicities of CORPORA take.  The generator sets are
     the ideals' own and the vertex sums of the Minkowski sums, with their
-    dominated and interior points; the cache is cleared first, so the hull
-    pass sees each of them.  The recording stand-in returns the oracle's
-    volume, so a wrong production covolume cannot stop the run."""
+    dominated and interior points, whether the hull pass or a live
+    polyhedron of their hull gave P.  The recording stand-in returns the
+    oracle's volume, so a wrong production covolume cannot stop the run."""
     taken = {}
-    built = {}  # (n, vertices) -> generator sets the hull pass ran on
-    hull_pass = exactgeom._vertices_and_facets
+    built = {}  # (n, vertices) -> generator sets P was asked for with
+    polyhedron = exactgeom._polyhedron
 
-    def record_pass(gens, n):
-        vertices, facets = hull_pass(gens, n)
-        built.setdefault((n, vertices), set()).add(gens)
-        return vertices, facets
+    def record_sets(gens, n):
+        P = polyhedron(gens, n)
+        built.setdefault((n, P.vertices), set()).add(gens)
+        return P
 
     def record(P):
         key = P.dim, P.vertices
@@ -219,7 +219,7 @@ def covolume_inputs():
 
     exactgeom._polyhedron.cache_clear()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(exactgeom, "_vertices_and_facets", record_pass)
+        mp.setattr(exactgeom, "_polyhedron", record_sets)
         mp.setattr(invariants, "covolume", record)
         mp.setattr(oracles, "covolume", record)
         for a in IDEALS + [M4] + DIM4:

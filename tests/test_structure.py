@@ -10,9 +10,11 @@ imports random or calls randint, randrange or random.Random.
 
 Every cache in the package is bounded: an lru_cache has an int maxsize, a
 plain functools cache is kept for functions of no arguments, and no module
-binds a name ending in _CACHE to an empty dict, which would keep every entry.
-A weakref table is listed as a cache too, bounded by whatever holds its
-values (or keys), so that the set of caches names it.
+binds a name to an empty dict, set or list, or to a defaultdict, whatever
+the name: nothing bounds what is put in it.  A dict of weak sets is such a
+dict, since its keys outlive the sets' members.  A table that is a constant
+is written out in full.  A weakref table is listed as a cache too, bounded
+by whatever holds its values (or keys), so that the set of caches names it.
 """
 import ast
 import importlib
@@ -116,28 +118,33 @@ def _no_arguments(fn) -> bool:
                 or args.kwonlyargs or args.kwarg)
 
 
-def _empty_dict(node) -> bool:
-    """node is {} or dict()."""
-    if isinstance(node, ast.Dict):
-        return not node.keys
-    return (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "dict"
-            and not node.args and not node.keywords)
+def _open_container(node) -> str | None:
+    """'dict', 'list', 'set' or 'defaultdict' when node is {} or [], a
+    dict(), list() or set() call with no arguments, or any defaultdict call."""
+    if isinstance(node, ast.Dict) and not node.keys:
+        return "dict"
+    if isinstance(node, ast.List) and not node.elts:
+        return "list"
+    if not isinstance(node, ast.Call):
+        return None
+    f = node.func
+    name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+    if name == "defaultdict" or (name in ("dict", "list", "set")
+                                 and not node.args and not node.keywords):
+        return name
+    return None
 
 
-def dict_caches(tree) -> list[tuple[str, bool]]:
-    """('dict at line N', False) for each module-level name ending in _CACHE
-    that is bound to an empty dict: nothing bounds what is put in it."""
+def container_caches(tree) -> list[tuple[str, bool]]:
+    """('<kind> at line N', False) for each module-level name bound to an
+    empty dict, list or set, or to a defaultdict: nothing bounds what is put
+    in it."""
     uses = []
     for node in tree.body:
-        if isinstance(node, ast.Assign):
-            targets, value = node.targets, node.value
-        elif isinstance(node, ast.AnnAssign):
-            targets, value = [node.target], node.value
-        else:
-            continue
-        if _empty_dict(value) and any(isinstance(t, ast.Name) and t.id.endswith("_CACHE")
-                                      for t in targets):
-            uses.append((f"dict at line {node.lineno}", False))
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            kind = _open_container(node.value)
+            if kind:
+                uses.append((f"{kind} at line {node.lineno}", False))
     return uses
 
 
@@ -145,8 +152,8 @@ def cache_uses(source: str, namespace: dict) -> list[tuple[str, bool]]:
     """(use, bounded) for each cache in source.  An lru_cache is bounded when
     its maxsize is an int literal or a name bound to an int in namespace; a
     functools cache, when it decorates a function of no arguments, which can
-    keep one value only; a module-level dict cache never is; a weakref table
-    always is, by what holds its entries."""
+    keep one value only; a module-level empty container never is; a weakref
+    table always is, by what holds its entries."""
     tree = ast.parse(source)
     calls = {node.func: node for node in ast.walk(tree) if isinstance(node, ast.Call)}
     decorated = {d: node for node in ast.walk(tree)
@@ -176,7 +183,7 @@ def cache_uses(source: str, namespace: dict) -> list[tuple[str, bool]]:
             size = size.value
         uses.append((f"lru_cache at line {node.lineno}",
                      isinstance(size, int) and not isinstance(size, bool)))
-    return uses + dict_caches(tree)
+    return uses + container_caches(tree)
 
 
 def test_caches_are_bounded():
@@ -203,8 +210,8 @@ def test_caches_are_bounded():
     ("_POLY_CACHE = {}", [False]),
     ("_POLY_CACHE: dict[tuple, int] = {}", [False]),
     ("A_CACHE = B = dict()", [False]),
-    ("_CACHE_SIZE = {}", []),
-    ("_TABLE = {}", []),
+    ("_CACHE_SIZE = {}", [False]),
+    ("_TABLE = {}", [False]),
     ("_LEAF_CACHE = {int: repr}", []),
     ("def f():\n    _CACHE = {}", []),
     ("_POLY_CACHE = dict(a=1)", []),
@@ -213,6 +220,21 @@ def test_caches_are_bounded():
     ("from weakref import WeakSet\nseen = WeakSet()", [True]),
     ("def f():\n    return weakref.WeakKeyDictionary()", [True]),
     ("r = weakref.ref(x)", []),
+    # a dict of weak sets: each set dies with its members, its key does not
+    ("_HULLS = {}\ndef f(k):\n    return _HULLS.setdefault(k, weakref.WeakSet())",
+     [True, False]),
+    ("_HULLS = defaultdict(weakref.WeakSet)", [False]),
+    ("_SEEN = collections.defaultdict(list, a=[])", [False]),
+    ("seen = set()", [False]),
+    ("order: list[int] = []", [False]),
+    ("a = b = list()", [False]),
+    ("_KEYS = dict()", [False]),
+    ("PRIMES = [2, 3, 5]", []),
+    ("AXES = {0, 1}", []),
+    ("NAMES = set(('x', 'y'))", []),
+    ("EMPTY = ()", []),
+    ("order: list[int]", []),
+    ("def f():\n    seen = set()", []),
 ])
 def test_cache_check_flags_unbounded(source, bounded):
     uses = cache_uses(source, {"SIZE": 1024, "FLAG": True})

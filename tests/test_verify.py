@@ -915,6 +915,15 @@ class TestCli:
                              capture_output=True, text=True, env=CHILD_ENV)
         assert (res.returncode, res.stdout) == (EXIT_INPUT_ERROR, "")
 
+    @pytest.mark.parametrize("degree", ["1", "0", "-1"])
+    def test_fermat_sweep_rejects_max_degree_below_2(self, degree):
+        # a degree range with no d >= 2 printed the header alone and exited 0
+        script = Path(__file__).parents[1] / "scripts" / "fermat_sweep.py"
+        res = subprocess.run([sys.executable, str(script), "--dims", "2", "--max-degree", degree],
+                             capture_output=True, text=True, env=CHILD_ENV)
+        assert (res.returncode, res.stdout) == (EXIT_INPUT_ERROR, "")
+        assert res.stderr == f"error: max degree must be >= 2, got {degree}\n"
+
     def test_estimator_accuracy_script(self):
         script = Path(__file__).parents[1] / "scripts" / "estimator_accuracy.py"
         res = subprocess.run([sys.executable, str(script), "--count", "2", "--starts", "16",
