@@ -61,20 +61,21 @@ def _exponent(g) -> Exponent:
 
 
 def minimalize(gens) -> tuple[Exponent, ...]:
-    """Reduce a set of integer exponent vectors to its componentwise-minimal
-    elements.
+    """Reduce integer exponent tuples, built by the package or checked by
+    MonomialIdeal.make, to their sorted componentwise-minimal elements.
 
-    In lexicographic order a vector can only be dominated by an earlier one,
-    and then also by an earlier minimal one, so each vector is compared with
-    the minimal vectors kept so far.
+    In lexicographic order a vector can only be dominated by an earlier one of
+    lower degree, and then also by an earlier minimal one, so each vector is
+    compared with the minimal vectors of lower degree kept so far.
     """
-    keep = []
-    for v in sorted({_exponent(g) for g in gens}):
-        for u in keep:
-            if all(map(le, u, v)):
+    keep = {}  # minimal vector -> degree, in lexicographic order
+    for v in sorted(set(gens)):
+        d = sum(v)
+        for u, du in keep.items():
+            if du < d and all(map(le, u, v)):
                 break
         else:
-            keep.append(v)
+            keep[v] = d
     return tuple(keep)
 
 
@@ -96,7 +97,7 @@ class MonomialIdeal:
                 raise InvalidInputError(f"generator {g} has wrong length (dim {dim})")
             if any(c < 0 for c in g):
                 raise InvalidInputError(f"negative exponent in generator {g}")
-        return cls(dim, minimalize(gens))
+        return cls(dim, minimalize(map(_exponent, gens)))
 
     @property
     def is_unit(self) -> bool:

@@ -1,8 +1,8 @@
 """Polynomial germs with rational coefficients.
 
-Parsing, Jacobian ideals, the product ideal m*J_f, monomialization with an
-exactness flag, the Newton-diagram lct of f, and the one check that accepts
-a germ.  Coefficients are exact rationals; no floating point in this module.
+Parsing, Jacobian ideals, monomialization with an exactness flag, m*J_f as
+the shift of J_f's term ideal, the Newton-diagram lct of f, and the one check
+that accepts a germ.  Exact rational coefficients; no floating point here.
 """
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactgeom import InvalidInputError, MAX_DIM, MonomialIdeal, check_dim
+from .exactgeom import InvalidInputError, MAX_DIM, MonomialIdeal, check_dim, minimalize
 from .invariants import lct_monomial
 
 Exponent = tuple[int, ...]
@@ -53,9 +53,6 @@ class Polynomial:
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
-    def support(self) -> tuple[Exponent, ...]:
-        return tuple(sorted(self.terms))
-
     def order(self) -> int | None:
         """Minimal total degree of a term; None for the zero polynomial."""
         if self.is_zero:
@@ -77,12 +74,9 @@ def poly(dim: int, terms) -> Polynomial:
 
 
 def derivative(p: Polynomial, axis: int) -> Polynomial:
-    terms = {}
-    for v, c in p.terms.items():
-        if v[axis] > 0:
-            u = tuple(e - 1 if i == axis else e for i, e in enumerate(v))
-            terms[u] = terms.get(u, Fraction(0)) + c * v[axis]
-    return poly(p.dim, terms)
+    """dp/dz_axis; distinct terms stay distinct and no c*v[axis] is 0."""
+    return Polynomial(p.dim, {v[:axis] + (v[axis] - 1,) + v[axis + 1:]: c * v[axis]
+                              for v, c in p.terms.items() if v[axis]})
 
 
 def _grlex_key(v: Exponent):
@@ -206,7 +200,8 @@ def parse_polynomial(text: str, dim: int | None = None) -> Polynomial:
         dim = max(max_var + 1, 1)
     if max_var + 1 > dim:
         raise InvalidInputError(f"variable index exceeds dimension {dim}")
-    return poly(dim, {v[:dim]: c for v, c in acc.items()})
+    # the entries past dim are 0, so cutting them merges no terms
+    return Polynomial(dim, {v[:dim]: c for v, c in acc.items() if c})
 
 
 @dataclass(frozen=True)
@@ -247,13 +242,12 @@ def jacobian_ideal(f: Polynomial) -> IdealPresentation:
     return IdealPresentation(f.dim, tuple(nonzero))
 
 
-def product_with_maximal(I: IdealPresentation) -> IdealPresentation:
-    """The generators z_i*g of m*I, for each i and then each g: z_i*g has
-    g's coefficients on g's exponents shifted by e_i, in g's term order."""
-    n = I.dim
-    return IdealPresentation(n, tuple(
-        Polynomial(n, {v[:i] + (v[i] + 1,) + v[i + 1:]: c for v, c in g.terms.items()})
-        for i in range(n) for g in I.generators))
+def product_with_maximal(a: MonomialIdeal) -> MonomialIdeal:
+    """m*a: the minimal elements of {g + e_i} over a's generators g and the
+    axes i.  A dominated v >= g shifts to v + e_i >= g + e_i, so shifting the
+    minimal generators alone gives the same ideal."""
+    return MonomialIdeal(a.dim, minimalize({g[:i] + (g[i] + 1,) + g[i + 1:]
+                                            for g in a.generators for i in range(a.dim)}))
 
 
 def monomialize(I: IdealPresentation, allow_nondegenerate: bool = False) -> Monomialization:
@@ -262,8 +256,7 @@ def monomialize(I: IdealPresentation, allow_nondegenerate: bool = False) -> Mono
     NotMonomializableError naming the first generator that is not."""
     mixed = [g for g in I.generators if not g.is_monomial]
     if mixed and not allow_nondegenerate:
-        raise NotMonomializableError(
-            f"generator {format_polynomial(mixed[0])} is not a single term")
+        raise NotMonomializableError(f"generator {mixed[0]} is not a single term")
     exps = [v for g in I.generators for v in g.terms]
     return Monomialization(MonomialIdeal.make(exps, I.dim),
                            NONDEGENERATE if mixed else TERM_EXACT)
@@ -273,7 +266,7 @@ def lct_nondegenerate(f: Polynomial) -> tuple[Fraction, str]:
     """min(1, lct) of the Newton ideal of supp(f); flagged unless monomial."""
     if f.is_zero:
         raise InvalidInputError("empty support")
-    a = MonomialIdeal.make(f.support(), f.dim)
+    a = MonomialIdeal.make(f.terms, f.dim)
     if a.is_unit:
         raise DegenerateGermError(_UNIT)
     value = min(Fraction(1), lct_monomial(a))
@@ -289,8 +282,14 @@ class IsolatedGerm:
     mono: Monomialization
 
     def m_jacobian(self, allow_nondegenerate: bool) -> Monomialization:
-        """The monomialization of m*J_f, strict unless allow_nondegenerate."""
-        return monomialize(product_with_maximal(self.jacobian), allow_nondegenerate)
+        """The monomialization of m*J_f, strict unless allow_nondegenerate.
+        z_i*g has g's terms shifted by e_i: m times mono's ideal, in mono's mode;
+        strict mode names z_0*g for J_f's first partial g of several terms."""
+        if not (allow_nondegenerate or self.mono.exact):
+            g = next(g for g in self.jacobian.generators if not g.is_monomial)
+            z0g = Polynomial(g.dim, {(v[0] + 1,) + v[1:]: c for v, c in g.terms.items()})
+            raise NotMonomializableError(f"generator {z0g} is not a single term")
+        return Monomialization(product_with_maximal(self.mono.ideal), self.mono.mode)
 
 
 def check_isolated(f: Polynomial) -> IsolatedGerm:

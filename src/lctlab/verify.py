@@ -106,7 +106,7 @@ def verify_main(
     for est in thetas:
         v = est.value
         if isinstance(v, Fraction):
-            lhs = lhs + Fraction(1) / (1 + v)
+            lhs = lhs + Fraction(v.denominator, v.numerator + v.denominator)  # 1/(1 + p/q)
         else:
             lhs = float(lhs) + 1.0 / (1.0 + v)
     rhs = lct_monomial(mono.ideal)

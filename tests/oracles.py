@@ -29,7 +29,10 @@ partials of f restricted to each coordinate axis.  contains and facet_eval
 decide membership by the facet inequalities, against the LP of lp_member;
 ideal_power and scale_ideal build test ideals, and poly_add, poly_scale
 and poly_mul test polynomials; poly_mul is also the product that the
-exponent shift of product_with_maximal replaced.
+polynomial shift of product_with_maximal_poly replaced.
+product_with_maximal_poly is the presentation of m*I by the polynomials
+z_i*g that germs built before m*J_f became the exponent shift of J_f's
+term ideal.
 """
 import itertools
 import operator
@@ -98,6 +101,15 @@ def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
             key = tuple(x + y for x, y in zip(u, v))
             terms[key] = terms.get(key, Fraction(0)) + a * b
     return poly(p.dim, terms)
+
+
+def product_with_maximal_poly(I: IdealPresentation) -> IdealPresentation:
+    """The generators z_i*g of m*I, for each i and then each g: z_i*g has
+    g's coefficients on g's exponents shifted by e_i, in g's term order."""
+    n = I.dim
+    return IdealPresentation(n, tuple(
+        Polynomial(n, {v[:i] + (v[i] + 1,) + v[i + 1:]: c for v, c in g.terms.items()})
+        for i in range(n) for g in I.generators))
 
 
 def facet_eval(P: NewtonPolyhedron, q) -> bool:

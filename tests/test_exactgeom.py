@@ -486,6 +486,19 @@ class TestMonomialIdeal:
         with pytest.raises(InvalidInputError):
             MonomialIdeal.make([(1, -1)], 2)
 
+    @pytest.mark.parametrize("gens,message", [
+        ([(1, 0, 0), (0, 2)], r"^generator \(1, 0, 0\) has wrong length \(dim 2\)$"),
+        ([(1,), (0, 2)], r"^generator \(1,\) has wrong length \(dim 2\)$"),
+        ([(0, 2), (-1, 3)], r"^negative exponent in generator \(-1, 3\)$"),
+        ([(1.5, 0), (0, -1)], r"^negative exponent in generator \(0, -1\)$"),
+        ([(0, 2), (1.5, 0)], r"^non-integer exponent in generator \(1.5, 0\)$"),
+    ])
+    def test_typed_errors_in_order(self, gens, message):
+        # lengths and signs of every generator are checked before integrality
+        for build in (MonomialIdeal.make, build_polyhedron):
+            with pytest.raises(InvalidInputError, match=message):
+                build(gens, 2)
+
     @pytest.mark.parametrize("bad", [1.5, 2.0, Fraction(3, 2), Fraction(2), np.float64(2)])
     def test_non_integer_exponent(self, bad):
         with pytest.raises(InvalidInputError, match=r"generator \(.*, 0\)"):

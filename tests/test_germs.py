@@ -2,10 +2,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lctlab.exactgeom import (
     InvalidInputError,
+    MonomialIdeal,
     UnsupportedDimensionError,
     build_polyhedron,
     polyhedron_of,
@@ -29,7 +30,8 @@ from lctlab.germs import (
 )
 from lctlab.invariants import lct_monomial, lelong_numbers, loja_monomial
 
-from oracles import poly_add, poly_mul, poly_scale
+from oracles import poly_add, poly_mul, poly_scale, product_with_maximal_poly
+from test_cli_fuzz import germ_texts
 
 
 class TestParser:
@@ -184,25 +186,67 @@ class TestJacobian:
         assert total == poly_scale(f, d)
 
 
+def _derivative_by_poly(p, axis):
+    """dp/dz_axis summed term by term and normalized by poly()."""
+    terms = {}
+    for v, c in p.terms.items():
+        if v[axis]:
+            u = tuple(e - (i == axis) for i, e in enumerate(v))
+            terms[u] = terms.get(u, 0) + c * v[axis]
+    return poly(p.dim, terms)
+
+
+class TestNormalForm:
+    """parse_polynomial and derivative build their Polynomial directly, in
+    the form poly() would give: int exponents, nonzero Fraction coefficients."""
+
+    @staticmethod
+    def assert_normal(p):
+        assert all(len(v) == p.dim and all(type(e) is int for e in v) for v in p.terms)
+        assert all(type(c) is Fraction and c != 0 for c in p.terms.values())
+        assert p == poly(p.dim, p.terms)
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=germ_texts())
+    @example(text="x^2 - x^2 + y^2")
+    @example(text="1/2*x*y - 1/2*x*y + y^3")
+    @example(text="x - x")
+    @example(text="x^3*y - x^3*y + x^3")
+    def test_parse_and_derivative(self, text):
+        f = parse_polynomial(text)
+        self.assert_normal(f)
+        for axis in range(f.dim):
+            d = derivative(f, axis)
+            self.assert_normal(d)
+            assert d == _derivative_by_poly(f, axis)
+
+
 class TestProductWithMaximal:
+    # the presentation tests run the polynomial oracle; each checks that the
+    # exponent shift of the term ideal gives its ideal
     def test_fermat(self):
         I = jacobian_ideal(parse_polynomial("x^3 + y^3"))
-        mJ = product_with_maximal(I)
+        mJ = product_with_maximal_poly(I)
         exps = {next(iter(g.terms)) for g in mJ.generators}
         assert exps == {(3, 0), (2, 1), (1, 2), (0, 3)}
+        assert product_with_maximal(monomialize(I).ideal) == monomialize(mJ).ideal
 
     def test_unit(self):
-        mI = product_with_maximal(IdealPresentation(2, (poly(2, {(0, 0): 1}),)))
+        mI = product_with_maximal_poly(IdealPresentation(2, (poly(2, {(0, 0): 1}),)))
         assert {next(iter(g.terms)) for g in mI.generators} == {(1, 0), (0, 1)}
+        assert product_with_maximal(MonomialIdeal.make([(0, 0)], 2)).generators == \
+            ((0, 1), (1, 0))
 
     def test_principal(self):
-        mI = product_with_maximal(IdealPresentation(2, (poly(2, {(1, 0): 1}),)))
+        mI = product_with_maximal_poly(IdealPresentation(2, (poly(2, {(1, 0): 1}),)))
         assert {next(iter(g.terms)) for g in mI.generators} == {(2, 0), (1, 1)}
+        assert product_with_maximal(MonomialIdeal.make([(1, 0)], 2)).generators == \
+            ((1, 1), (2, 0))
 
 
 class TestMonomialize:
     def test_term_exact_fermat_product(self):
-        mJ = product_with_maximal(jacobian_ideal(parse_polynomial("x^3 + y^3")))
+        mJ = product_with_maximal_poly(jacobian_ideal(parse_polynomial("x^3 + y^3")))
         mono = monomialize(mJ)
         assert mono.exact
         assert polyhedron_of(mono.ideal).facets == (((1, 1), 3),)  # m^3
@@ -289,7 +333,7 @@ class TestCheckIsolated:
         assert not germ.mono.exact and germ.mono.ideal.zero_dimensional
         with pytest.raises(NotMonomializableError, match="is not a single term"):
             germ.m_jacobian(False)
-        assert germ.m_jacobian(True) == monomialize(product_with_maximal(germ.jacobian),
+        assert germ.m_jacobian(True) == monomialize(product_with_maximal_poly(germ.jacobian),
                                                     allow_nondegenerate=True)
 
 
@@ -299,7 +343,8 @@ class TestProductRouteConsistency:
         from lctlab.exactgeom import diagonal_intercept, maximal_ideal, minkowski_sum
 
         J = jacobian_ideal(parse_polynomial(text))
-        direct = lct_monomial(monomialize(product_with_maximal(J)).ideal)
+        direct = lct_monomial(monomialize(product_with_maximal_poly(J)).ideal)
+        assert direct == lct_monomial(product_with_maximal(monomialize(J).ideal))
         PJ = polyhedron_of(monomialize(J).ideal)
         Pm = polyhedron_of(maximal_ideal(2))
         via_sum = 1 / diagonal_intercept(minkowski_sum(PJ, Pm))
@@ -309,5 +354,6 @@ class TestProductRouteConsistency:
     def test_fermat_closure_is_power_of_maximal(self, n, d):
         vars_ = ["x", "y", "z"][:n]
         f = parse_polynomial(" + ".join(f"{v}^{d}" for v in vars_))
-        mono = monomialize(product_with_maximal(jacobian_ideal(f)))
+        mono = monomialize(product_with_maximal_poly(jacobian_ideal(f)))
         assert polyhedron_of(mono.ideal).facets == (((1,) * n, d),)
+        assert check_isolated(f).m_jacobian(False) == mono

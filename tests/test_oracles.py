@@ -14,8 +14,10 @@ descent is compared with the per-sphere loop on plane ideals and plane
 restrictions.  Restriction by direct substitution is compared with the one
 polynomial product per degree on random multi-term polynomials, and the line
 order read off the line's zero pattern with the order of the restricted
-generators.  m*J_f by exponent shifts is compared with the products z_i*g
-on drawn germs.  The diagonal intercept, found by integer
+generators.  m*J_f as the shift of J_f's term ideal, strict or not, is
+compared with the monomialized polynomials z_i*g on drawn germs, those
+polynomials with the products z_i*g, and the shift of any ideal with its
+product with m.  The diagonal intercept, found by integer
 cross-multiplication, the pure powers and L_0, read off the generators, and
 the one-pass zero-dimensionality check are compared with the intercepts
 over the facets in Fractions and with one pure_power search per axis on
@@ -91,6 +93,7 @@ from oracles import (
     minmax_loop,
     mixed_multiplicity_products,
     poly_mul,
+    product_with_maximal_poly,
     random_ideal_randint,
     restrict_products,
     section_line_order,
@@ -105,7 +108,7 @@ CORPORA = CORPUS_2D + CORPUS_3D
 IDEALS = CORPORA + [ideal_power(a, k) for a in CORPUS_2D[:50] for k in (2, 3)]
 M4 = maximal_ideal(4)
 DIM4 = [random_ideal(4, s, 5) for s in (1, 2)]
-FERMAT4 = monomialize(product_with_maximal(jacobian_ideal(
+FERMAT4 = monomialize(product_with_maximal_poly(jacobian_ideal(
     parse_polynomial("x^5 + y^5 + z^5 + w^5")))).ideal
 
 
@@ -550,10 +553,14 @@ def _monomialize_error(I):
 @given(f=germ_texts().map(parse_polynomial))
 @example(f=parse_polynomial("x^4 + x*y^2 + y^5"))
 @example(f=parse_polynomial("x^3 + y^3 + z^3 + x*y*z"))
+@example(f=parse_polynomial("x^2 + y^2 + z^2 + w^2 + x*y*z*w"))
+@example(f=parse_polynomial("x + y^2"))
 def test_product_with_maximal_matches_poly_mul(f):
-    """m*J_f by exponent shifts against the products z_i*g, term order
-    included, on germs term-exact or not; an accepted germ's strict m*J_f
-    names the same generator when it does not monomialize."""
+    """The oracle's m*J_f by polynomial shifts against the products z_i*g,
+    term order included, on germs term-exact or not.  An accepted germ's
+    m_jacobian, the shift of J_f's term ideal, equals their monomialization
+    in both modes; in strict mode, when they do not monomialize, it names
+    the same generator."""
     try:
         J = jacobian_ideal(f)
     except DegenerateGermError:
@@ -561,7 +568,7 @@ def test_product_with_maximal_matches_poly_mul(f):
     n = f.dim
     axes = [poly(n, {tuple(int(k == i) for k in range(n)): 1}) for i in range(n)]
     want = IdealPresentation(n, tuple(poly_mul(z, g) for z in axes for g in J.generators))
-    got = product_with_maximal(J)
+    got = product_with_maximal_poly(J)
     assert got == want
     assert [list(g.terms.items()) for g in got.generators] == \
         [list(g.terms.items()) for g in want.generators]
@@ -576,6 +583,32 @@ def test_product_with_maximal_matches_poly_mul(f):
         with pytest.raises(NotMonomializableError) as err:
             germ.m_jacobian(False)
         assert str(err.value) == message
+    assert germ.m_jacobian(True) == monomialize(want, allow_nondegenerate=True)
+
+
+_SMALL_GENERATORS = st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(*[st.integers(0, 6)] * n), min_size=1, max_size=8)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_SMALL_GENERATORS)
+@example(case=(1, [(3,)]))
+@example(case=(2, [(0, 0)]))
+@example(case=(3, [(1, 1, 0)]))
+def test_product_with_maximal_matches_ideal_product(case):
+    """m*a by exponent shifts against the product with the maximal ideal, on
+    any ideal in dims 1-4: unit, not zero-dimensional, or many generators."""
+    n, gens = case
+    a = MonomialIdeal.make(gens, n)
+    assert product_with_maximal(a) == ideal_product(a, maximal_ideal(n))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_product_with_maximal_matches_ideal_product_on_random_ideals(n):
+    for seed in range(60):
+        for budget in (5, 17):
+            a = random_ideal(n, seed, budget)
+            assert product_with_maximal(a) == ideal_product(a, maximal_ideal(n))
 
 
 def loop_minmax(I, params):

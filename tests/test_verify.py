@@ -103,6 +103,32 @@ class TestVerifyMain:
                      for name, mocks in counters.items()}
             assert calls == {"check_isolated": 1, "jacobian_ideal": 1}, entry
 
+    @pytest.mark.parametrize("text", ["x^5", "x^3 + y^4", "x^3 + y^4 + z^5",
+                                      "x1^5 + x2^5 + x3^5 + x4^5", "x^2 + y^3 + z^4 + w^5"])
+    def test_term_exact_germ_builds_only_its_partials(self, text, monkeypatch):
+        # m*J_f is the shift of J_f's term ideal: a term-exact germ builds
+        # its n partials and no z_i*g, and monomializes J_f alone
+        f = parse_polynomial(text)
+        partials = [germs.derivative(f, i) for i in range(f.dim)]
+        built, mono_calls = [], []
+        post_init = germs.Polynomial.__post_init__
+        monomialize = germs.monomialize
+
+        def counted_post_init(p):
+            built.append(p)
+            post_init(p)
+
+        def counted_monomialize(*args, **kwargs):
+            mono_calls.append(args)
+            return monomialize(*args, **kwargs)
+
+        monkeypatch.setattr(germs.Polynomial, "__post_init__", counted_post_init)
+        monkeypatch.setattr(germs, "monomialize", counted_monomialize)
+        v, _ = verify_main(f)
+        assert v.holds and not v.numeric
+        assert built == partials
+        assert len(mono_calls) == 1
+
     def test_m_jacobian_decided_before_the_thetas(self, monkeypatch):
         def no_estimate(germ, seed=0):
             raise AssertionError("thetas estimated before m*J_f")
